@@ -5,17 +5,12 @@ netlists, advanced either by classic fixed-step methods (trapezoidal,
 backward Euler) or by adaptive matrix-exponential stepping on standard,
 inverted or rational Krylov subspaces, with superposition-based input
 decomposition across parallel workers.
+
+The top level re-exports the entry points; everything else lives in the
+submodules (netlist, numkit, krylov, stepper, decomp, meshgen, cli).
 """
 
-from .decomp import (
-    BumpFeature,
-    SuperposedResult,
-    TransitionPlan,
-    build_plan,
-    extract_lts,
-    run_superposed,
-    speedup_model,
-)
+from .decomp import run_superposed
 from .errors import (
     BasisDegenerate,
     CircuitError,
@@ -26,112 +21,26 @@ from .errors import (
     NumericallySingular,
     StructurallySingular,
 )
-from .krylov import (
-    KrylovBasis,
-    Variant,
-    VariantOperator,
-    arnoldi,
-    augment_phi,
-    basis_audit,
-    effective_generator,
-    expm_action,
-    inverted_operator,
-    posterior_error,
-    step_error_estimate,
-    rational_operator,
-    standard_operator,
-)
-from .meshgen import generate_mesh_netlist, measure_stiffness
-from .netlist import (
-    CircuitSystem,
-    Dc,
-    Pulse,
-    Pwl,
-    build_system,
-    dc_analysis,
-    parse_netlist,
-    parse_value,
-    stamp_mna,
-)
-from .numkit import (
-    LuFactors,
-    SparseMatrix,
-    csc_from_triplets,
-    dense_expm,
-    lu_factorize,
-    lu_solve,
-    substitution_counter,
-)
-from .stepper import (
-    SolverConfig,
-    WaveformResult,
-    compute_input_terms,
-    matex_step,
-    max_step,
-    solve_transient,
-    solve_transient_be,
-    solve_transient_matex,
-    solve_transient_tr,
-    waveform_error,
-)
+from .meshgen import generate_mesh_netlist
+from .netlist import build_system, dc_analysis
+from .stepper import SolverConfig, WaveformResult, solve_transient
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BasisDegenerate",
-    "BumpFeature",
     "CircuitError",
-    "CircuitSystem",
-    "Dc",
-    "KrylovBasis",
-    "LuFactors",
     "NetlistError",
     "NoConvergence",
     "NoDcOperatingPoint",
     "NumericalError",
     "NumericallySingular",
-    "Pulse",
-    "Pwl",
     "SolverConfig",
-    "SparseMatrix",
     "StructurallySingular",
-    "SuperposedResult",
-    "TransitionPlan",
-    "Variant",
-    "VariantOperator",
     "WaveformResult",
-    "arnoldi",
-    "augment_phi",
-    "basis_audit",
-    "build_plan",
     "build_system",
-    "csc_from_triplets",
-    "compute_input_terms",
     "dc_analysis",
-    "dense_expm",
-    "effective_generator",
-    "expm_action",
-    "extract_lts",
     "generate_mesh_netlist",
-    "inverted_operator",
-    "lu_factorize",
-    "lu_solve",
-    "matex_step",
-    "max_step",
-    "measure_stiffness",
-    "parse_netlist",
-    "parse_value",
-    "posterior_error",
-    "step_error_estimate",
-    "rational_operator",
     "run_superposed",
     "solve_transient",
-    "solve_transient_be",
-    "solve_transient_matex",
-    "solve_transient_tr",
-    "speedup_model",
-    "stamp_mna",
-    "standard_operator",
-    "substitution_counter",
-    "waveform_error",
 ]

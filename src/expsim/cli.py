@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import decomp, meshgen, netlist, numkit, stepper
+from . import decomp, meshgen, netlist, stepper
 from .errors import NetlistError, NumericalError
 
 
@@ -124,7 +124,6 @@ def _make_config(args, solver: str) -> stepper.SolverConfig:
 def cmd_simulate(args) -> int:
     system = _load_system(args.netlist)
     config = _make_config(args, args.solver)
-    numkit.substitution_counter.reset()
     run = decomp.run_superposed(
         system, config, workers=args.workers, max_groups=args.groups
     )
@@ -139,7 +138,7 @@ def cmd_simulate(args) -> int:
             "gamma": merged.gamma,
             "groups": run.plan.num_groups,
             "workers": args.workers,
-            "substitution_pairs": numkit.substitution_counter.value,
+            "substitution_pairs": merged.substitution_pairs,
             "factorizations": merged.factorizations,
             "wall_time": merged.wall_time,
             "m_average": merged.m_average,
@@ -307,10 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "solver", None) in ("imatex",) and getattr(
-        args, "input_path", "fp"
-    ) == "aug":
-        parser.error("imatex cannot use --path aug")
     try:
         return args.func(args)
     except NetlistError as exc:

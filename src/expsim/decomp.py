@@ -29,19 +29,6 @@ MAX_GROUPS_DEFAULT = 100
 _FS = netlist.TIME_QUANTUM
 
 
-def extract_lts(
-    waveform: netlist.Waveform, t_start: float, t_stop: float
-) -> np.ndarray:
-    """Slope-change times of one source inside [t_start, t_stop].
-
-    Constant sources have none; pulse trains contribute the four corners
-    of every period that intersects the span; breakpoint waveforms their
-    clipped breakpoints. Times arrive snapped to the femtosecond grid so
-    set algebra on them is exact.
-    """
-    return waveform.transition_times(t_start, t_stop)
-
-
 def _quant(t: float) -> int:
     return int(round(t / _FS))
 
@@ -148,7 +135,7 @@ def build_plan(
     """
     if max_groups < 1:
         raise ValueError("max_groups must be at least 1")
-    source_lts = [extract_lts(w, t_start, t_stop) for w in sources]
+    source_lts = [w.transition_times(t_start, t_stop) for w in sources]
     features = [BumpFeature.from_waveform(w) for w in sources]
 
     by_feature: dict[BumpFeature, list[int]] = {}

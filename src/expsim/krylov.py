@@ -55,10 +55,7 @@ class Variant(enum.Enum):
 
 
 def _projected_expm(m: np.ndarray) -> np.ndarray:
-    # Same Pade scaling-and-squaring path as numkit.dense_expm, minus
-    # the standalone kernel's dimension cap: projected generators are
-    # m x m for the basis dimension m, which the standard variant can
-    # legitimately push past that cap on stiff problems. Low-dimension
+    # Pade scaling-and-squaring on the m x m projection. Low-dimension
     # projections of a stable generator can stick out into the right
     # half plane and overflow; the resulting infs just read as a failed
     # convergence check, so the warnings are noise.
@@ -116,11 +113,11 @@ class VariantOperator:
     so the (n+2)-dimensional matrices never exist; only the standard
     and rational variants support that.
 
-    aux_c_factors and g_matrix, when provided, let posterior_error use
-    the exact residual formulas for the inverted and rational variants
-    (they need one extra apply of A, i.e. a C solve). They are omitted
-    exactly when C cannot be factorized, which drops the estimate to
-    the empirical surrogate.
+    aux_c_factors and g_matrix, when provided, let the error estimate
+    use the exact residual formulas for the inverted and rational
+    variants (they need one extra apply of A, i.e. a C solve). They are
+    omitted exactly when C cannot be factorized, which drops the
+    estimate to the empirical surrogate.
     """
 
     variant: Variant
@@ -173,7 +170,7 @@ class VariantOperator:
     def ode_apply(self, v: np.ndarray) -> np.ndarray | None:
         """A v with A = -C^-1 G, blockwise when an augmentation is attached.
 
-        Used by the exact error formulas of posterior_error. Returns
+        Used by the exact residual formulas of _residual_rate. Returns
         None when the needed pieces (C factors, G) were not supplied,
         which is the singular-C situation.
         """
@@ -376,29 +373,6 @@ def _residual_rate(basis: KrylovBasis, e_s: np.ndarray) -> tuple[float, str]:
     return basis.beta * abs(basis.h_next) * basis._exact_scale * tail, "exact"
 
 
-def posterior_error(basis: KrylovBasis, h: float, detail: bool = False):
-    """Residual norm ||r_m(h)|| of expm_action(basis, h).
-
-    The instantaneous defect of the approximant against the exact
-    dynamics at the step endpoint, per the variant's formula (see
-    _residual_rate). It is the classical stopping surrogate; for the
-    error of the whole step, step_error_estimate integrates this rate
-    over the horizon and is what the solver gates on.
-
-    With detail=True returns (estimate, kind) where kind names the
-    formula used: "exact", "empirical" or "breakdown".
-    """
-    if basis.m == 0 or basis.h_next == 0.0:
-        return (0.0, "breakdown") if detail else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_h = _projected_expm(h * basis.effective_generator())
-        est, kind = _residual_rate(basis, e_h)
-    est = float(est)
-    if not np.isfinite(est):
-        est = float("inf")
-    return (est, kind) if detail else est
-
-
 def step_error_estimate(
     basis: KrylovBasis, h: float, detail: bool = False, levels: int = 6
 ):
@@ -582,15 +556,15 @@ def orthonormality_defect(basis: KrylovBasis) -> float:
 def relation_residual(basis: KrylovBasis) -> tuple[float, float]:
     """(residual, scale) of M V = V H + h_next v_next e_m^T.
 
-    Applies the operator once per column with counting paused; the
-    scale is ||M V||_F for relative comparison.
+    Applies the operator once per column; the solves land on the
+    operator's factor tally. The scale is ||M V||_F for relative
+    comparison.
     """
     if basis.m == 0:
         return 0.0, 0.0
-    with numkit.counting_paused():
-        mv = np.column_stack(
-            [basis.operator.apply(basis.v_basis[:, j]) for j in range(basis.m)]
-        )
+    mv = np.column_stack(
+        [basis.operator.apply(basis.v_basis[:, j]) for j in range(basis.m)]
+    )
     rhs = basis.v_basis @ basis.hessenberg
     rhs[:, -1] += basis.h_next * basis.v_next
     residual = float(np.linalg.norm(mv - rhs))

@@ -1,8 +1,9 @@
 """Netlist parsing and modified-nodal-analysis assembly.
 
 The accepted text format is a small SPICE-like dialect, one element per
-line, '*' comment lines, case-insensitive, with engineering suffixes on
-numbers (f p n u m k meg g). Supported cards::
+line, '*' or ';' comment lines and trailing '; ...' comments,
+case-insensitive, with engineering suffixes on numbers
+(f p n u m k meg g t). Supported cards::
 
     R<name> n+ n- <value>
     C<name> n+ n- <value>
@@ -50,6 +51,7 @@ _SUFFIXES = [
     ("M", 1e-3),
     ("K", 1e3),
     ("G", 1e9),
+    ("T", 1e12),
 ]
 
 
@@ -266,7 +268,7 @@ def parse_netlist(text: str) -> Netlist:
     seen_names: set[str] = set()
     t_start = t_stop = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = raw.split(";", 1)[0].strip()
         if not line or line.startswith("*"):
             continue
         if line.startswith("."):
@@ -502,14 +504,18 @@ def dc_analysis(
     system: CircuitSystem,
     g_factors: numkit.LuFactors | None = None,
     mask: np.ndarray | None = None,
+    t: float | None = None,
 ) -> np.ndarray:
-    """Operating point at t_start (or 0): solve G x = B u(0).
+    """Operating point at time t: solve G x = B u(t).
 
-    Capacitors are open and inductors short at DC, which is exactly what
-    the assembled G expresses. Pass pre-built factors of G to reuse them.
+    t defaults to the netlist's t_start (or 0); solvers pass the start
+    of their resolved span. Capacitors are open and inductors short at
+    DC, which is exactly what the assembled G expresses. Pass pre-built
+    factors of G to reuse them.
     """
-    t0 = system.t_start if system.t_start is not None else 0.0
-    u0, _ = system.eval_sources(t0, mask)
+    if t is None:
+        t = system.t_start if system.t_start is not None else 0.0
+    u0, _ = system.eval_sources(t, mask)
     rhs = system.b @ u0
     if g_factors is None:
         try:
@@ -518,4 +524,4 @@ def dc_analysis(
             raise NoDcOperatingPoint(
                 f"conductance system is singular: {exc}"
             ) from exc
-    return numkit.lu_solve(g_factors, rhs)
+    return g_factors.solve(rhs)

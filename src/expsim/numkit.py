@@ -1,27 +1,22 @@
-"""Sparse matrices, LU factorization and the dense matrix exponential.
+"""Sparse matrices and LU factorization.
 
 Everything the rest of the package does reduces to three primitives:
 assembling compressed sparse column matrices from coordinate triplets,
 factorizing them once, and back-substituting many times. Substitutions
-are the unit of cost in the distributed-cost model, so every lu_solve
-call increments a process-wide tally as well as a per-factor one; audits
-that need to apply operators without distorting the books can suspend
-counting with :func:`counting_paused`.
+are the unit of cost in the distributed-cost model; each factor counts
+its own in ``solve_count``, and a run's cost is the sum over the
+factors it made, so concurrent runs never share a tally.
 
-The heavy lifting is delegated to scipy (SuperLU for the factorization,
-Pade scaling-and-squaring for the dense exponential); this module owns
-the contracts: immutability, the singularity threshold, counter
-semantics and the dense-dimension cap.
+The heavy lifting is delegated to scipy (SuperLU with the COLAMD
+column permutation); this module owns the contracts: immutability, the
+singularity threshold and the counter semantics.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -29,61 +24,6 @@ from .errors import NumericallySingular, StructurallySingular
 
 # Relative pivot threshold below which a factorization is declared singular.
 SINGULAR_RTOL = 1e-14
-
-# Hard cap on the dense exponential; projected matrices live far below it.
-DENSE_EXPM_CAP = 128
-
-
-class _PairCounter:
-    """Process-wide substitution tally. Thread-safe, pausable."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._value = 0
-        self._local = threading.local()
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0
-
-    def _increment(self) -> bool:
-        # Returns False while paused so per-factor tallies stay in sync.
-        if getattr(self._local, "paused", 0):
-            return False
-        with self._lock:
-            self._value += 1
-        return True
-
-    def paused(self):
-        return _PauseGuard(self)
-
-
-class _PauseGuard:
-    def __init__(self, counter: _PairCounter):
-        self._counter = counter
-
-    def __enter__(self):
-        local = self._counter._local
-        local.paused = getattr(local, "paused", 0) + 1
-        return self
-
-    def __exit__(self, *exc):
-        self._counter._local.paused -= 1
-        return False
-
-
-#: Global substitution-pair counter. One increment per lu_solve call.
-substitution_counter = _PairCounter()
-
-
-def counting_paused():
-    """Context manager suspending substitution counting on this thread."""
-    return substitution_counter.paused()
 
 
 class SparseMatrix:
@@ -128,9 +68,6 @@ class SparseMatrix:
     def scipy(self) -> sp.csc_matrix:
         return self._m
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._m @ v
-
     def __matmul__(self, v):
         return self._m @ v
 
@@ -174,22 +111,15 @@ def from_scipy(m) -> SparseMatrix:
     return SparseMatrix(sp.csc_matrix(m))
 
 
-def identity(n: int) -> SparseMatrix:
-    return SparseMatrix(sp.identity(n, format="csc"))
-
-
 @dataclass
 class LuFactors:
-    """Result of lu_factorize. Holds the splu object plus bookkeeping.
+    """Result of lu_factorize: the splu object plus its pair tally.
 
     solve() performs one forward/backward substitution pair and bumps
-    both the global counter and this factor's private tally; the private
-    tally is what per-run diagnostics aggregate, so concurrent runs
-    never steal each other's counts.
+    solve_count, the only substitution tally in the package.
     """
 
     n: int
-    fingerprint: str
     _splu: object = field(repr=False)
     solve_count: int = 0
 
@@ -198,48 +128,20 @@ class LuFactors:
         if b.shape != (self.n,):
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
         x = self._splu.solve(b)
-        if substitution_counter._increment():
-            self.solve_count += 1
+        self.solve_count += 1
         return x
 
-    @property
-    def perm_r(self) -> np.ndarray:
-        return self._splu.perm_r
 
-    @property
-    def perm_c(self) -> np.ndarray:
-        return self._splu.perm_c
-
-    @property
-    def L(self) -> sp.csc_matrix:
-        return self._splu.L.tocsc()
-
-    @property
-    def U(self) -> sp.csc_matrix:
-        return self._splu.U.tocsc()
-
-
-def _fingerprint(m: sp.csc_matrix) -> str:
-    h = hashlib.sha256()
-    h.update(np.asarray(m.shape, dtype=np.int64).tobytes())
-    h.update(m.indptr.tobytes())
-    h.update(m.indices.tobytes())
-    h.update(m.data.tobytes())
-    return h.hexdigest()[:16]
-
-
-def lu_factorize(a: SparseMatrix, ordering: str = "colamd") -> LuFactors:
+def lu_factorize(a: SparseMatrix) -> LuFactors:
     """Factorize a square SparseMatrix with partial pivoting.
 
-    ordering selects the column permutation: "colamd" (fill-reducing,
-    the default) or "natural". Raises StructurallySingular when a row
-    or column is empty, NumericallySingular when SuperLU fails or any
-    pivot magnitude falls below SINGULAR_RTOL * max|A|.
+    The column permutation is COLAMD (fill-reducing). Raises
+    StructurallySingular when a row or column is empty,
+    NumericallySingular when SuperLU fails or any pivot magnitude falls
+    below SINGULAR_RTOL * max|A|.
     """
     if a.nrows != a.ncols:
         raise ValueError("can only factorize square matrices")
-    if ordering not in ("colamd", "natural"):
-        raise ValueError(f"unknown ordering {ordering!r}")
     m = a.scipy
     # Empty row/column means no permutation yields a full pivot set.
     row_counts = np.diff(sp.csr_matrix(m).indptr)
@@ -248,11 +150,10 @@ def lu_factorize(a: SparseMatrix, ordering: str = "colamd") -> LuFactors:
         raise StructurallySingular(
             f"matrix has an empty row or column (n={a.nrows})"
         )
-    spec = "COLAMD" if ordering == "colamd" else "NATURAL"
     try:
         fac = spla.splu(
             m,
-            permc_spec=spec,
+            permc_spec="COLAMD",
             diag_pivot_thresh=1.0,
             options={"SymmetricMode": False},
         )
@@ -265,26 +166,4 @@ def lu_factorize(a: SparseMatrix, ordering: str = "colamd") -> LuFactors:
         raise NumericallySingular(
             f"pivot {small:.3e} below threshold {threshold:.3e}"
         )
-    return LuFactors(n=a.nrows, fingerprint=_fingerprint(m), _splu=fac)
-
-
-def lu_solve(factors: LuFactors, b: np.ndarray) -> np.ndarray:
-    """One substitution pair: solve A x = b using existing factors."""
-    return factors.solve(b)
-
-
-def dense_expm(h: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential for small (projected) matrices.
-
-    Pade approximation with scaling and squaring, degree-13 at the top
-    scale. Refuses matrices above DENSE_EXPM_CAP; projected generators
-    never get close and large matrices belong to the Krylov path.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("dense_expm needs a square 2-D array")
-    if h.shape[0] > DENSE_EXPM_CAP:
-        raise ValueError(
-            f"dimension {h.shape[0]} exceeds dense cap {DENSE_EXPM_CAP}"
-        )
-    return scipy.linalg.expm(h)
+    return LuFactors(n=a.nrows, _splu=fac)

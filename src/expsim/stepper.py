@@ -73,7 +73,6 @@ class SolverConfig:
     t_start: float | None = None
     t_stop: float | None = None
     input_path: str = "fp"
-    ordering: str = "colamd"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -142,6 +141,13 @@ class WaveformResult:
 
 
 def resolve_span(system: netlist.CircuitSystem, config: SolverConfig):
+    """(t_start, t_stop) of the run: config overrides, else .TRAN.
+
+    Every solver calls this first, so it also rejects circuits that no
+    source drives.
+    """
+    if system.num_sources == 0:
+        raise ValueError("netlist has no I or V source: nothing drives the circuit")
     t0 = config.t_start if config.t_start is not None else system.t_start
     t1 = config.t_stop if config.t_stop is not None else system.t_stop
     if t0 is None or t1 is None:
@@ -166,18 +172,6 @@ def active_transitions(
     if not parts:
         return np.empty(0)
     return np.unique(np.concatenate(parts))
-
-
-def max_step(t: float, spots: np.ndarray, t_stop: float) -> float:
-    """Largest admissible step from t: distance to the next spot time.
-
-    Inputs are piecewise linear between consecutive spots, so stepping
-    past one would integrate the wrong slope.
-    """
-    spots = np.asarray(spots, dtype=np.float64)
-    later = spots[(spots > t) & (spots < t_stop)]
-    target = float(later.min()) if later.size else t_stop
-    return max(0.0, target - t)
 
 
 def _stepping_points(t0, t1, spots):
@@ -233,35 +227,6 @@ class _InputTracker:
         return self.system.b @ u
 
 
-@dataclass
-class InputTerms:
-    f: np.ndarray
-    p: np.ndarray
-
-
-def compute_input_terms(
-    system: netlist.CircuitSystem,
-    g_factors: numkit.LuFactors,
-    t: float,
-    h: float,
-    cache: _InputTracker | None = None,
-    mask: np.ndarray | None = None,
-) -> InputTerms:
-    """F and P for the window [t, t+h]; see the module docstring.
-
-    Pass the same cache object across calls to pay the two substitution
-    pairs only once per distinct time point.
-    """
-    if cache is None:
-        cache = _InputTracker(system, g_factors, mask)
-    t_next = t + h
-    return InputTerms(f=cache.f_term(t, t_next), p=cache.p_term(t, t_next))
-
-
-def input_cache(system, g_factors, mask=None) -> _InputTracker:
-    return _InputTracker(system, g_factors, mask)
-
-
 def matex_step(
     basis: krylov.KrylovBasis, h_from_anchor: float, p: np.ndarray | None
 ) -> np.ndarray:
@@ -274,6 +239,13 @@ def matex_step(
     if p is None:
         return full[: basis.operator.base_dim]
     return full[: p.shape[0]] - p
+
+
+def _factor(matrix: numkit.SparseMatrix, made: list[numkit.LuFactors]):
+    """Factorize and record the factors; a run's cost is read off made."""
+    f = numkit.lu_factorize(matrix)
+    made.append(f)
+    return f
 
 
 def _is_spot(t: float, spots: np.ndarray, atol: float) -> bool:
@@ -321,19 +293,10 @@ def solve_transient_matex(
         gamma = float(np.median(gaps)) / 10.0
 
     n = system.n
-    factorizations = 0
-    factors_pool: list[numkit.LuFactors] = []
-
-    def factor(matrix):
-        nonlocal factorizations
-        f = numkit.lu_factorize(matrix, config.ordering)
-        factorizations += 1
-        factors_pool.append(f)
-        return f
-
-    g_factors = factor(system.g)
+    made: list[numkit.LuFactors] = []
+    g_factors = _factor(system.g, made)
     if variant is krylov.Variant.STANDARD:
-        c_factors = factor(system.c)
+        c_factors = _factor(system.c, made)
 
         def make_op(aug=None):
             return krylov.standard_operator(c_factors, system.g, aug=aug)
@@ -344,7 +307,7 @@ def solve_transient_matex(
         aux_c = None
         if not system.structurally_singular_c():
             try:
-                aux_c = factor(system.c)
+                aux_c = _factor(system.c, made)
             except errors.NumericalError:
                 aux_c = None
 
@@ -357,7 +320,7 @@ def solve_transient_matex(
 
         else:
             shift = krylov.make_shift_matrix(system.c, system.g, gamma)
-            shift_factors = factor(shift)
+            shift_factors = _factor(shift, made)
 
             def make_op(aug=None):
                 return krylov.rational_operator(
@@ -370,7 +333,7 @@ def solve_transient_matex(
                 )
 
     x = np.array(x0, dtype=np.float64) if x0 is not None else netlist.dc_analysis(
-        system, g_factors, mask
+        system, g_factors, mask, t=t0
     )
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
@@ -422,15 +385,14 @@ def solve_transient_matex(
             )
         )
 
-    pairs = sum(f.solve_count for f in factors_pool)
     return WaveformResult(
         times=points,
         states=np.vstack(states),
         names=list(system.names),
         method=config.method,
         steps=steps,
-        substitution_pairs=pairs,
-        factorizations=factorizations,
+        substitution_pairs=sum(f.solve_count for f in made),
+        factorizations=len(made),
         wall_time=time.perf_counter() - t_begin,
         gamma=gamma,
     )
@@ -451,29 +413,19 @@ def _solve_fixed(system, config, mask, x0, trapezoidal: bool):
     t0, t1 = resolve_span(system, config)
     times = _fixed_grid(t0, t1, config.h)
     h = config.h
-    factorizations = 0
-    pool = []
-
-    def factor(matrix):
-        nonlocal factorizations
-        f = numkit.lu_factorize(matrix, config.ordering)
-        factorizations += 1
-        pool.append(f)
-        return f
-
+    made: list[numkit.LuFactors] = []
     if x0 is None:
-        g_factors = factor(system.g)
-        x = netlist.dc_analysis(system, g_factors, mask)
+        x = netlist.dc_analysis(system, _factor(system.g, made), mask, t=t0)
     else:
         x = np.array(x0, dtype=np.float64)
 
     c = system.c.scipy
     g = system.g.scipy
     if trapezoidal:
-        lhs = factor(numkit.from_scipy(c / h + g / 2.0))
+        lhs = _factor(numkit.from_scipy(c / h + g / 2.0), made)
         rhs_matrix = (c / h - g / 2.0).tocsc()
     else:
-        lhs = factor(numkit.from_scipy(c / h + g))
+        lhs = _factor(numkit.from_scipy(c / h + g), made)
         rhs_matrix = (c / h).tocsc()
 
     states = [x.copy()]
@@ -494,8 +446,8 @@ def _solve_fixed(system, config, mask, x0, trapezoidal: bool):
         states=np.vstack(states),
         names=list(system.names),
         method="tr" if trapezoidal else "be",
-        substitution_pairs=sum(f.solve_count for f in pool),
-        factorizations=factorizations,
+        substitution_pairs=sum(f.solve_count for f in made),
+        factorizations=len(made),
         wall_time=time.perf_counter() - t_begin,
     )
 

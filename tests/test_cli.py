@@ -126,6 +126,23 @@ class TestSimulate:
             assert {"t", "h", "m", "estimate", "reused", "estimate_kind",
                     "anchor"} <= step.keys()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path, workers):
+        diag_path = tmp_path / "diag.json"
+        rc = cli.main(
+            ["simulate", netlist_file, "--etol", "1e-8", "--workers", workers,
+             "--out", str(tmp_path / "wave.csv"), "--diag", str(diag_path)]
+        )
+        assert rc == 0
+        diag = json.loads(diag_path.read_text())
+        system = es.build_system(TWO_SOURCE_NETLIST)
+        config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        merged = decomp.run_superposed(system, config).merged
+        assert diag["substitution_pairs"] == merged.substitution_pairs
+        assert diag["substitution_pairs"] == sum(
+            s["substitution_pairs"] for s in diag["subtasks"]
+        )
+
     def test_workers_do_not_change_output(self, netlist_file, tmp_path):
         outs = []
         for w in ("1", "4"):
@@ -206,11 +223,19 @@ class TestExitCodes:
         assert rc == 2
         assert "fixed step" in capsys.readouterr().err
 
-    def test_imatex_rejects_augmented_path(self, netlist_file):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simulate", netlist_file, "--solver", "imatex",
-                      "--path", "aug"])
-        assert exc.value.code == 2
+    def test_imatex_rejects_augmented_path(self, netlist_file, capsys):
+        rc = cli.main(["simulate", netlist_file, "--solver", "imatex",
+                       "--path", "aug"])
+        assert rc == 2
+        assert "imatex cannot use the augmented input path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["rmatex", "tr"])
+    def test_sourceless_netlist(self, tmp_path, capsys, solver):
+        path = tmp_path / "rc.sp"
+        path.write_text("R1 a 0 1k\nC1 a 0 1p\n.TRAN 0 1n\n")
+        rc = cli.main(["simulate", str(path), "--solver", solver, "--h", "10p"])
+        assert rc == 2
+        assert "no I or V source" in capsys.readouterr().err
 
     def test_unknown_compare_solver(self, netlist_file, capsys):
         rc = cli.main(["compare", netlist_file, "--solvers", "tr,magic",

@@ -37,11 +37,11 @@ def mixed_system():
 
 class TestExtractLts:
     def test_constant_has_none(self):
-        assert decomp.extract_lts(netlist.Dc(3.0), 0.0, 1.0).size == 0
+        assert netlist.Dc(3.0).transition_times(0.0, 1.0).size == 0
 
     def test_pulse_corners(self):
         w = netlist.Pulse(0, 1, 2e-11, 1e-11, 1e-11, 5e-11, 2e-10)
-        got = decomp.extract_lts(w, 0.0, 4e-10)
+        got = w.transition_times(0.0, 4e-10)
         np.testing.assert_allclose(
             got,
             [2e-11, 3e-11, 8e-11, 9e-11, 2.2e-10, 2.3e-10, 2.8e-10, 2.9e-10],
@@ -50,7 +50,7 @@ class TestExtractLts:
 
     def test_pwl_breakpoints_clipped(self):
         w = netlist.Pwl(((0.0, 0.0), (1e-10, 1.0), (5e-10, 1.0)))
-        got = decomp.extract_lts(w, 5e-11, 4e-10)
+        got = w.transition_times(5e-11, 4e-10)
         np.testing.assert_allclose(got, [1e-10], rtol=1e-9)
 
 

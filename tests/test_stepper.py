@@ -62,11 +62,18 @@ class TestSpanAndGrid:
         with pytest.raises(ValueError):
             stepper.resolve_span(sys_, stepper.SolverConfig())
 
-    def test_max_step(self):
-        spots = np.array([1e-9, 2e-9])
-        assert stepper.max_step(0.0, spots, 5e-9) == pytest.approx(1e-9)
-        assert stepper.max_step(1e-9, spots, 5e-9) == pytest.approx(1e-9)
-        assert stepper.max_step(3e-9, spots, 5e-9) == pytest.approx(2e-9)
+    def test_sourceless_circuit_is_an_error(self):
+        sys_ = es.build_system("R1 a 0 1k\nC1 a 0 1p\n.TRAN 0 1n\n")
+        for cfg in (
+            stepper.SolverConfig(),
+            stepper.SolverConfig(method="tr", h=1e-11),
+        ):
+            with pytest.raises(ValueError, match="no I or V source"):
+                stepper.resolve_span(sys_, cfg)
+            with pytest.raises(ValueError, match="no I or V source"):
+                stepper.solve_transient(sys_, cfg)
+            with pytest.raises(ValueError, match="no I or V source"):
+                es.run_superposed(sys_, cfg)
 
     def test_active_transitions_masking(self, ladder_system):
         t0, t1 = 0.0, 4e-10
@@ -90,51 +97,49 @@ class TestSpanAndGrid:
         assert none.size == 0
 
 
+def input_terms(system, t, h, mask=None):
+    """F and P for the window [t, t+h] from a fresh tracker."""
+    tracker = stepper._InputTracker(system, numkit.lu_factorize(system.g), mask)
+    return tracker.f_term(t, t + h), tracker.p_term(t, t + h)
+
+
 class TestInputTerms:
     def test_masked_off_drive_gives_zero_terms(self, ladder_system):
-        g_factors = numkit.lu_factorize(ladder_system.g)
-        terms = stepper.compute_input_terms(
-            ladder_system, g_factors, 1e-11, 1e-11,
-            mask=np.array([False, False]),
+        f, p = input_terms(
+            ladder_system, 1e-11, 1e-11, mask=np.array([False, False])
         )
-        np.testing.assert_array_equal(terms.f, np.zeros(ladder_system.n))
-        np.testing.assert_array_equal(terms.p, np.zeros(ladder_system.n))
+        np.testing.assert_array_equal(f, np.zeros(ladder_system.n))
+        np.testing.assert_array_equal(p, np.zeros(ladder_system.n))
 
     def test_constant_drive_terms_equal_minus_dc_solution(self, dc_rc_system):
-        g_factors = numkit.lu_factorize(dc_rc_system.g)
-        terms = stepper.compute_input_terms(dc_rc_system, g_factors, 0.0, 1e-6)
+        f, p = input_terms(dc_rc_system, 0.0, 1e-6)
         u0, _ = dc_rc_system.eval_sources(0.0)
         w = -np.linalg.solve(
             dc_rc_system.g.to_dense(), dc_rc_system.b.to_dense() @ u0
         )
-        np.testing.assert_allclose(terms.f, w, rtol=1e-12)
-        np.testing.assert_allclose(terms.p, w, rtol=1e-12)
+        np.testing.assert_allclose(f, w, rtol=1e-12)
+        np.testing.assert_allclose(p, w, rtol=1e-12)
 
     def test_scalar_ramp_closed_form(self, scalar_rc_system):
         # G = C = 1 with drive u(t) = 10 t on [0, 0.1]:
         # w(t) = -10t, theta(t) = 10t, so F = 10 and P = 10 (1 - h).
-        g_factors = numkit.lu_factorize(scalar_rc_system.g)
         h = 0.05
-        terms = stepper.compute_input_terms(scalar_rc_system, g_factors, 0.0, h)
-        np.testing.assert_allclose(terms.f, [10.0], rtol=1e-10)
-        np.testing.assert_allclose(terms.p, [10.0 * (1.0 - h)], rtol=1e-10)
+        f, p = input_terms(scalar_rc_system, 0.0, h)
+        np.testing.assert_allclose(f, [10.0], rtol=1e-10)
+        np.testing.assert_allclose(p, [10.0 * (1.0 - h)], rtol=1e-10)
 
     def test_two_substitutions_per_new_time_point(self, ladder_system):
         g_factors = numkit.lu_factorize(ladder_system.g)
-        cache = stepper.input_cache(ladder_system, g_factors)
-        numkit.substitution_counter.reset()
-        stepper.compute_input_terms(
-            ladder_system, g_factors, 0.0, 1e-11, cache=cache
-        )
-        assert numkit.substitution_counter.value == 4  # two new points
-        stepper.compute_input_terms(
-            ladder_system, g_factors, 1e-11, 1e-11, cache=cache
-        )
-        assert numkit.substitution_counter.value == 6  # one new point
-        stepper.compute_input_terms(
-            ladder_system, g_factors, 0.0, 2e-11, cache=cache
-        )
-        assert numkit.substitution_counter.value == 6  # all cached
+        tracker = stepper._InputTracker(ladder_system, g_factors)
+        tracker.f_term(0.0, 1e-11)
+        tracker.p_term(0.0, 1e-11)
+        assert g_factors.solve_count == 4  # two new points
+        tracker.f_term(1e-11, 2e-11)
+        tracker.p_term(1e-11, 2e-11)
+        assert g_factors.solve_count == 6  # one new point
+        tracker.f_term(0.0, 2e-11)
+        tracker.p_term(0.0, 2e-11)
+        assert g_factors.solve_count == 6  # all cached
 
 
 class TestMatexSolvers:
@@ -195,6 +200,20 @@ class TestMatexSolvers:
         np.testing.assert_array_equal(r_fp.times, r_aug.times)
         scale = np.abs(r_fp.states).max()
         assert np.abs(r_fp.states - r_aug.states).max() < 1e-6 * scale
+
+    @pytest.mark.parametrize("method", ["rmatex", "tr"])
+    def test_operating_point_at_overridden_start(self, method):
+        # The drive steps to 1 mA long before the overridden start, so
+        # the circuit sits at its 1 V operating point for the whole run.
+        sys_ = es.build_system(
+            "I1 0 a PWL(0 0 1n 0 1.01n 1m)\nR1 a 0 1k\nC1 a 0 1p\n.TRAN 0 5n\n"
+        )
+        cfg = stepper.SolverConfig(
+            method=method, h=1e-11, e_tol=1e-9, t_start=3e-9, t_stop=5e-9
+        )
+        result = stepper.solve_transient(sys_, cfg)
+        assert result.times[0] == 3e-9
+        np.testing.assert_allclose(result.states[:, 0], 1.0, rtol=1e-9)
 
     def test_x0_override_and_shape_check(self, dc_rc_system):
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
