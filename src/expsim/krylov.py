@@ -13,11 +13,6 @@ action from a factored solve plus a sparse matvec per iteration:
   single factorization of C + gamma G; a shift near the working step
   size makes the basis usable across a wide range of step sizes.
 
-An augmented form folds a linear-in-time forcing term into two extra
-state entries so one exponential covers the inhomogeneous update; it is
-available for the standard and rational variants (the inverted one
-would need the inverse of a structurally singular augmented matrix).
-
 Every basis produced here satisfies, up to rounding,
 
     M V_m = V_m H_m + h_next * v_next * e_m^T
@@ -63,41 +58,6 @@ def _projected_expm(m: np.ndarray) -> np.ndarray:
         return scipy.linalg.expm(m)
 
 
-@dataclass(frozen=True)
-class AugmentedInput:
-    """Forcing folded into the state: two trailing entries [tau/ts, 1].
-
-    w_cols stacks the scaled slope and level columns of the drive over
-    the window starting at the basis anchor; the companion block
-    J = [[0, 1/ts], [0, 0]] makes the tail evolve as [tau/ts, 1] under
-    the augmented generator. tau is measured in units of the window
-    length ts: with the raw slope column a unit tail entry means a full
-    second of input ramp, which makes the augmented flow expansive by
-    the ratio of a second to the window and the residual-based error
-    estimates dishonest by the same factor.
-    """
-
-    w_cols: np.ndarray  # (n, 2)
-    tau_scale: float
-
-
-def augment_phi(
-    x_t: np.ndarray, bu_t: np.ndarray, bu_th: np.ndarray, h: float
-) -> tuple[AugmentedInput, np.ndarray]:
-    """Build the augmented forcing block and start vector for one window.
-
-    bu_t and bu_th are B u at the window start and end; the drive is
-    affine in between, so the slope column is their difference (the
-    divided difference times the tau scale h). Returns (augmentation,
-    start) with start = [x(t), 0, 1].
-    """
-    if h <= 0:
-        raise ValueError("window length must be positive")
-    w_cols = np.column_stack([bu_th - bu_t, bu_t])
-    start = np.concatenate([x_t, [0.0, 1.0]])
-    return AugmentedInput(w_cols, tau_scale=h), start
-
-
 @dataclass
 class VariantOperator:
     """One variant's build operator M, applied via factored solves.
@@ -108,10 +68,6 @@ class VariantOperator:
         standard:  M v = -C^-1 (G v)          x1 = C,        x2 = G
         inverted:  M v = -G^-1 (C v)          x1 = G,        x2 = C
         rational:  M v = (C+gamma G)^-1 (C v) x1 = C+gamma G, x2 = C
-
-    With an augmentation attached, applies act blockwise on [v1, v2]
-    so the (n+2)-dimensional matrices never exist; only the standard
-    and rational variants support that.
 
     aux_c_factors and g_matrix, when provided, let the error estimate
     use the exact residual formulas for the inverted and rational
@@ -124,7 +80,6 @@ class VariantOperator:
     x1: numkit.LuFactors
     x2: numkit.SparseMatrix
     gamma: float | None = None
-    aug: AugmentedInput | None = None
     g_matrix: numkit.SparseMatrix | None = None
     aux_c_factors: numkit.LuFactors | None = None
 
@@ -133,42 +88,19 @@ class VariantOperator:
             self.gamma and self.gamma > 0
         ):
             raise ValueError("rational variant needs a positive shift")
-        if self.aug is not None and self.variant is Variant.INVERTED:
-            raise ValueError(
-                "augmented input is unsupported for the inverted variant: "
-                "the augmented conductance block is structurally singular"
-            )
-
-    @property
-    def base_dim(self) -> int:
-        return self.x1.n
 
     @property
     def dim(self) -> int:
-        return self.base_dim + (2 if self.aug is not None else 0)
+        return self.x1.n
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        n = self.base_dim
         if v.shape != (self.dim,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
         sign = 1.0 if self.variant is Variant.RATIONAL else -1.0
-        if self.aug is None:
-            return sign * self.x1.solve(self.x2 @ v)
-        v1, v2 = v[:n], v[n:]
-        w = self.aug.w_cols
-        ts = self.aug.tau_scale
-        if self.variant is Variant.STANDARD:
-            # -C^-1 (G v1 - W v2) on top, J v2 below.
-            top = self.x1.solve(w @ v2 - (self.x2 @ v1))
-            tail = np.array([v2[1] / ts, 0.0])
-        else:
-            # (I - gamma J)^-1 is I + gamma J because J is nilpotent.
-            tail = np.array([v2[0] + (self.gamma / ts) * v2[1], v2[1]])
-            top = self.x1.solve(self.x2 @ v1 + self.gamma * (w @ tail))
-        return np.concatenate([top, tail])
+        return sign * self.x1.solve(self.x2 @ v)
 
     def ode_apply(self, v: np.ndarray) -> np.ndarray | None:
-        """A v with A = -C^-1 G, blockwise when an augmentation is attached.
+        """A v with A = -C^-1 G.
 
         Used by the exact residual formulas of _residual_rate. Returns
         None when the needed pieces (C factors, G) were not supplied,
@@ -176,20 +108,13 @@ class VariantOperator:
         """
         if self.aux_c_factors is None or self.g_matrix is None:
             return None
-        n = self.base_dim
-        if self.aug is None:
-            return -self.aux_c_factors.solve(self.g_matrix @ v)
-        v1, v2 = v[:n], v[n:]
-        top = self.aux_c_factors.solve(self.aug.w_cols @ v2 - (self.g_matrix @ v1))
-        return np.concatenate([top, np.array([v2[1] / self.aug.tau_scale, 0.0])])
+        return -self.aux_c_factors.solve(self.g_matrix @ v)
 
 
 def standard_operator(
-    c_factors: numkit.LuFactors,
-    g: numkit.SparseMatrix,
-    aug: AugmentedInput | None = None,
+    c_factors: numkit.LuFactors, g: numkit.SparseMatrix
 ) -> VariantOperator:
-    return VariantOperator(Variant.STANDARD, c_factors, g, aug=aug, g_matrix=g)
+    return VariantOperator(Variant.STANDARD, c_factors, g, g_matrix=g)
 
 
 def inverted_operator(
@@ -214,7 +139,6 @@ def rational_operator(
     c: numkit.SparseMatrix,
     gamma: float,
     g: numkit.SparseMatrix | None = None,
-    aug: AugmentedInput | None = None,
     aux_c_factors: numkit.LuFactors | None = None,
 ) -> VariantOperator:
     return VariantOperator(
@@ -222,7 +146,6 @@ def rational_operator(
         shift_factors,
         c,
         gamma=gamma,
-        aug=aug,
         g_matrix=g,
         aux_c_factors=aux_c_factors,
     )
@@ -472,18 +395,24 @@ def arnoldi(
     big_h = np.zeros((m_max + 1, m_max))
     big_v[:, 0] = v / beta
 
-    def finish(m, h_next, v_next, est, kind):
-        basis = KrylovBasis(
+    def view(m, h_next, v_next):
+        return KrylovBasis(
             operator=operator,
-            v_basis=big_v[:, :m].copy(),
-            hessenberg=big_h[:m, :m].copy(),
+            v_basis=big_v[:, :m],
+            hessenberg=big_h[:m, :m],
             h_next=float(h_next),
-            v_next=v_next.copy(),
+            v_next=v_next,
             beta=beta,
             anchor_time=anchor_time,
-            estimate=est,
-            estimate_kind=kind,
         )
+
+    def finish(basis, est, kind):
+        # Detach from the work arrays; the caches the convergence check
+        # filled (projected generator, exact-residual scale) stay valid.
+        basis.v_basis = basis.v_basis.copy()
+        basis.hessenberg = basis.hessenberg.copy()
+        basis.v_next = basis.v_next.copy()
+        basis.estimate, basis.estimate_kind = est, kind
         basis_audit.record(basis)
         return basis
 
@@ -504,7 +433,7 @@ def arnoldi(
         h_sub = float(np.linalg.norm(w))
         if h_sub <= BREAKDOWN_RTOL * max(norm_pre, 1e-300):
             big_h[j + 1, j] = 0.0
-            return finish(j + 1, 0.0, np.zeros(dim), 0.0, "breakdown")
+            return finish(view(j + 1, 0.0, np.zeros(dim)), 0.0, "breakdown")
         big_h[j + 1, j] = h_sub
         big_v[:, j + 1] = w / h_sub
 
@@ -514,14 +443,7 @@ def arnoldi(
         if m <= 32 or m >= next_check or m == m_max:
             if m >= next_check:
                 next_check = max(m + 1, int(np.ceil(m * 1.2)))
-            probe = KrylovBasis(
-                operator=operator,
-                v_basis=big_v[:, :m],
-                hessenberg=big_h[:m, :m],
-                h_next=h_sub,
-                v_next=big_v[:, m],
-                beta=beta,
-            )
+            probe = view(m, h_sub, big_v[:, m])
             try:
                 last_est, kind = step_error_estimate(probe, h, detail=True)
             except BasisDegenerate:
@@ -529,11 +451,11 @@ def arnoldi(
                 # momentarily singular; keep growing.
                 continue
             if last_est <= eps:
-                return finish(m, h_sub, big_v[:, m], last_est, kind)
+                return finish(probe, last_est, kind)
 
     if eps is None:
         m = m_max
-        return finish(m, big_h[m, m - 1], big_v[:, m], None, None)
+        return finish(view(m, big_h[m, m - 1], big_v[:, m]), None, None)
     raise NoConvergence(
         f"{operator.variant.value} basis did not reach {eps:.3e} within "
         f"m_max={m_max} (last estimate {last_est})",

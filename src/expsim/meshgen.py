@@ -28,31 +28,20 @@ CALIBRATION_CAP = 2600
 def measure_stiffness(system: netlist.CircuitSystem) -> float:
     """Eigenvalue ratio Re(lambda_min)/Re(lambda_max) of -C^-1 G, densely.
 
-    Uses the symmetric congruence C^-1/2 G C^-1/2 when C is diagonal
-    positive (the generated meshes are), otherwise a general dense
-    eigensolve. Raises NumericalError when C is singular: the ratio is
-    not defined for a descriptor system with infinite-speed modes.
+    Uses the symmetric congruence C^-1/2 G C^-1/2, which needs C
+    diagonal positive (the generated meshes are); any other C raises
+    NumericalError.
     """
     c = system.c.scipy
-    g = system.g.to_dense()
     diag = c.diagonal()
-    off_diag_nnz = c.nnz - np.count_nonzero(diag)
-    if off_diag_nnz == 0 and np.all(diag > 0):
-        s = 1.0 / np.sqrt(diag)
-        sym = s[:, None] * g * s[None, :]
-        eigs = np.linalg.eigvalsh((sym + sym.T) / 2.0)
-        if eigs.min() <= 0:
-            raise NumericalError("conductance pencil is not positive definite")
-        return float(eigs.max() / eigs.min())
-    c_dense = system.c.to_dense()
-    try:
-        a = -np.linalg.solve(c_dense, g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("stiffness undefined: C is singular") from exc
-    re = np.linalg.eigvals(a).real
-    if re.max() >= 0:
-        raise NumericalError("system is not strictly stable")
-    return float(re.min() / re.max())
+    if c.nnz != np.count_nonzero(diag) or not np.all(diag > 0):
+        raise NumericalError("stiffness needs a diagonal positive C")
+    s = 1.0 / np.sqrt(diag)
+    sym = s[:, None] * system.g.to_dense() * s[None, :]
+    eigs = np.linalg.eigvalsh((sym + sym.T) / 2.0)
+    if eigs.min() <= 0:
+        raise NumericalError("conductance pencil is not positive definite")
+    return float(eigs.max() / eigs.min())
 
 
 @dataclass

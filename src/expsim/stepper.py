@@ -21,10 +21,6 @@ from the basis anchor, with P re-anchored accordingly. That reuse is
 what makes the decomposed runs cheap: reused steps cost two substitution
 pairs, not a basis build.
 
-An alternative input path folds the affine drive into two extra state
-entries so each step is a single exponential action with no F/P solves;
-see krylov.augment_phi.
-
 The trapezoidal and backward-Euler solvers exist as fixed-step
 baselines; backward Euler at a very fine step doubles as the accuracy
 reference everything else is measured against.
@@ -40,7 +36,6 @@ import numpy as np
 from . import errors, krylov, netlist, numkit
 
 METHODS = ("tr", "be", "mexp", "imatex", "rmatex")
-INPUT_PATHS = ("fp", "aug")
 
 _METHOD_VARIANT = {
     "mexp": krylov.Variant.STANDARD,
@@ -72,18 +67,10 @@ class SolverConfig:
     gamma: float | None = None
     t_start: float | None = None
     t_stop: float | None = None
-    input_path: str = "fp"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.input_path not in INPUT_PATHS:
-            raise ValueError(f"unknown input path {self.input_path!r}")
-        if self.method == "imatex" and self.input_path == "aug":
-            raise ValueError(
-                "imatex cannot use the augmented input path "
-                "(augmented conductance block is structurally singular)"
-            )
         if self.method in ("tr", "be") and (self.h is None or self.h <= 0):
             raise ValueError(f"{self.method} needs a positive fixed step h")
         if self.e_tol <= 0:
@@ -222,23 +209,15 @@ class _InputTracker:
         w_n, th_n = self.w_theta(t_next)
         return w_n + (th_n - th_a) / (t_next - anchor)
 
-    def bu(self, t: float) -> np.ndarray:
-        u, _ = self.system.eval_sources(t, self.mask)
-        return self.system.b @ u
-
 
 def matex_step(
-    basis: krylov.KrylovBasis, h_from_anchor: float, p: np.ndarray | None
+    basis: krylov.KrylovBasis, h_from_anchor: float, p: np.ndarray
 ) -> np.ndarray:
     """One exponential update from the basis anchor.
 
-    p is the particular term re-anchored at the basis anchor; pass None
-    on the augmented path where the forcing lives inside the basis.
+    p is the particular term re-anchored at the basis anchor.
     """
-    full = krylov.expm_action(basis, h_from_anchor)
-    if p is None:
-        return full[: basis.operator.base_dim]
-    return full[: p.shape[0]] - p
+    return krylov.expm_action(basis, h_from_anchor) - p
 
 
 def _factor(matrix: numkit.SparseMatrix, made: list[numkit.LuFactors]):
@@ -296,11 +275,7 @@ def solve_transient_matex(
     made: list[numkit.LuFactors] = []
     g_factors = _factor(system.g, made)
     if variant is krylov.Variant.STANDARD:
-        c_factors = _factor(system.c, made)
-
-        def make_op(aug=None):
-            return krylov.standard_operator(c_factors, system.g, aug=aug)
-
+        op = krylov.standard_operator(_factor(system.c, made), system.g)
     else:
         # Exact error formulas need C factors; a singular C drops the
         # estimate to the empirical surrogate instead of failing.
@@ -310,27 +285,19 @@ def solve_transient_matex(
                 aux_c = _factor(system.c, made)
             except errors.NumericalError:
                 aux_c = None
-
         if variant is krylov.Variant.INVERTED:
-
-            def make_op(aug=None):
-                return krylov.inverted_operator(
-                    g_factors, system.c, g=system.g, aux_c_factors=aux_c
-                )
-
+            op = krylov.inverted_operator(
+                g_factors, system.c, g=system.g, aux_c_factors=aux_c
+            )
         else:
             shift = krylov.make_shift_matrix(system.c, system.g, gamma)
-            shift_factors = _factor(shift, made)
-
-            def make_op(aug=None):
-                return krylov.rational_operator(
-                    shift_factors,
-                    system.c,
-                    gamma,
-                    g=system.g,
-                    aug=aug,
-                    aux_c_factors=aux_c,
-                )
+            op = krylov.rational_operator(
+                _factor(shift, made),
+                system.c,
+                gamma,
+                g=system.g,
+                aux_c_factors=aux_c,
+            )
 
     x = np.array(x0, dtype=np.float64) if x0 is not None else netlist.dc_analysis(
         system, g_factors, mask, t=t0
@@ -338,9 +305,7 @@ def solve_transient_matex(
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
 
-    use_fp = config.input_path == "fp"
     tracker = _InputTracker(system, g_factors, mask)
-    base_op = make_op() if use_fp else None
 
     states = [x.copy()]
     steps: list[StepRecord] = []
@@ -353,14 +318,7 @@ def solve_transient_matex(
         fresh = basis is None or _is_spot(t, lts, spot_atol)
         if fresh:
             anchor = t
-            if use_fp:
-                v = x + tracker.f_term(t, t_next)
-                op = base_op
-            else:
-                aug, v = krylov.augment_phi(
-                    x, tracker.bu(t), tracker.bu(t_next), h
-                )
-                op = make_op(aug)
+            v = x + tracker.f_term(t, t_next)
             basis = krylov.arnoldi(
                 op, v, m_max=config.m_max, h=h, eps=eps, anchor_time=t
             )
@@ -370,8 +328,7 @@ def solve_transient_matex(
         else:
             h_a = t_next - anchor
             est, kind = krylov.step_error_estimate(basis, h_a, detail=True)
-        p = tracker.p_term(anchor, t_next) if use_fp else None
-        x = matex_step(basis, h_a, p)
+        x = matex_step(basis, h_a, tracker.p_term(anchor, t_next))
         states.append(x.copy())
         steps.append(
             StepRecord(

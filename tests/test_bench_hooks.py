@@ -1,0 +1,53 @@
+"""The benchmark's per-layer tracer must find every name it wraps.
+
+perfbench/run.py traces the program's public functions by name; a
+renamed or deleted target makes Tracer.install raise KeyError or
+AttributeError, and the traced benchmark run fails. This check loads
+the benchmark module as it stands and installs its full target list on
+the package under test.
+"""
+
+import importlib.util
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from expsim import krylov, stepper
+
+RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules while the class
+    # body executes.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_layer_target_installs(bench_run, ladder_system):
+    names = ("cli", "decomp", "errors", "krylov", "netlist", "numkit", "stepper")
+    bench = types.SimpleNamespace(**dict(zip(names, bench_run.import_program())))
+    bench.stage_targets = lambda: bench_run.Bench.stage_targets(bench)
+    targets = bench_run.Bench.layer_targets(bench)
+    original = krylov.arnoldi
+    tracer = bench_run.Tracer(targets)
+    try:
+        # A missing target raises here, after the earlier ones are
+        # wrapped; finally puts those back for the rest of the suite.
+        tracer.install()
+        stepper.solve_transient(ladder_system, stepper.SolverConfig(e_tol=1e-8))
+    finally:
+        tracer.uninstall()
+    assert krylov.arnoldi is original
+    traced = {span.name for span in tracer.spans}
+    assert {"krylov.arnoldi", "krylov.VariantOperator.apply",
+            "krylov.VariantOperator.ode_apply", "numkit.LuFactors.solve"} <= traced

@@ -108,7 +108,8 @@ class TestSimulate:
         assert rc == 0
         diag = json.loads(diag_path.read_text())
         assert diag["method"] == "rmatex"
-        assert diag["input_path"] == "fp"
+        assert diag["schema"] == 1
+        assert "input_path" not in diag
         assert diag["e_tol"] == 1e-8
         assert diag["gamma"] > 0
         assert diag["groups"] == 2
@@ -222,12 +223,6 @@ class TestExitCodes:
         rc = cli.main(["simulate", netlist_file, "--solver", "tr"])
         assert rc == 2
         assert "fixed step" in capsys.readouterr().err
-
-    def test_imatex_rejects_augmented_path(self, netlist_file, capsys):
-        rc = cli.main(["simulate", netlist_file, "--solver", "imatex",
-                       "--path", "aug"])
-        assert rc == 2
-        assert "imatex cannot use the augmented input path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("solver", ["rmatex", "tr"])
     def test_sourceless_netlist(self, tmp_path, capsys, solver):

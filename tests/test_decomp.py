@@ -207,7 +207,7 @@ class TestRunSuperposed:
 
     def test_merged_accounting_sums_subtasks(self, mixed_system):
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-        sup = decomp.run_superposed(mixed_system, cfg)
+        sup = decomp.run_superposed(mixed_system, cfg, workers=1)
         assert sup.merged.substitution_pairs == sum(
             r.substitution_pairs for r in sup.subtasks
         )
@@ -215,7 +215,9 @@ class TestRunSuperposed:
             r.factorizations for r in sup.subtasks
         )
         assert len(sup.merged.steps) == sum(len(r.steps) for r in sup.subtasks)
-        assert sup.merged.wall_time == max(r.wall_time for r in sup.subtasks)
+        # One worker runs the groups one after another, so the call's
+        # own elapsed time covers every group's.
+        assert sup.merged.wall_time >= sum(r.wall_time for r in sup.subtasks)
 
     def test_explicit_plan_is_used(self, mixed_system):
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)

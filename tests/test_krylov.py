@@ -136,6 +136,19 @@ class TestConvergenceGate:
         assert 0.0 < basis.estimate <= 1e-8
         assert basis.estimate_kind == "exact"
 
+    def test_converged_basis_keeps_exact_scale(self, estimator_family):
+        # The convergence check already applied A to v_next; the first
+        # reused-step estimate must not pay that C solve again.
+        fam = estimator_family
+        eps = 1e-4 * np.linalg.norm(fam.v)
+        basis = krylov.arnoldi(
+            fam.operators["inverted"], fam.v, h=fam.h, eps=eps, m_max=fam.n
+        )
+        assert basis.m < fam.n and basis.estimate_kind == "exact"
+        before = fam.c_factors.solve_count
+        krylov.step_error_estimate(basis, fam.h / 3.0)
+        assert fam.c_factors.solve_count == before
+
 
 def residual_rate(basis, s):
     """(||r_m(s)||, kind) from the per-variant shortcut formula."""
@@ -308,80 +321,6 @@ class TestTruncated:
             full.truncated(0)
         with pytest.raises(ValueError):
             full.truncated(full.m + 1)
-
-
-class TestAugmentedInput:
-    def test_zero_drive_reduces_to_plain_action(self, estimator_family):
-        fam = estimator_family
-        zero = np.zeros(fam.n)
-        aug, start = krylov.augment_phi(fam.v, zero, zero, fam.h)
-        op = krylov.standard_operator(fam.c_factors, fam.g, aug=aug)
-        basis = krylov.arnoldi(op, start, m_max=fam.n + 2)
-        got = krylov.expm_action(basis, fam.h)[: fam.n]
-        err = np.linalg.norm(got - fam.exact_action(fam.h))
-        assert err < 1e-9 * np.linalg.norm(fam.v)
-
-    def test_scalar_step_response(self):
-        # C = G = 1 driven by a unit constant from rest: x(h) = 1 - e^-h.
-        op_plain = scalar_standard_operator(-1.0)
-        aug, start = krylov.augment_phi(
-            np.array([0.0]), np.array([1.0]), np.array([1.0]), 1.0
-        )
-        op = krylov.standard_operator(op_plain.x1, op_plain.x2, aug=aug)
-        basis = krylov.arnoldi(op, start, m_max=3)
-        got = krylov.expm_action(basis, 1.0)[0]
-        assert got == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-
-    @pytest.mark.parametrize("which", ["standard", "rational"])
-    def test_matches_affine_input_closed_form(self, which):
-        # Random small system with a ramp drive, checked against the
-        # two-solve-pair closed form evaluated densely.
-        rng = np.random.default_rng(5)
-        n = 20
-        gd = np.eye(n) * 3.0 + rng.uniform(-0.5, 0.5, (n, n))
-        gd = gd + gd.T
-        cd = np.diag(rng.uniform(0.5, 2.0, n))
-        bd = rng.standard_normal((n, 2))
-        x0 = rng.standard_normal(n)
-        h = 0.4
-        u0, u1 = np.array([1.0, -0.5]), np.array([0.2, 0.7])
-
-        w0 = -np.linalg.solve(gd, bd @ u0)
-        w1 = -np.linalg.solve(gd, bd @ u1)
-        th0 = -np.linalg.solve(gd, cd @ w0)
-        th1 = -np.linalg.solve(gd, cd @ w1)
-        f = w0 + (th1 - th0) / h
-        p = w1 + (th1 - th0) / h
-        a = -np.linalg.solve(cd, gd)
-        expected = scipy.linalg.expm(h * a) @ (x0 + f) - p
-
-        c = numkit.from_scipy(sp.csc_matrix(cd))
-        g = numkit.from_scipy(sp.csc_matrix(gd))
-        aug, start = krylov.augment_phi(x0, bd @ u0, bd @ u1, h)
-        if which == "standard":
-            op = krylov.standard_operator(numkit.lu_factorize(c), g, aug=aug)
-        else:
-            gamma = h / 10.0
-            shift = krylov.make_shift_matrix(c, g, gamma)
-            op = krylov.rational_operator(
-                numkit.lu_factorize(shift), c, gamma, aug=aug
-            )
-        basis = krylov.arnoldi(op, start, m_max=n + 2)
-        got = krylov.expm_action(basis, h)[:n]
-        err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
-        assert err < 1e-9
-
-    def test_inverted_variant_rejects_augmentation(self, estimator_family):
-        fam = estimator_family
-        aug, _ = krylov.augment_phi(fam.v, np.zeros(fam.n), np.zeros(fam.n), 1.0)
-        with pytest.raises(ValueError, match="inverted"):
-            krylov.VariantOperator(
-                krylov.Variant.INVERTED, fam.g_factors, fam.c, aug=aug
-            )
-
-    def test_window_length_positive(self):
-        with pytest.raises(ValueError):
-            krylov.augment_phi(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
 
 
 class TestOperatorValidation:

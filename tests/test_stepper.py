@@ -29,8 +29,8 @@ class TestSolverConfig:
         "kwargs",
         [
             dict(method="euler"),
-            dict(input_path="phi"),
-            dict(method="imatex", input_path="aug"),
+            dict(method="be"),
+            dict(gamma=0.0),
             dict(method="tr"),
             dict(method="be", h=0.0),
             dict(e_tol=0.0),
@@ -45,7 +45,7 @@ class TestSolverConfig:
 
     def test_defaults_are_valid(self):
         cfg = stepper.SolverConfig()
-        assert cfg.method == "rmatex" and cfg.input_path == "fp"
+        assert cfg.method == "rmatex" and cfg.e_tol == 1e-6
 
 
 class TestSpanAndGrid:
@@ -190,16 +190,6 @@ class TestMatexSolvers:
         assert result.gamma == pytest.approx(2e-12, rel=1e-6)
         explicit = stepper.SolverConfig(method="rmatex", e_tol=1e-8, gamma=5e-12)
         assert stepper.solve_transient(ladder_system, explicit).gamma == 5e-12
-
-    @pytest.mark.parametrize("method", ["mexp", "rmatex"])
-    def test_augmented_path_agrees_with_fp(self, ladder_system, method):
-        base = stepper.SolverConfig(method=method, e_tol=1e-9)
-        aug = stepper.SolverConfig(method=method, e_tol=1e-9, input_path="aug")
-        r_fp = stepper.solve_transient(ladder_system, base)
-        r_aug = stepper.solve_transient(ladder_system, aug)
-        np.testing.assert_array_equal(r_fp.times, r_aug.times)
-        scale = np.abs(r_fp.states).max()
-        assert np.abs(r_fp.states - r_aug.states).max() < 1e-6 * scale
 
     @pytest.mark.parametrize("method", ["rmatex", "tr"])
     def test_operating_point_at_overridden_start(self, method):
