@@ -2,10 +2,11 @@
 merge deterministically.
 
 A linear circuit's response to a sum of inputs is the sum of the
-responses. The planner groups sources by the quantized shape of their
-waveform, each group is integrated independently (cheaper: fewer fresh
-bases per subtask), and the merge is a plain sum in fixed group order,
-so the bytes of the result do not depend on the worker count.
+responses. The planner groups sources that share their exact set of
+slope-change times, each group is integrated independently as its own
+subsystem (cheaper: fewer fresh bases per subtask), and the merge is a
+plain sum in fixed group order, so the bytes of the result do not
+depend on the worker count.
 
 Run from the repository root:  python3 demos/superposed_workers.py
 """

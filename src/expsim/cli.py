@@ -104,7 +104,8 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
         "--groups",
         type=int,
         default=decomp.MAX_GROUPS_DEFAULT,
-        help=f"max source groups for superposition (default {decomp.MAX_GROUPS_DEFAULT})",
+        help="max source groups for superposition; exponential methods only "
+        f"(default {decomp.MAX_GROUPS_DEFAULT})",
     )
     p.add_argument("--workers", type=int, default=1, help="thread workers (default 1)")
     p.add_argument("--tstart", type=_value, help="override the netlist start time")

@@ -1,18 +1,23 @@
 """Input decomposition and superposed transient runs.
 
 Linearity lets the drive B u(t) be split column-wise into groups of
-sources and the responses summed. The win is in the spot bookkeeping:
-each group only needs a fresh Krylov basis where one of its own members
-changes slope (its local spot times); at every other global spot it
-rides a reused basis for two substitution pairs. Sources whose bumps
-are shaped and aligned alike share all their spot times, so grouping by
-the bump feature tuple concentrates the basis builds.
+sources and the responses summed. A group runs as its own circuit, the
+subsystem that keeps the members' columns of B. The win is in the spot
+bookkeeping: a run grows a fresh Krylov basis only where one of its own
+sources changes slope (the group's local spot times); at every other
+global spot it rides a reused basis for two substitution pairs. Sources
+are therefore grouped by their exact spot-time sets, so a group never
+rebuilds for a member that does not change slope.
 
 Vocabulary used throughout: the local transition set of a group is the
 union of its members' slope-change times; the global set is the union
 over all groups (every run samples there so waveforms line up for the
 merge); a group's snapshots are the global spots that are not local to
 it, i.e. exactly the reused steps.
+
+Only the exponential methods gain from this. A fixed-step method
+repeats every step in every group, so run_superposed runs tr and be as
+one group.
 """
 
 from __future__ import annotations
@@ -27,84 +32,12 @@ from . import netlist, stepper
 
 MAX_GROUPS_DEFAULT = 100
 
-_FS = netlist.TIME_QUANTUM
-
-
-def _quant(t: float) -> int:
-    return int(round(t / _FS))
-
-
-@dataclass(frozen=True)
-class BumpFeature:
-    """Quantized shape-and-alignment signature of a source's bump.
-
-    Two sources with equal features fire the same corners at the same
-    times, so grouping them costs no extra spot times. Fields are in
-    integer femtoseconds.
-    """
-
-    delay_fs: int
-    rise_fs: int
-    width_fs: int
-    fall_fs: int
-    period_fs: int
-
-    @classmethod
-    def from_waveform(cls, w: netlist.Waveform) -> "BumpFeature":
-        if isinstance(w, netlist.Pulse):
-            return cls(
-                _quant(w.t_delay),
-                _quant(w.t_rise),
-                _quant(w.t_width),
-                _quant(w.t_fall),
-                _quant(w.t_period),
-            )
-        if isinstance(w, netlist.Pwl):
-            return _pwl_feature(w)
-        # Constant drives all look alike.
-        return cls(0, 0, 0, 0, 0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.delay_fs, self.rise_fs, self.width_fs, self.fall_fs, self.period_fs],
-            dtype=np.float64,
-        )
-
-
-def _pwl_feature(w: netlist.Pwl) -> BumpFeature:
-    # First-excursion heuristic: delay is the first breakpoint that
-    # starts a sloped segment, rise that segment's duration, width the
-    # following flat stretch, fall the sloped segment after it. One-shot
-    # waveforms get period 0.
-    pts = w.points
-    durations = [b[0] - a[0] for a, b in zip(pts, pts[1:])]
-    slopes = [
-        (b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(pts, pts[1:])
-    ]
-    first = next((i for i, s in enumerate(slopes) if s != 0.0), None)
-    if first is None:
-        return BumpFeature(_quant(pts[0][0]) if len(pts) else 0, 0, 0, 0, 0)
-    delay = pts[first][0]
-    rise = durations[first]
-    width = 0.0
-    fall = 0.0
-    i = first + 1
-    if i < len(slopes) and slopes[i] == 0.0:
-        width = durations[i]
-        i += 1
-    if i < len(slopes) and slopes[i] != 0.0:
-        fall = durations[i]
-    return BumpFeature(
-        _quant(delay), _quant(rise), _quant(width), _quant(fall), 0
-    )
-
 
 @dataclass
 class TransitionPlan:
     """Grouping of the sources plus all derived spot-time sets."""
 
     source_lts: list[np.ndarray]
-    features: list[BumpFeature]
     groups: list[list[int]]  # source indices, each inner list sorted
     group_lts: list[np.ndarray]
     group_snapshots: list[np.ndarray]
@@ -114,11 +47,6 @@ class TransitionPlan:
     def num_groups(self) -> int:
         return len(self.groups)
 
-    def mask(self, group: int, num_sources: int) -> np.ndarray:
-        m = np.zeros(num_sources, dtype=bool)
-        m[self.groups[group]] = True
-        return m
-
 
 def build_plan(
     sources: list[netlist.Waveform],
@@ -126,62 +54,42 @@ def build_plan(
     t_stop: float,
     max_groups: int = MAX_GROUPS_DEFAULT,
 ) -> TransitionPlan:
-    """Group sources by bump feature and derive the spot-time sets.
+    """Group sources by spot-time set and derive the spot-time sets.
 
-    Sources with identical quantized features merge exactly (their spot
-    times coincide by construction). If more distinct features exist
-    than max_groups, the smallest groups are greedily folded into their
-    nearest neighbor by Euclidean distance between feature tuples, ties
-    to the lower group index; the result is deterministic.
+    Sources with identical spot times in the span share a group, at no
+    extra fresh bases. While more than max_groups groups remain, the
+    smallest one (fewest sources, then lowest first member) folds into
+    the group it adds the fewest new spot times to, ties to the lower
+    group index; the result is deterministic.
     """
     if max_groups < 1:
         raise ValueError("max_groups must be at least 1")
     source_lts = [w.transition_times(t_start, t_stop) for w in sources]
-    features = [BumpFeature.from_waveform(w) for w in sources]
 
-    by_feature: dict[BumpFeature, list[int]] = {}
-    for i, f in enumerate(features):
-        by_feature.setdefault(f, []).append(i)
-    groups = list(by_feature.values())
-    group_feature = [f.as_array() for f in by_feature.keys()]
+    by_spots: dict[tuple[float, ...], list[int]] = {}
+    for i, lts in enumerate(source_lts):
+        by_spots.setdefault(tuple(lts.tolist()), []).append(i)
+    groups = list(by_spots.values())
+    group_lts = [source_lts[g[0]] for g in groups]
 
     while len(groups) > max_groups:
-        sizes = [(len(g), g[0], idx) for idx, g in enumerate(groups)]
-        _, _, smallest = min(sizes)
-        best = None
-        for idx in range(len(groups)):
-            if idx == smallest:
-                continue
-            d = float(
-                np.linalg.norm(group_feature[idx] - group_feature[smallest])
-            )
-            key = (d, idx)
-            if best is None or key < best[0]:
-                best = (key, idx)
-        target = best[1]
-        groups[target] = sorted(groups[target] + groups[smallest])
-        del groups[smallest]
-        del group_feature[smallest]
-
-    groups = [sorted(g) for g in groups]
-    group_lts = []
-    for g in groups:
-        parts = [source_lts[i] for i in g if source_lts[i].size]
-        group_lts.append(
-            np.unique(np.concatenate(parts)) if parts else np.empty(0)
+        _, _, small = min((len(g), g[0], idx) for idx, g in enumerate(groups))
+        _, target = min(
+            (np.setdiff1d(group_lts[small], group_lts[idx]).size, idx)
+            for idx in range(len(groups))
+            if idx != small
         )
-    gts = (
-        np.unique(np.concatenate([g for g in group_lts if g.size]))
-        if any(g.size for g in group_lts)
-        else np.empty(0)
-    )
-    group_snapshots = [np.setdiff1d(gts, g) for g in group_lts]
+        groups[target] = sorted(groups[target] + groups[small])
+        group_lts[target] = np.union1d(group_lts[target], group_lts[small])
+        del groups[small]
+        del group_lts[small]
+
+    gts = np.unique(np.concatenate([np.empty(0), *group_lts]))
     return TransitionPlan(
         source_lts=source_lts,
-        features=features,
         groups=groups,
         group_lts=group_lts,
-        group_snapshots=group_snapshots,
+        group_snapshots=[np.setdiff1d(gts, g) for g in group_lts],
         gts=gts,
     )
 
@@ -204,37 +112,33 @@ def run_superposed(
 ) -> SuperposedResult:
     """Solve per source group and sum the responses.
 
-    Each group runs the configured solver with the drive masked to its
-    members and its own share of the operating point; with one group
-    this is literally the undecomposed solve. Workers map to an
-    in-process thread pool: subtasks share nothing mutable (each run
-    factors its own matrices), and the merge always sums in group index
-    order, so the result is identical bytes for any worker count. The
+    Each group runs the configured solver on its subsystem, so it
+    carries its own share of the operating point; with one group this
+    is literally the undecomposed solve. Without an explicit plan, tr
+    and be always run as one group. Workers map to an in-process thread
+    pool: subtasks share nothing mutable (each run factors its own
+    matrices), and the merge always sums in group index order, so the
+    result is identical bytes for any worker count. The
     merged wall_time is this call's elapsed time; each group's own time
     stays on its subtask.
     """
     t_begin = time.perf_counter()
     t0, t1 = stepper.resolve_span(system, config)
     if plan is None:
+        if config.method in ("tr", "be"):
+            max_groups = 1
         plan = build_plan(system.sources, t0, t1, max_groups=max_groups)
-    num_sources = system.num_sources
 
-    def run_group(g: int) -> stepper.WaveformResult:
-        mask = plan.mask(g, num_sources)
+    def run_group(members: list[int]) -> stepper.WaveformResult:
         return stepper.solve_transient(
-            system,
-            config,
-            lts=plan.group_lts[g],
-            gts=plan.gts,
-            mask=mask,
+            system.subsystem(members), config, gts=plan.gts
         )
 
-    indices = list(range(plan.num_groups))
     if workers <= 1 or plan.num_groups == 1:
-        results = [run_group(g) for g in indices]
+        results = [run_group(g) for g in plan.groups]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_group, indices))
+            results = list(pool.map(run_group, plan.groups))
 
     first = results[0]
     for r in results[1:]:

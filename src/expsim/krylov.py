@@ -42,6 +42,16 @@ REORTH_DROP = 1.0 / np.sqrt(2.0)
 
 DEFAULT_M_MAX = 30
 
+# The convergence gate opens at this dimension: a one-dimensional
+# projection averages fast and slow modes into a single Rayleigh
+# quotient, and when that average is fast-dominated the residual
+# formulas see pure decay and report convergence the subspace does not
+# have.
+M_MIN = 2
+
+# Halvings of the step the error-estimate quadrature resolves.
+ESTIMATE_LEVELS = 6
+
 
 class Variant(enum.Enum):
     STANDARD = "standard"
@@ -160,8 +170,7 @@ class KrylovBasis:
     operator, h_next / v_next the (m+1)-th subdiagonal entry and basis
     vector that the square form drops (h_next = 0 after a happy
     breakdown, in which case the subspace is invariant and results are
-    exact). anchor_time records the solver time the basis was built at
-    so reused steps can measure their elapsed horizon from it.
+    exact).
     """
 
     operator: VariantOperator
@@ -170,7 +179,6 @@ class KrylovBasis:
     h_next: float
     v_next: np.ndarray
     beta: float
-    anchor_time: float | None = None
     estimate: float | None = None
     estimate_kind: str | None = None
     _h_eff: np.ndarray | None = field(default=None, repr=False)
@@ -213,7 +221,6 @@ class KrylovBasis:
             h_next=float(self.hessenberg[m, m - 1]),
             v_next=self.v_basis[:, m],
             beta=self.beta,
-            anchor_time=self.anchor_time,
         )
 
 
@@ -296,10 +303,8 @@ def _residual_rate(basis: KrylovBasis, e_s: np.ndarray) -> tuple[float, str]:
     return basis.beta * abs(basis.h_next) * basis._exact_scale * tail, "exact"
 
 
-def step_error_estimate(
-    basis: KrylovBasis, h: float, detail: bool = False, levels: int = 6
-):
-    """Bound on the step error of expm_action(basis, h).
+def step_error_estimate(basis: KrylovBasis, h: float) -> tuple[float, str]:
+    """(bound on the step error of expm_action(basis, h), estimate kind).
 
     The true error is the residual propagated through the (contractive)
     exact flow, so its norm is at most the time integral of ||r_m(s)||
@@ -309,32 +314,31 @@ def step_error_estimate(
     corners where the state is nearly fast-mode equilibrated; the
     integral has no such blind spot.
 
-    Quadrature runs over geometric panels with nodes h/2^levels, ...,
-    h/2, h, each panel bounded by its larger endpoint rate. All nodes
-    come from one small matrix exponential squared up level by level.
-
-    With detail=True returns (estimate, kind).
+    Quadrature runs over geometric panels with nodes h/2^L, ..., h/2, h
+    (L = ESTIMATE_LEVELS), each panel bounded by its larger endpoint
+    rate. All nodes come from one small matrix exponential squared up
+    level by level.
     """
     if basis.m == 0 or basis.h_next == 0.0:
-        return (0.0, "breakdown") if detail else 0.0
+        return 0.0, "breakdown"
+    width = h / 2.0**ESTIMATE_LEVELS
     with np.errstate(over="ignore", invalid="ignore"):
-        e_s = _projected_expm((h / 2.0**levels) * basis.effective_generator())
+        e_s = _projected_expm(width * basis.effective_generator())
         rates = []
         while True:
             rate, kind = _residual_rate(basis, e_s)
             rates.append(rate)
-            if len(rates) > levels:
+            if len(rates) > ESTIMATE_LEVELS:
                 break
             e_s = e_s @ e_s
-        width = h / 2.0**levels
         est = rates[0] * width
-        for j in range(levels):
+        for j in range(ESTIMATE_LEVELS):
             est += max(rates[j], rates[j + 1]) * width
             width *= 2.0
     est = float(est)
     if not np.isfinite(est):
         est = float("inf")
-    return (est, kind) if detail else est
+    return est, kind
 
 
 def arnoldi(
@@ -343,8 +347,6 @@ def arnoldi(
     m_max: int = DEFAULT_M_MAX,
     h: float | None = None,
     eps: float | None = None,
-    anchor_time: float | None = None,
-    m_min: int = 2,
 ) -> KrylovBasis:
     """Grow an orthonormal basis of K_m(M, v) until eps is met.
 
@@ -353,13 +355,9 @@ def arnoldi(
     fraction of the candidate's norm). Convergence is judged by
     step_error_estimate at horizon h against eps; pass eps=None to
     build all m_max dimensions unconditionally. The eps gate only fires
-    from m_min on: a one-dimensional projection averages fast and slow
-    modes into a single Rayleigh quotient, and when that average is
-    fast-dominated the residual formulas see pure decay and report
-    convergence the subspace does not have. A happy breakdown
-    (subdiagonal below 1e-12 of the pre-orthogonalization norm) returns
-    early with h_next = 0: the subspace is invariant and the action
-    exact.
+    from M_MIN on. A happy breakdown (subdiagonal below 1e-12 of the
+    pre-orthogonalization norm) returns early with h_next = 0: the
+    subspace is invariant and the action exact.
 
     The estimate is evaluated every iteration up to m = 32 and on a
     sparse geometric schedule beyond, so large standard-variant builds
@@ -385,7 +383,6 @@ def arnoldi(
             h_next=0.0,
             v_next=np.zeros(dim),
             beta=0.0,
-            anchor_time=anchor_time,
             estimate=0.0,
             estimate_kind="breakdown",
         )
@@ -403,7 +400,6 @@ def arnoldi(
             h_next=float(h_next),
             v_next=v_next,
             beta=beta,
-            anchor_time=anchor_time,
         )
 
     def finish(basis, est, kind):
@@ -438,14 +434,14 @@ def arnoldi(
         big_v[:, j + 1] = w / h_sub
 
         m = j + 1
-        if eps is None or m < m_min:
+        if eps is None or m < M_MIN:
             continue
         if m <= 32 or m >= next_check or m == m_max:
             if m >= next_check:
                 next_check = max(m + 1, int(np.ceil(m * 1.2)))
             probe = view(m, h_sub, big_v[:, m])
             try:
-                last_est, kind = step_error_estimate(probe, h, detail=True)
+                last_est, kind = step_error_estimate(probe, h)
             except BasisDegenerate:
                 # Early projections of the inverse-based variants can be
                 # momentarily singular; keep growing.

@@ -32,7 +32,7 @@ import bisect
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,13 +87,10 @@ def quantize_time(t: float) -> float:
 
 
 class Waveform:
-    """Common interface: piecewise-linear value with a right-hand slope."""
-
-    def value_and_slope(self, t: float) -> tuple[float, float]:
-        raise NotImplementedError
+    """Common interface: a piecewise-linear value and its corner times."""
 
     def value(self, t: float) -> float:
-        return self.value_and_slope(t)[0]
+        raise NotImplementedError
 
     def transition_times(self, t_start: float, t_stop: float) -> np.ndarray:
         """Times in [t_start, t_stop] where the slope changes."""
@@ -104,8 +101,8 @@ class Waveform:
 class Dc(Waveform):
     level: float
 
-    def value_and_slope(self, t):
-        return self.level, 0.0
+    def value(self, t):
+        return self.level
 
     def transition_times(self, t_start, t_stop):
         return np.empty(0)
@@ -136,22 +133,18 @@ class Pulse(Waveform):
         if self.t_delay < 0:
             raise ValueError("pulse delay must be nonnegative")
 
-    def value_and_slope(self, t):
+    def value(self, t):
         if t < self.t_delay:
-            return self.v1, 0.0
+            return self.v1
         tau = math.fmod(t - self.t_delay, self.t_period)
-        rise_end = self.t_rise
         fall_start = self.t_rise + self.t_width
-        fall_end = fall_start + self.t_fall
-        if tau < rise_end:
-            slope = (self.v2 - self.v1) / self.t_rise
-            return self.v1 + slope * tau, slope
+        if tau < self.t_rise:
+            return self.v1 + (self.v2 - self.v1) / self.t_rise * tau
         if tau < fall_start:
-            return self.v2, 0.0
-        if tau < fall_end:
-            slope = (self.v1 - self.v2) / self.t_fall
-            return self.v2 + slope * (tau - fall_start), slope
-        return self.v1, 0.0
+            return self.v2
+        if tau < fall_start + self.t_fall:
+            return self.v2 + (self.v1 - self.v2) / self.t_fall * (tau - fall_start)
+        return self.v1
 
     def corner_offsets(self) -> tuple[float, float, float, float]:
         return (
@@ -189,18 +182,17 @@ class Pwl(Waveform):
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("PWL times must be strictly increasing")
 
-    def value_and_slope(self, t):
+    def value(self, t):
         pts = self.points
         if t < pts[0][0]:
-            return pts[0][1], 0.0
+            return pts[0][1]
         if t >= pts[-1][0]:
-            return pts[-1][1], 0.0
+            return pts[-1][1]
         times = [p[0] for p in pts]
         i = bisect.bisect_right(times, t) - 1
         t0, v0 = pts[i]
         t1, v1 = pts[i + 1]
-        slope = (v1 - v0) / (t1 - t0)
-        return v0 + slope * (t - t0), slope
+        return v0 + (v1 - v0) / (t1 - t0) * (t - t0)
 
     def transition_times(self, t_start, t_stop):
         times = [
@@ -344,20 +336,23 @@ class CircuitSystem:
     def num_sources(self) -> int:
         return len(self.sources)
 
-    def eval_sources(self, t: float, mask: np.ndarray | None = None):
-        """Source values and right-hand slopes at time t.
+    def eval_sources(self, t: float) -> np.ndarray:
+        """Source values u(t), one per column of B."""
+        return np.array([w.value(t) for w in self.sources], dtype=np.float64)
 
-        mask, when given, zeroes the contribution of deselected sources;
-        superposition subtasks use it to restrict the drive to one group.
+    def subsystem(self, members: list[int]) -> "CircuitSystem":
+        """The same circuit driven by the member sources alone.
+
+        C and G are shared; B keeps the members' columns in order. By
+        linearity the responses of subsystems that partition the
+        sources sum to the response of the whole circuit.
         """
-        u = np.empty(self.num_sources)
-        du = np.empty(self.num_sources)
-        for i, w in enumerate(self.sources):
-            u[i], du[i] = w.value_and_slope(t)
-        if mask is not None:
-            u = np.where(mask, u, 0.0)
-            du = np.where(mask, du, 0.0)
-        return u, du
+        return replace(
+            self,
+            b=numkit.from_scipy(self.b.scipy[:, members]),
+            sources=[self.sources[i] for i in members],
+            source_names=[self.source_names[i] for i in members],
+        )
 
     def structurally_singular_c(self) -> bool:
         m = self.c.scipy
@@ -503,7 +498,6 @@ def build_system(text: str) -> CircuitSystem:
 def dc_analysis(
     system: CircuitSystem,
     g_factors: numkit.LuFactors | None = None,
-    mask: np.ndarray | None = None,
     t: float | None = None,
 ) -> np.ndarray:
     """Operating point at time t: solve G x = B u(t).
@@ -515,8 +509,7 @@ def dc_analysis(
     """
     if t is None:
         t = system.t_start if system.t_start is not None else 0.0
-    u0, _ = system.eval_sources(t, mask)
-    rhs = system.b @ u0
+    rhs = system.b @ system.eval_sources(t)
     if g_factors is None:
         try:
             g_factors = numkit.lu_factorize(system.g)

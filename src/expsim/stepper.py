@@ -145,20 +145,11 @@ def resolve_span(system: netlist.CircuitSystem, config: SolverConfig):
 
 
 def active_transitions(
-    system: netlist.CircuitSystem,
-    t_start: float,
-    t_stop: float,
-    mask: np.ndarray | None = None,
+    system: netlist.CircuitSystem, t_start: float, t_stop: float
 ) -> np.ndarray:
-    """Union of slope-change times of the (masked) sources in the span."""
-    parts = []
-    for i, w in enumerate(system.sources):
-        if mask is not None and not mask[i]:
-            continue
-        parts.append(w.transition_times(t_start, t_stop))
-    if not parts:
-        return np.empty(0)
-    return np.unique(np.concatenate(parts))
+    """Union of slope-change times of the system's sources in the span."""
+    parts = [w.transition_times(t_start, t_stop) for w in system.sources]
+    return np.unique(np.concatenate([np.empty(0), *parts]))
 
 
 def _stepping_points(t0, t1, spots):
@@ -183,18 +174,16 @@ class _InputTracker:
     costs nothing.
     """
 
-    def __init__(self, system, g_factors, mask=None):
+    def __init__(self, system, g_factors):
         self.system = system
         self.g_factors = g_factors
-        self.mask = mask
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def w_theta(self, t: float):
         hit = self._cache.get(t)
         if hit is not None:
             return hit
-        u, _ = self.system.eval_sources(t, self.mask)
-        w = -self.g_factors.solve(self.system.b @ u)
+        w = -self.g_factors.solve(self.system.b @ self.system.eval_sources(t))
         theta = -self.g_factors.solve(self.system.c @ w)
         self._cache[t] = (w, theta)
         return w, theta
@@ -238,19 +227,16 @@ def _is_spot(t: float, spots: np.ndarray, atol: float) -> bool:
 def solve_transient_matex(
     system: netlist.CircuitSystem,
     config: SolverConfig,
-    lts: np.ndarray | None = None,
     gts: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
     x0: np.ndarray | None = None,
 ) -> WaveformResult:
     """Adaptive exponential transient over the spot-time grid.
 
-    lts lists the spot times where this run's own drive changes slope
-    (a fresh basis is required there); gts the full grid the samples
-    must land on. Both default to the masked sources' transitions, which
-    makes an undecomposed run rebuild at every spot. mask restricts the
-    drive to a source subset for superposition subtasks; x0 overrides
-    the computed operating point.
+    A fresh basis is built at the spot times where the system's own
+    sources change slope; gts is the full grid the samples must land
+    on, and at its other spots the previous basis is reused. gts
+    defaults to the system's own spots, so a run on its own grid
+    rebuilds at every step. x0 overrides the computed operating point.
     """
     t_begin = time.perf_counter()
     if config.method not in _METHOD_VARIANT:
@@ -258,12 +244,8 @@ def solve_transient_matex(
     variant = _METHOD_VARIANT[config.method]
     t0, t1 = resolve_span(system, config)
     span = t1 - t0
-    if gts is None:
-        gts = active_transitions(system, t0, t1, mask)
-    if lts is None:
-        lts = gts
-    points = _stepping_points(t0, t1, gts)
-    lts = np.sort(np.asarray(lts, dtype=np.float64))
+    own_spots = active_transitions(system, t0, t1)
+    points = _stepping_points(t0, t1, own_spots if gts is None else gts)
     spot_atol = 1e-9 * span
 
     gaps = np.diff(points)
@@ -300,12 +282,12 @@ def solve_transient_matex(
             )
 
     x = np.array(x0, dtype=np.float64) if x0 is not None else netlist.dc_analysis(
-        system, g_factors, mask, t=t0
+        system, g_factors, t=t0
     )
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
 
-    tracker = _InputTracker(system, g_factors, mask)
+    tracker = _InputTracker(system, g_factors)
 
     states = [x.copy()]
     steps: list[StepRecord] = []
@@ -315,19 +297,17 @@ def solve_transient_matex(
         t, t_next = float(points[k]), float(points[k + 1])
         h = t_next - t
         eps = config.e_tol * h / span
-        fresh = basis is None or _is_spot(t, lts, spot_atol)
+        fresh = basis is None or _is_spot(t, own_spots, spot_atol)
         if fresh:
             anchor = t
             v = x + tracker.f_term(t, t_next)
-            basis = krylov.arnoldi(
-                op, v, m_max=config.m_max, h=h, eps=eps, anchor_time=t
-            )
+            basis = krylov.arnoldi(op, v, m_max=config.m_max, h=h, eps=eps)
             h_a = h
             est = basis.estimate if basis.estimate is not None else 0.0
             kind = basis.estimate_kind or "breakdown"
         else:
             h_a = t_next - anchor
-            est, kind = krylov.step_error_estimate(basis, h_a, detail=True)
+            est, kind = krylov.step_error_estimate(basis, h_a)
         x = matex_step(basis, h_a, tracker.p_term(anchor, t_next))
         states.append(x.copy())
         steps.append(
@@ -365,14 +345,14 @@ def _fixed_grid(t0, t1, h):
     return np.array([t0 + k * h for k in range(n_steps + 1)])
 
 
-def _solve_fixed(system, config, mask, x0, trapezoidal: bool):
+def _solve_fixed(system, config, x0, trapezoidal: bool):
     t_begin = time.perf_counter()
     t0, t1 = resolve_span(system, config)
     times = _fixed_grid(t0, t1, config.h)
     h = config.h
     made: list[numkit.LuFactors] = []
     if x0 is None:
-        x = netlist.dc_analysis(system, _factor(system.g, made), mask, t=t0)
+        x = netlist.dc_analysis(system, _factor(system.g, made), t=t0)
     else:
         x = np.array(x0, dtype=np.float64)
 
@@ -386,10 +366,10 @@ def _solve_fixed(system, config, mask, x0, trapezoidal: bool):
         rhs_matrix = (c / h).tocsc()
 
     states = [x.copy()]
-    u_prev, _ = system.eval_sources(float(times[0]), mask)
+    u_prev = system.eval_sources(float(times[0]))
     b = system.b
     for k in range(times.size - 1):
-        u_next, _ = system.eval_sources(float(times[k + 1]), mask)
+        u_next = system.eval_sources(float(times[k + 1]))
         if trapezoidal:
             drive = b @ ((u_prev + u_next) / 2.0)
         else:
@@ -409,38 +389,36 @@ def _solve_fixed(system, config, mask, x0, trapezoidal: bool):
     )
 
 
-def solve_transient_tr(system, config, mask=None, x0=None) -> WaveformResult:
+def solve_transient_tr(system, config, x0=None) -> WaveformResult:
     """Fixed-step trapezoidal rule; one substitution pair per step.
 
     (C/h + G/2) x_{k+1} = (C/h - G/2) x_k + B (u_k + u_{k+1}) / 2.
     Second order in h.
     """
-    return _solve_fixed(system, config, mask, x0, trapezoidal=True)
+    return _solve_fixed(system, config, x0, trapezoidal=True)
 
 
-def solve_transient_be(system, config, mask=None, x0=None) -> WaveformResult:
+def solve_transient_be(system, config, x0=None) -> WaveformResult:
     """Fixed-step backward Euler; first order, unconditionally damped.
 
     (C/h + G) x_{k+1} = (C/h) x_k + B u_{k+1}. At a step much finer than
     every input feature this is the accuracy reference for the others.
     """
-    return _solve_fixed(system, config, mask, x0, trapezoidal=False)
+    return _solve_fixed(system, config, x0, trapezoidal=False)
 
 
 def solve_transient(
     system: netlist.CircuitSystem,
     config: SolverConfig,
-    lts: np.ndarray | None = None,
     gts: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
     x0: np.ndarray | None = None,
 ) -> WaveformResult:
-    """Dispatch on config.method."""
+    """Dispatch on config.method; the fixed-step methods ignore gts."""
     if config.method == "tr":
-        return solve_transient_tr(system, config, mask=mask, x0=x0)
+        return solve_transient_tr(system, config, x0=x0)
     if config.method == "be":
-        return solve_transient_be(system, config, mask=mask, x0=x0)
-    return solve_transient_matex(system, config, lts=lts, gts=gts, mask=mask, x0=x0)
+        return solve_transient_be(system, config, x0=x0)
+    return solve_transient_matex(system, config, gts=gts, x0=x0)
 
 
 def resample_states(result: WaveformResult, times: np.ndarray) -> np.ndarray:

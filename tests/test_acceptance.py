@@ -26,6 +26,7 @@ from conftest import (
     SINGULAR_C_NETLIST,
     dense_exact,
     ladder_matrices,
+    source_corners,
 )
 
 ECONOMY_NETLIST_HEAD = """* twenty-node ladder, two pulse trains with different shapes
@@ -134,11 +135,15 @@ def test_superposition_merge_is_exact():
     system = es.build_system(mesh.text)
     span = system.t_stop - system.t_start
 
+    # A fixed-step run is never split by run_superposed, so linearity is
+    # checked on the group subsystems directly.
     tr_cfg = stepper.SolverConfig(method="tr", h=span / 600)
-    tr_diff = np.abs(
-        decomp.run_superposed(system, tr_cfg).merged.states
-        - stepper.solve_transient(system, tr_cfg).states
-    ).max()
+    plan = decomp.build_plan(system.sources, system.t_start, system.t_stop)
+    tr_sum = sum(
+        stepper.solve_transient(system.subsystem(g), tr_cfg).states
+        for g in plan.groups
+    )
+    tr_diff = np.abs(tr_sum - stepper.solve_transient(system, tr_cfg).states).max()
 
     rm_cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
     rm_diff = np.abs(
@@ -152,10 +157,16 @@ def test_superposition_merge_is_exact():
         and runs[w].merged.times.tobytes() == runs[1].merged.times.tobytes()
         for w in (2, 8)
     )
-    ok = tr_diff <= 1e-9 and rm_diff <= 10 * rm_cfg.e_tol and same_bytes
+    ok = (
+        plan.num_groups > 1
+        and tr_diff <= 1e-9
+        and rm_diff <= 10 * rm_cfg.e_tol
+        and same_bytes
+    )
     _check(
         "superposition exactness", ok,
-        f"tr diff {tr_diff:.2e} <= 1e-9; rmatex diff {rm_diff:.2e} <= 1e-7; "
+        f"tr diff over {plan.num_groups} groups {tr_diff:.2e} <= 1e-9; "
+        f"rmatex diff {rm_diff:.2e} <= 1e-7; "
         f"workers 1/2/8 byte-identical: {same_bytes}",
     )
 
@@ -210,6 +221,49 @@ def test_error_budget_is_honored():
         "final-time errors "
         + ", ".join(f"{k} {v:.2e}" for k, v in errs.items())
         + f" <= {100 * e_tol:.0e} at e_tol {e_tol:.0e}",
+    )
+
+
+@pytest.fixture(scope="module")
+def stiff_mesh_exact(stiff_mesh):
+    """Input corners of the stiff mesh and the exact states there."""
+    _, system = stiff_mesh
+    corners = source_corners(system, system.t_start, system.t_stop)
+    return np.array(corners), dense_exact(system, corners)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        "rmatex",
+        "imatex",
+        pytest.param(
+            "mexp",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="standard-variant estimate under-reports on the stiff "
+                "mesh: 9.4e-8 realized against 1.1e-9 estimated "
+                "(CHANGES.md FOUND line on mexp; ROADMAP item 5)",
+            ),
+        ),
+    ],
+)
+def test_estimate_bounds_realized_error(method, stiff_mesh, stiff_mesh_exact):
+    """The realized error at every sample stays within both the budget
+    and the sum of the run's step estimates."""
+    _, system = stiff_mesh
+    corners, exact = stiff_mesh_exact
+    e_tol = 1e-8
+    run = stepper.solve_transient(
+        system, stepper.SolverConfig(method=method, e_tol=e_tol, m_max=40)
+    )
+    assert np.array_equal(run.times, corners)
+    err = float(np.linalg.norm(run.states - exact, axis=1).max())
+    est = sum(s.estimate for s in run.steps)
+    _check(
+        f"{method} realized error", err <= e_tol and err <= est,
+        f"max 2-norm error {err:.2e} <= e_tol {e_tol:.0e} and <= the "
+        f"step estimates' sum {est:.2e}",
     )
 
 

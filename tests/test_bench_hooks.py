@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from expsim import krylov, stepper
+from expsim import decomp, krylov, stepper
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -33,13 +33,17 @@ def bench_run():
         del sys.modules[spec.name]
 
 
-def test_every_layer_target_installs(bench_run, ladder_system):
+@pytest.fixture()
+def tracer(bench_run):
+    """A tracer over the benchmark's full layer target list, not installed."""
     names = ("cli", "decomp", "errors", "krylov", "netlist", "numkit", "stepper")
     bench = types.SimpleNamespace(**dict(zip(names, bench_run.import_program())))
     bench.stage_targets = lambda: bench_run.Bench.stage_targets(bench)
-    targets = bench_run.Bench.layer_targets(bench)
+    return bench_run.Tracer(bench_run.Bench.layer_targets(bench))
+
+
+def test_every_layer_target_installs(tracer, ladder_system):
     original = krylov.arnoldi
-    tracer = bench_run.Tracer(targets)
     try:
         # A missing target raises here, after the earlier ones are
         # wrapped; finally puts those back for the rest of the suite.
@@ -51,3 +55,21 @@ def test_every_layer_target_installs(bench_run, ladder_system):
     traced = {span.name for span in tracer.spans}
     assert {"krylov.arnoldi", "krylov.VariantOperator.apply",
             "krylov.VariantOperator.ode_apply", "numkit.LuFactors.solve"} <= traced
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_group_runs_hang_under_the_superposed_run(tracer, ladder_system, workers):
+    # layers_of counts decomp.groups and parallel_eff from exactly the
+    # stepper.solve_transient spans whose parent is decomp.run_superposed.
+    try:
+        tracer.install()
+        run = decomp.run_superposed(
+            ladder_system, stepper.SolverConfig(e_tol=1e-8), workers=workers
+        )
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    groups = [s for s in spans if s.name == "stepper.solve_transient"]
+    assert run.plan.num_groups == 2
+    assert len(groups) == run.plan.num_groups
+    assert all(spans[s.parent].name == "decomp.run_superposed" for s in groups)

@@ -190,6 +190,21 @@ class TestCompare:
             assert 0.0 <= row["error_pct"] < 20.0
             assert row["substitution_pairs"] > 0
 
+    def test_tr_row_costs_one_undecomposed_run(self, netlist_file, tmp_path):
+        report = tmp_path / "report.json"
+        rc = cli.main(
+            ["compare", netlist_file, "--solvers", "tr", "--h", "2e-12",
+             "--oracle-h", "1e-12", "--report", str(report)]
+        )
+        assert rc == 0
+        (row,) = json.loads(report.read_text())["rows"]
+        plain = stepper.solve_transient(
+            es.build_system(TWO_SOURCE_NETLIST),
+            stepper.SolverConfig(method="tr", h=2e-12),
+        )
+        assert row["substitution_pairs"] == plain.substitution_pairs
+        assert row["factorizations"] == plain.factorizations
+
     def test_failed_solver_gets_a_row(self, singular_file, capsys):
         rc = cli.main(
             ["compare", singular_file, "--solvers", "mexp,imatex",

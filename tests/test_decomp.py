@@ -54,37 +54,6 @@ class TestExtractLts:
         np.testing.assert_allclose(got, [1e-10], rtol=1e-9)
 
 
-class TestBumpFeature:
-    def test_pulse_quantized_to_femtoseconds(self):
-        w = netlist.Pulse(0, 1, 2e-11, 1e-11, 1e-11, 5e-11, 2e-10)
-        f = decomp.BumpFeature.from_waveform(w)
-        assert f == decomp.BumpFeature(20000, 10000, 50000, 10000, 200000)
-
-    def test_amplitude_does_not_matter(self):
-        a = netlist.Pulse(0, 1, 1e-11, 1e-11, 1e-11, 3e-11, 2e-10)
-        b = netlist.Pulse(0, 7, 1e-11, 1e-11, 1e-11, 3e-11, 2e-10)
-        assert (
-            decomp.BumpFeature.from_waveform(a)
-            == decomp.BumpFeature.from_waveform(b)
-        )
-
-    def test_dc_is_all_zero(self):
-        assert decomp.BumpFeature.from_waveform(netlist.Dc(5.0)) == (
-            decomp.BumpFeature(0, 0, 0, 0, 0)
-        )
-
-    def test_pwl_first_excursion(self):
-        w = netlist.Pwl(
-            ((0.0, 0.0), (1e-9, 0.0), (2e-9, 1.0), (3e-9, 1.0), (4e-9, 0.0), (5e-9, 0.0))
-        )
-        f = decomp.BumpFeature.from_waveform(w)
-        assert f == decomp.BumpFeature(1000000, 1000000, 1000000, 1000000, 0)
-
-    def test_flat_pwl(self):
-        w = netlist.Pwl(((0.0, 1.0), (1e-9, 1.0)))
-        assert decomp.BumpFeature.from_waveform(w) == decomp.BumpFeature(0, 0, 0, 0, 0)
-
-
 class TestBuildPlan:
     def test_groups_partition_the_sources(self, mixed_system):
         plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10)
@@ -95,6 +64,31 @@ class TestBuildPlan:
     def test_equal_features_share_a_group(self, mixed_system):
         plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10)
         assert plan.groups == [[0, 1], [2], [3, 4], [5]]
+
+    def test_amplitude_does_not_matter(self):
+        a = netlist.Pulse(0, 1, 1e-11, 1e-11, 1e-11, 3e-11, 2e-10)
+        b = netlist.Pulse(0, 7, 1e-11, 1e-11, 1e-11, 3e-11, 2e-10)
+        assert decomp.build_plan([a, b], 0.0, 4e-10).groups == [[0, 1]]
+
+    def test_dc_sources_share_a_group(self):
+        plan = decomp.build_plan([netlist.Dc(5.0), netlist.Dc(-1.0)], 0.0, 1e-9)
+        assert plan.groups == [[0, 1]]
+        assert plan.gts.size == 0
+
+    def test_same_first_excursion_different_later_ramps(self):
+        # Equal first rise, flat top and fall; the later ramps sit at
+        # different times and neither spot set contains the other.
+        head = ((0.0, 0.0), (1e-9, 0.0), (2e-9, 1.0), (3e-9, 1.0), (4e-9, 0.0))
+        a = netlist.Pwl(head + ((6e-9, 0.0), (7e-9, 1.0)))
+        b = netlist.Pwl(head + ((5e-9, 0.0), (5.5e-9, 1.0)))
+        plan = decomp.build_plan([a, b], 0.0, 8e-9)
+        assert plan.groups == [[0], [1]]
+        merged = decomp.build_plan([a, b], 0.0, 8e-9, max_groups=1)
+        assert merged.groups == [[0, 1]]
+        np.testing.assert_array_equal(merged.group_lts[0], merged.gts)
+        np.testing.assert_array_equal(
+            merged.gts, np.union1d(plan.group_lts[0], plan.group_lts[1])
+        )
 
     def test_group_lts_is_member_union(self, mixed_system):
         plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10)
@@ -122,15 +116,6 @@ class TestBuildPlan:
             plan.gts, stepper.active_transitions(ladder_system, 0.0, 4e-10)
         )
 
-    def test_mask(self, mixed_system):
-        plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10)
-        np.testing.assert_array_equal(
-            plan.mask(0, 6), [True, True, False, False, False, False]
-        )
-        np.testing.assert_array_equal(
-            plan.mask(3, 6), [False, False, False, False, False, True]
-        )
-
     def test_folding_respects_max_groups(self):
         sources = [
             netlist.Pulse(0, 1, 1.0e-9, 1e-10, 1e-10, 1e-10, 1e-8),
@@ -138,7 +123,8 @@ class TestBuildPlan:
             netlist.Pulse(0, 1, 9.0e-9, 1e-10, 1e-10, 1e-10, 1e-8),
         ]
         plan = decomp.build_plan(sources, 0.0, 1e-8, max_groups=2)
-        # the lone nearest-by-feature pair folds, the outlier survives
+        # source 0 adds one new spot to source 1's group and four to
+        # the outlier's, so it folds into source 1's
         assert plan.groups == [[0, 1], [2]]
         lts01 = np.union1d(plan.source_lts[0], plan.source_lts[1])
         np.testing.assert_array_equal(plan.group_lts[0], lts01)
@@ -164,12 +150,27 @@ class TestBuildPlan:
 class TestRunSuperposed:
     def test_tr_superposition_is_exact(self, mixed_system):
         cfg = stepper.SolverConfig(method="tr", h=2e-12)
-        sup = decomp.run_superposed(mixed_system, cfg)
+        plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10)
+        parts = [
+            stepper.solve_transient(mixed_system.subsystem(g), cfg)
+            for g in plan.groups
+        ]
         plain = stepper.solve_transient(mixed_system, cfg)
-        assert len(sup.subtasks) == 4
-        np.testing.assert_array_equal(sup.merged.times, plain.times)
+        assert len(parts) == 4
+        for r in parts:
+            np.testing.assert_array_equal(r.times, plain.times)
         scale = np.abs(plain.states).max()
-        assert np.abs(sup.merged.states - plain.states).max() < 1e-12 * scale
+        merged = sum(r.states for r in parts)
+        assert np.abs(merged - plain.states).max() < 1e-12 * scale
+
+    def test_fixed_step_runs_as_one_group(self, mixed_system):
+        for method in ("tr", "be"):
+            cfg = stepper.SolverConfig(method=method, h=2e-12)
+            sup = decomp.run_superposed(mixed_system, cfg)
+            plain = stepper.solve_transient(mixed_system, cfg)
+            assert sup.plan.groups == [[0, 1, 2, 3, 4, 5]]
+            assert sup.merged.substitution_pairs == plain.substitution_pairs
+            assert np.array_equal(sup.merged.states, plain.states)
 
     def test_rmatex_superposition_within_budget(self, mixed_system):
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)

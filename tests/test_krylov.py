@@ -90,7 +90,7 @@ class TestHappyBreakdown:
     def test_breakdown_estimates_vanish(self):
         basis = krylov.arnoldi(self.op, np.array([1.0, 0.0, 1.0]), m_max=3)
         assert residual_rate(basis, 1.0)[0] == 0.0
-        est, kind = krylov.step_error_estimate(basis, 1.0, detail=True)
+        est, kind = krylov.step_error_estimate(basis, 1.0)
         assert est == 0.0 and kind == "breakdown"
 
     def test_zero_start_vector(self):
@@ -98,7 +98,7 @@ class TestHappyBreakdown:
         assert basis.m == 0 and basis.beta == 0.0
         assert basis.estimate_kind == "breakdown"
         np.testing.assert_array_equal(krylov.expm_action(basis, 1.0), np.zeros(3))
-        assert krylov.step_error_estimate(basis, 1.0) == 0.0
+        assert krylov.step_error_estimate(basis, 1.0) == (0.0, "breakdown")
 
 
 class TestConvergenceGate:
@@ -115,9 +115,7 @@ class TestConvergenceGate:
         fam = estimator_family
         op = fam.operators["standard"]
         loose = krylov.arnoldi(op, fam.v, h=fam.h, eps=1e300)
-        assert loose.m == 2  # default floor
-        floored = krylov.arnoldi(op, fam.v, h=fam.h, eps=1e300, m_min=5)
-        assert floored.m == 5
+        assert loose.m == krylov.M_MIN == 2
 
     def test_eps_needs_horizon(self, estimator_family):
         with pytest.raises(ValueError):
@@ -252,7 +250,7 @@ class TestStepErrorEstimate:
         for m in range(2, 11):
             trunc = full.truncated(m)
             try:
-                est = krylov.step_error_estimate(trunc, fam.h)
+                est, _ = krylov.step_error_estimate(trunc, fam.h)
             except BasisDegenerate:
                 continue
             true = np.linalg.norm(krylov.expm_action(trunc, fam.h) - exact)
@@ -270,7 +268,7 @@ class TestStepErrorEstimate:
         full = full_basis(fam, "standard", m_max=6)
         h = 20.0 * fam.h
         endpoint = residual_rate(full, h)[0] * h
-        integral = krylov.step_error_estimate(full, h)
+        integral, _ = krylov.step_error_estimate(full, h)
         assert integral >= endpoint
 
 
@@ -284,20 +282,12 @@ class TestReuse:
         op = fam.operators[which]
         b1 = krylov.arnoldi(op, fam.v, h=fam.h, eps=1e-8 * v_norm, m_max=fam.n)
         h3 = 3.0 * fam.h
-        est = krylov.step_error_estimate(b1, h3)
+        est, _ = krylov.step_error_estimate(b1, h3)
         fresh = krylov.arnoldi(op, fam.v, h=h3, eps=1e-12 * v_norm, m_max=fam.n)
         diff = np.linalg.norm(
             krylov.expm_action(b1, h3) - krylov.expm_action(fresh, h3)
         )
         assert diff <= 10.0 * est + 1e-12 * v_norm
-
-    def test_anchor_time_travels_with_basis(self, estimator_family):
-        fam = estimator_family
-        basis = krylov.arnoldi(
-            fam.operators["rational"], fam.v, m_max=5, anchor_time=2.5
-        )
-        assert basis.anchor_time == 2.5
-        assert basis.truncated(3).anchor_time == 2.5
 
 
 class TestTruncated:

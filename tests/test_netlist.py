@@ -51,16 +51,16 @@ class TestQuantize:
 class TestWaveforms:
     def test_dc(self):
         w = netlist.Dc(3.0)
-        assert w.value_and_slope(0.0) == (3.0, 0.0)
+        assert w.value(0.0) == 3.0
         assert w.transition_times(0, 10).size == 0
 
     def test_pulse_values(self):
         w = netlist.Pulse(0.0, 1.0, t_delay=1.0, t_rise=1.0, t_fall=2.0,
                           t_width=3.0, t_period=10.0)
         assert w.value(0.5) == 0.0
-        assert w.value_and_slope(1.5) == (0.5, 1.0)  # mid rise
-        assert w.value_and_slope(3.0) == (1.0, 0.0)  # flat top
-        assert w.value_and_slope(6.0) == (0.5, -0.5)  # mid fall
+        assert w.value(1.5) == 0.5  # mid rise
+        assert w.value(3.0) == 1.0  # flat top
+        assert w.value(6.0) == 0.5  # mid fall
         assert w.value(8.0) == 0.0
         assert w.value(11.5) == 0.5  # second period
 
@@ -79,10 +79,10 @@ class TestWaveforms:
 
     def test_pwl_values_and_extrapolation(self):
         w = netlist.Pwl(((1.0, 0.0), (2.0, 2.0), (4.0, 2.0)))
-        assert w.value_and_slope(0.0) == (0.0, 0.0)  # constant before
-        assert w.value_and_slope(1.5) == (1.0, 2.0)
-        assert w.value_and_slope(3.0) == (2.0, 0.0)
-        assert w.value_and_slope(9.0) == (2.0, 0.0)  # constant after
+        assert w.value(0.0) == 0.0  # constant before
+        assert w.value(1.5) == 1.0
+        assert w.value(3.0) == 2.0
+        assert w.value(9.0) == 2.0  # constant after
 
     def test_pwl_transition_times_clipped(self):
         w = netlist.Pwl(((1.0, 0.0), (2.0, 2.0), (4.0, 2.0)))
@@ -202,14 +202,18 @@ class TestStampMna:
         np.testing.assert_allclose(x, [6.0])
 
     def test_eval_sources_mask(self):
+        # Restricting the drive to a source subset is a subsystem: the
+        # deselected sources leave u and their columns leave B.
         sys_ = es.build_system(
-            "I1 0 1 DC 2\nI2 0 1 DC 5\nR1 1 0 1\nC1 1 0 1\n.END\n"
+            "I1 0 1 DC 2\nI2 0 2 DC 5\nR1 1 0 1\nR2 2 0 1\nC1 1 0 1\n.END\n"
         )
-        u, du = sys_.eval_sources(0.0)
-        np.testing.assert_allclose(u, [2.0, 5.0])
-        np.testing.assert_allclose(du, [0.0, 0.0])
-        u, _ = sys_.eval_sources(0.0, mask=np.array([False, True]))
-        np.testing.assert_allclose(u, [0.0, 5.0])
+        np.testing.assert_allclose(sys_.eval_sources(0.0), [2.0, 5.0])
+        sub = sys_.subsystem([1])
+        np.testing.assert_allclose(sub.eval_sources(0.0), [5.0])
+        assert sub.source_names == ["i2"]
+        np.testing.assert_array_equal(sub.b.to_dense(), sys_.b.to_dense()[:, [1]])
+        assert sub.c is sys_.c and sub.g is sys_.g
+        np.testing.assert_allclose(es.dc_analysis(sub), [0.0, 5.0])
 
     def test_floating_node_warns(self):
         with pytest.warns(UserWarning, match="no DC path"):
@@ -231,7 +235,7 @@ class TestDcAnalysis:
             """
         )
         x = es.dc_analysis(sys_)
-        u0, _ = sys_.eval_sources(0.0)
+        u0 = sys_.eval_sources(0.0)
         expected = np.linalg.solve(sys_.g.to_dense(), sys_.b.to_dense() @ u0)
         assert np.linalg.norm(expected) > 0
         np.testing.assert_allclose(x, expected, rtol=1e-12)

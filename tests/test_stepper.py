@@ -76,44 +76,39 @@ class TestSpanAndGrid:
                 es.run_superposed(sys_, cfg)
 
     def test_active_transitions_masking(self, ladder_system):
+        # A run sees the transitions of its own system's sources only.
         t0, t1 = 0.0, 4e-10
-        pulse_only = stepper.active_transitions(
-            ladder_system, t0, t1, mask=np.array([True, False])
-        )
+        pulse_only = stepper.active_transitions(ladder_system.subsystem([0]), t0, t1)
         np.testing.assert_allclose(
             pulse_only,
             [2e-11, 3e-11, 8e-11, 9e-11, 2.2e-10, 2.3e-10, 2.8e-10, 2.9e-10],
             rtol=1e-9,
         )
-        pwl_only = stepper.active_transitions(
-            ladder_system, t0, t1, mask=np.array([False, True])
-        )
+        pwl_only = stepper.active_transitions(ladder_system.subsystem([1]), t0, t1)
         np.testing.assert_allclose(pwl_only, [0.0, 5e-11, 4e-10], rtol=1e-9, atol=1e-30)
         both = stepper.active_transitions(ladder_system, t0, t1)
         assert both.size == pulse_only.size + pwl_only.size
-        none = stepper.active_transitions(
-            ladder_system, t0, t1, mask=np.array([False, False])
-        )
-        assert none.size == 0
 
 
-def input_terms(system, t, h, mask=None):
+def input_terms(system, t, h):
     """F and P for the window [t, t+h] from a fresh tracker."""
-    tracker = stepper._InputTracker(system, numkit.lu_factorize(system.g), mask)
+    tracker = stepper._InputTracker(system, numkit.lu_factorize(system.g))
     return tracker.f_term(t, t + h), tracker.p_term(t, t + h)
 
 
 class TestInputTerms:
     def test_masked_off_drive_gives_zero_terms(self, ladder_system):
-        f, p = input_terms(
-            ladder_system, 1e-11, 1e-11, mask=np.array([False, False])
-        )
+        # On [1e-11, 2e-11] the PWL source ramps while the pulse has not
+        # started; the pulse-only subsystem leaves the ramp out.
+        full_f, _ = input_terms(ladder_system, 1e-11, 1e-11)
+        assert np.abs(full_f).max() > 0.0
+        f, p = input_terms(ladder_system.subsystem([0]), 1e-11, 1e-11)
         np.testing.assert_array_equal(f, np.zeros(ladder_system.n))
         np.testing.assert_array_equal(p, np.zeros(ladder_system.n))
 
     def test_constant_drive_terms_equal_minus_dc_solution(self, dc_rc_system):
         f, p = input_terms(dc_rc_system, 0.0, 1e-6)
-        u0, _ = dc_rc_system.eval_sources(0.0)
+        u0 = dc_rc_system.eval_sources(0.0)
         w = -np.linalg.solve(
             dc_rc_system.g.to_dense(), dc_rc_system.b.to_dense() @ u0
         )
@@ -225,9 +220,7 @@ class TestBasisReuse:
         # basis at t0 serves the whole span and every sample is exact.
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
         grid = np.linspace(0.0, 5e-6, 6)
-        result = stepper.solve_transient(
-            dc_rc_system, cfg, lts=np.empty(0), gts=grid, x0=np.zeros(1)
-        )
+        result = stepper.solve_transient(dc_rc_system, cfg, gts=grid, x0=np.zeros(1))
         assert result.reused_steps == 4
         tau = 1e-6
         exact = 1.0 - np.exp(-result.times / tau)
@@ -236,28 +229,21 @@ class TestBasisReuse:
     def test_decomposed_grid_matches_masked_run(self, ladder_system):
         # Restrict the drive to the PWL source; stepping on the full
         # grid with reuse must land where its own grid lands.
-        mask = np.array([False, True])
+        pwl_only = ladder_system.subsystem([1])
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
-        t0, t1 = 0.0, 4e-10
-        own = stepper.active_transitions(ladder_system, t0, t1, mask)
-        full = stepper.active_transitions(ladder_system, t0, t1)
-        decomposed = stepper.solve_transient(
-            ladder_system, cfg, lts=own, gts=full, mask=mask
-        )
-        plain = stepper.solve_transient(ladder_system, cfg, mask=mask)
+        full = stepper.active_transitions(ladder_system, 0.0, 4e-10)
+        decomposed = stepper.solve_transient(pwl_only, cfg, gts=full)
+        plain = stepper.solve_transient(pwl_only, cfg)
         assert decomposed.reused_steps > 0
         scale = np.abs(plain.states).max()
         diff = np.abs(decomposed.states[-1] - plain.states[-1]).max()
         assert diff < 1e-6 * scale
 
     def test_fresh_steps_sit_on_local_transitions(self, ladder_system):
-        mask = np.array([False, True])
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
-        t0, t1 = 0.0, 4e-10
-        own = stepper.active_transitions(ladder_system, t0, t1, mask)
-        full = stepper.active_transitions(ladder_system, t0, t1)
+        full = stepper.active_transitions(ladder_system, 0.0, 4e-10)
         result = stepper.solve_transient(
-            ladder_system, cfg, lts=own, gts=full, mask=mask
+            ladder_system.subsystem([1]), cfg, gts=full
         )
         fresh = [s for s in result.steps if not s.reused]
         assert sorted(s.t for s in fresh) == [0.0, 5e-11]
