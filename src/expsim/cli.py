@@ -41,10 +41,9 @@ def _value(text: str) -> float:
 def write_waveform_csv(result: stepper.WaveformResult, fh) -> None:
     """time,<unknown names...>; full-precision scientific notation."""
     fh.write("time," + ",".join(result.names) + "\n")
-    for i in range(result.times.size):
-        row = [f"{result.times[i]:.17e}"]
-        row.extend(f"{v:.17e}" for v in result.states[i])
-        fh.write(",".join(row) + "\n")
+    fmt = ",".join(["%.17e"] * (1 + result.n)) + "\n"
+    for t, row in zip(result.times.tolist(), result.states):
+        fh.write(fmt % (t, *row.tolist()))
 
 
 def read_waveform_csv(fh):

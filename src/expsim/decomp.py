@@ -5,9 +5,11 @@ sources and the responses summed. A group runs as its own circuit, the
 subsystem that keeps the members' columns of B. The win is in the spot
 bookkeeping: a run grows a fresh Krylov basis only where one of its own
 sources changes slope (the group's local spot times); at every other
-global spot it rides a reused basis for two substitution pairs. Sources
-are therefore grouped by their exact spot-time sets, so a group never
-rebuilds for a member that does not change slope.
+global spot it rides a reused basis, which costs no substitution pair
+beyond a once-per-basis error-estimate solve. Sources are therefore
+grouped by their exact spot-time sets, so a group never rebuilds for a
+member that does not change slope. The groups share C and G, so the
+matrices are factored once per superposed run, not once per group.
 
 Vocabulary used throughout: the local transition set of a group is the
 union of its members' slope-change times; the global set is the union
@@ -115,23 +117,28 @@ def run_superposed(
     Each group runs the configured solver on its subsystem, so it
     carries its own share of the operating point; with one group this
     is literally the undecomposed solve. Without an explicit plan, tr
-    and be always run as one group. Workers map to an in-process thread
-    pool: subtasks share nothing mutable (each run factors its own
-    matrices), and the merge always sums in group index order, so the
-    result is identical bytes for any worker count. The
-    merged wall_time is this call's elapsed time; each group's own time
-    stays on its subtask.
+    and be always run as one group. The exponential methods factor the
+    whole circuit's matrices once here and every group steps with
+    counting copies of those factors: the merged factorizations are
+    that one set, each subtask reports 0 and tallies only its own
+    substitution pairs. Workers map to an in-process thread pool:
+    subtasks share nothing mutable, and the merge always sums in group
+    index order, so the result is identical bytes for any worker count.
+    The merged wall_time is this call's elapsed time; each group's own
+    time stays on its subtask.
     """
     t_begin = time.perf_counter()
     t0, t1 = stepper.resolve_span(system, config)
+    fixed_step = config.method in ("tr", "be")
     if plan is None:
-        if config.method in ("tr", "be"):
+        if fixed_step:
             max_groups = 1
         plan = build_plan(system.sources, t0, t1, max_groups=max_groups)
+    factors = None if fixed_step else stepper.factor_matex(system, config, plan.gts)
 
     def run_group(members: list[int]) -> stepper.WaveformResult:
         return stepper.solve_transient(
-            system.subsystem(members), config, gts=plan.gts
+            system.subsystem(members), config, gts=plan.gts, factors=factors
         )
 
     if workers <= 1 or plan.num_groups == 1:
@@ -158,7 +165,8 @@ def run_superposed(
         method=first.method,
         steps=[s for r in results for s in r.steps],
         substitution_pairs=sum(r.substitution_pairs for r in results),
-        factorizations=sum(r.factorizations for r in results),
+        factorizations=(0 if factors is None else len(factors.made))
+        + sum(r.factorizations for r in results),
         wall_time=time.perf_counter() - t_begin,
         gamma=first.gamma,
     )
@@ -195,6 +203,8 @@ def speedup_model(
                       / (k m T_bs + K (T_H + T_e) + T_serial)
 
     where N is the fixed-step baseline's step count (one pair each).
+    Input terms are left out: a group solves them once per source, two
+    pairs each, however many spots it steps through.
     """
     if min(n_fixed_steps, total_transitions, max_group_transitions) < 0:
         raise ValueError("counts must be nonnegative")

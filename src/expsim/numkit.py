@@ -115,8 +115,10 @@ def from_scipy(m) -> SparseMatrix:
 class LuFactors:
     """Result of lu_factorize: the splu object plus its pair tally.
 
-    solve() performs one forward/backward substitution pair and bumps
-    solve_count, the only substitution tally in the package.
+    solve() performs one forward/backward substitution pair per
+    right-hand side and adds them to solve_count, the only substitution
+    tally in the package. dataclasses.replace(f, solve_count=0) is a
+    counting copy: it shares the factorization and tallies on its own.
     """
 
     n: int
@@ -124,11 +126,14 @@ class LuFactors:
     solve_count: int = 0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve for a vector (n,) or a block (n, k) of k right-hand sides."""
         b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.n,):
-            raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ValueError(
+                f"rhs has shape {b.shape}, expected ({self.n},) or ({self.n}, k)"
+            )
         x = self._splu.solve(b)
-        self.solve_count += 1
+        self.solve_count += 1 if b.ndim == 1 else b.shape[1]
         return x
 
 

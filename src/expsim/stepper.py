@@ -5,21 +5,25 @@ over one piecewise-linear input window as
 
     x(t + h) = e^{hA} (x(t) + F) - P,        A = -C^-1 G,
 
-where F and P collect the particular solution of the affine drive. Both
-reduce to two factored solves with G per new time point:
+where F and P collect the particular solution of the affine drive:
 
     w(t)     = -G^-1 (B u(t))            (= A^-1 b)
     theta(t) = -G^-1 (C w(t))            (= A^-2 b)
     F(t, h)  = w(t)      + (theta(t+h) - theta(t)) / h
     P(t, h)  = w(t+h)    + (theta(t+h) - theta(t)) / h
 
+w and theta are linear in the drive, so a run solves them once for a
+block of drive columns, 2 min(n_src, T) substitution pairs for n_src
+sources and T stepping points, and reads every time point off with a
+dense product. The operating point is -w(t0).
+
 Steps land exactly on the spot times where any driving source changes
 slope. A fresh Krylov basis is grown only at the spots where this run's
 own input changes slope; at the remaining spots the previous basis is
 reused by evaluating the projected exponential at the horizon measured
 from the basis anchor, with P re-anchored accordingly. That reuse is
-what makes the decomposed runs cheap: reused steps cost two substitution
-pairs, not a basis build.
+what makes the decomposed runs cheap: a reused step costs no basis
+build and no input-term solve.
 
 The trapezoidal and backward-Euler solvers exist as fixed-step
 baselines; backward Euler at a very fine step doubles as the accuracy
@@ -29,7 +33,7 @@ reference everything else is measured against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,26 +171,30 @@ def _stepping_points(t0, t1, spots):
 
 
 class _InputTracker:
-    """Caches the w/theta substitution pairs per time point.
+    """w and theta at the stepping points, from two block solves with G.
 
-    Each new time costs exactly two factored solves with G; revisiting a
-    cached time (every window start is also the previous window's end)
-    costs nothing.
+    With D a block of drive columns and c(t_k) the coefficients that
+    make D c(t_k) = B u(t_k), w(t_k) = W c(t_k) and theta(t_k) =
+    Theta c(t_k) for W = -G^-1 D and Theta = -G^-1 C W. D is B and c is
+    u when the run has no more sources than points; otherwise D holds
+    the drives B u(t_k) themselves and c(t_k) is the k-th unit vector.
+    Building costs 2 min(n_src, T) substitution pairs; lookups cost
+    none. Times must be stepping points.
     """
 
-    def __init__(self, system, g_factors):
-        self.system = system
-        self.g_factors = g_factors
-        self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    def __init__(self, system, g_factors, points: np.ndarray):
+        self._column = {float(t): k for k, t in enumerate(points)}
+        u = np.column_stack([system.eval_sources(float(t)) for t in points])
+        if system.num_sources <= points.size:
+            drive, self._coefficients = system.b.to_dense(), u
+        else:
+            drive, self._coefficients = system.b @ u, np.eye(points.size)
+        self._w = -g_factors.solve(drive)
+        self._theta = -g_factors.solve(system.c @ self._w)
 
     def w_theta(self, t: float):
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        w = -self.g_factors.solve(self.system.b @ self.system.eval_sources(t))
-        theta = -self.g_factors.solve(self.system.c @ w)
-        self._cache[t] = (w, theta)
-        return w, theta
+        c = self._coefficients[:, self._column[t]]
+        return self._w @ c, self._theta @ c
 
     def f_term(self, t: float, t_next: float) -> np.ndarray:
         w_t, th_t = self.w_theta(t)
@@ -216,44 +224,54 @@ def _factor(matrix: numkit.SparseMatrix, made: list[numkit.LuFactors]):
     return f
 
 
-def _is_spot(t: float, spots: np.ndarray, atol: float) -> bool:
-    i = np.searchsorted(spots, t)
-    for j in (i - 1, i):
-        if 0 <= j < spots.size and abs(float(spots[j]) - t) <= atol:
-            return True
-    return False
+@dataclass
+class MatexFactors:
+    """The factors an exponential run steps with, its operator and shift.
+
+    made lists every factorization in the order it was made. Runs that
+    share one MatexFactors step with counting copies of it, so each
+    keeps its own substitution tally while the factorizations are made
+    once.
+    """
+
+    g: numkit.LuFactors
+    op: krylov.VariantOperator
+    gamma: float | None
+    made: list[numkit.LuFactors]
+
+    def counting_copy(self) -> "MatexFactors":
+        """The same factorizations with tallies of their own, at zero."""
+        copies = {id(f): replace(f, solve_count=0) for f in self.made}
+        aux = self.op.aux_c_factors
+        op = replace(
+            self.op,
+            x1=copies[id(self.op.x1)],
+            aux_c_factors=None if aux is None else copies[id(aux)],
+        )
+        return MatexFactors(copies[id(self.g)], op, self.gamma, list(copies.values()))
 
 
-def solve_transient_matex(
+def factor_matex(
     system: netlist.CircuitSystem,
     config: SolverConfig,
     gts: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
-) -> WaveformResult:
-    """Adaptive exponential transient over the spot-time grid.
+) -> MatexFactors:
+    """Factor G and the variant operator of an exponential run.
 
-    A fresh basis is built at the spot times where the system's own
-    sources change slope; gts is the full grid the samples must land
-    on, and at its other spots the previous basis is reused. gts
-    defaults to the system's own spots, so a run on its own grid
-    rebuilds at every step. x0 overrides the computed operating point.
+    gts is the run's sample grid as in solve_transient_matex; the
+    default gamma is a tenth of the median gap of its stepping points.
+    Subsystems keep C and G, so the factors of the whole circuit serve
+    every source group that samples on the same grid.
     """
-    t_begin = time.perf_counter()
     if config.method not in _METHOD_VARIANT:
         raise ValueError(f"not an exponential method: {config.method!r}")
     variant = _METHOD_VARIANT[config.method]
-    t0, t1 = resolve_span(system, config)
-    span = t1 - t0
-    own_spots = active_transitions(system, t0, t1)
-    points = _stepping_points(t0, t1, own_spots if gts is None else gts)
-    spot_atol = 1e-9 * span
-
-    gaps = np.diff(points)
     gamma = config.gamma
     if gamma is None and variant is krylov.Variant.RATIONAL:
-        gamma = float(np.median(gaps)) / 10.0
+        t0, t1 = resolve_span(system, config)
+        spots = active_transitions(system, t0, t1) if gts is None else gts
+        gamma = float(np.median(np.diff(_stepping_points(t0, t1, spots)))) / 10.0
 
-    n = system.n
     made: list[numkit.LuFactors] = []
     g_factors = _factor(system.g, made)
     if variant is krylov.Variant.STANDARD:
@@ -280,14 +298,56 @@ def solve_transient_matex(
                 g=system.g,
                 aux_c_factors=aux_c,
             )
+    return MatexFactors(g_factors, op, gamma, made)
 
-    x = np.array(x0, dtype=np.float64) if x0 is not None else netlist.dc_analysis(
-        system, g_factors, t=t0
-    )
+
+def _is_spot(t: float, spots: np.ndarray, atol: float) -> bool:
+    i = np.searchsorted(spots, t)
+    for j in (i - 1, i):
+        if 0 <= j < spots.size and abs(float(spots[j]) - t) <= atol:
+            return True
+    return False
+
+
+def solve_transient_matex(
+    system: netlist.CircuitSystem,
+    config: SolverConfig,
+    gts: np.ndarray | None = None,
+    x0: np.ndarray | None = None,
+    factors: MatexFactors | None = None,
+) -> WaveformResult:
+    """Adaptive exponential transient over the spot-time grid.
+
+    A fresh basis is built at the spot times where the system's own
+    sources change slope; gts is the full grid the samples must land
+    on, and at its other spots the previous basis is reused. gts
+    defaults to the system's own spots, so a run on its own grid
+    rebuilds at every step. x0 overrides the computed operating point.
+    factors, made by factor_matex for the same C, G, config and gts,
+    are stepped with instead of factoring anew; the run then counts
+    its own substitution pairs and no factorizations.
+    """
+    t_begin = time.perf_counter()
+    if config.method not in _METHOD_VARIANT:
+        raise ValueError(f"not an exponential method: {config.method!r}")
+    t0, t1 = resolve_span(system, config)
+    span = t1 - t0
+    own_spots = active_transitions(system, t0, t1)
+    points = _stepping_points(t0, t1, own_spots if gts is None else gts)
+    spot_atol = 1e-9 * span
+
+    if factors is None:
+        factors = factor_matex(system, config, gts)
+        factorizations = len(factors.made)
+    else:
+        factors = factors.counting_copy()
+        factorizations = 0
+
+    tracker = _InputTracker(system, factors.g, points)
+    n = system.n
+    x = np.array(x0, dtype=np.float64) if x0 is not None else -tracker.w_theta(t0)[0]
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
-
-    tracker = _InputTracker(system, g_factors)
 
     states = [x.copy()]
     steps: list[StepRecord] = []
@@ -301,7 +361,7 @@ def solve_transient_matex(
         if fresh:
             anchor = t
             v = x + tracker.f_term(t, t_next)
-            basis = krylov.arnoldi(op, v, m_max=config.m_max, h=h, eps=eps)
+            basis = krylov.arnoldi(factors.op, v, m_max=config.m_max, h=h, eps=eps)
             h_a = h
             est = basis.estimate if basis.estimate is not None else 0.0
             kind = basis.estimate_kind or "breakdown"
@@ -328,10 +388,10 @@ def solve_transient_matex(
         names=list(system.names),
         method=config.method,
         steps=steps,
-        substitution_pairs=sum(f.solve_count for f in made),
-        factorizations=len(made),
+        substitution_pairs=sum(f.solve_count for f in factors.made),
+        factorizations=factorizations,
         wall_time=time.perf_counter() - t_begin,
-        gamma=gamma,
+        gamma=factors.gamma,
     )
 
 
@@ -412,13 +472,14 @@ def solve_transient(
     config: SolverConfig,
     gts: np.ndarray | None = None,
     x0: np.ndarray | None = None,
+    factors: MatexFactors | None = None,
 ) -> WaveformResult:
-    """Dispatch on config.method; the fixed-step methods ignore gts."""
+    """Dispatch on config.method; the fixed-step methods ignore gts and factors."""
     if config.method == "tr":
         return solve_transient_tr(system, config, x0=x0)
     if config.method == "be":
         return solve_transient_be(system, config, x0=x0)
-    return solve_transient_matex(system, config, gts=gts, x0=x0)
+    return solve_transient_matex(system, config, gts=gts, x0=x0, factors=factors)
 
 
 def resample_states(result: WaveformResult, times: np.ndarray) -> np.ndarray:

@@ -177,6 +177,30 @@ I1 0 1 PULSE(0 2e-3 1e-10 1e-10 1e-10 3e-10 1e-9)
 .END
 """
 
+MIXED_NETLIST = """* six sources, four distinct bump shapes
+R1 1 2 1
+R2 2 3 1
+R3 3 4 1
+R4 4 5 1
+R5 5 6 1
+R6 6 0 1
+C1 1 0 1e-12
+C2 2 0 1e-12
+C3 3 0 1e-12
+C4 4 0 1e-12
+C5 5 0 1e-12
+C6 6 0 1e-12
+I1 0 1 PULSE(0 1m 1e-11 1e-11 1e-11 3e-11 2e-10)
+I2 0 2 PULSE(0 3m 1e-11 1e-11 1e-11 3e-11 2e-10)
+I3 0 3 PULSE(0 1m 5e-11 1e-11 1e-11 3e-11 2e-10)
+I4 0 4 PWL(0 0 1e-10 1m 4e-10 1m)
+I5 0 5 PWL(0 0 1e-10 2m 4e-10 2m)
+I6 0 6 DC 2m
+.TRAN 0 4e-10
+.END
+"""
+
+
 SCALAR_RC_NETLIST = """* scalar rc
 R1 1 0 1
 C1 1 0 1
@@ -199,3 +223,8 @@ def singular_c_system():
 @pytest.fixture()
 def scalar_rc_system():
     return es.build_system(SCALAR_RC_NETLIST)
+
+
+@pytest.fixture()
+def mixed_system():
+    return es.build_system(MIXED_NETLIST)

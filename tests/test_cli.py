@@ -254,6 +254,29 @@ class TestExitCodes:
         assert "magic" in capsys.readouterr().err
 
 
+class TestCsvWriter:
+    def test_matches_per_value_formatting(self):
+        # One format string per row writes the text that formatting each
+        # value on its own wrote, signed zeros and extreme exponents too.
+        states = np.array(
+            [[-0.0, 1e-300, 1e300], [0.0, -1e-300, -1e300], [1.0 / 3.0, -2.5, 5e-324]]
+        )
+        result = stepper.WaveformResult(
+            times=np.array([0.0, 1e-12, 2.5e-10]),
+            states=states,
+            names=["v(1)", "v(2)", "i(v1)"],
+            method="rmatex",
+        )
+        fh = io.StringIO()
+        cli.write_waveform_csv(result, fh)
+        want = "time,v(1),v(2),i(v1)\n" + "".join(
+            ",".join(f"{v:.17e}" for v in (t, *row)) + "\n"
+            for t, row in zip(result.times, result.states)
+        )
+        assert fh.getvalue() == want
+        assert "-0.00000000000000000e+00" in want
+
+
 class TestCsvReader:
     def test_rejects_wrong_header(self):
         with pytest.raises(ValueError, match="header"):

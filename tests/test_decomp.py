@@ -3,36 +3,7 @@
 import numpy as np
 import pytest
 
-import expsim as es
 from expsim import decomp, netlist, stepper
-
-MIXED_NETLIST = """* six sources, four distinct bump shapes
-R1 1 2 1
-R2 2 3 1
-R3 3 4 1
-R4 4 5 1
-R5 5 6 1
-R6 6 0 1
-C1 1 0 1e-12
-C2 2 0 1e-12
-C3 3 0 1e-12
-C4 4 0 1e-12
-C5 5 0 1e-12
-C6 6 0 1e-12
-I1 0 1 PULSE(0 1m 1e-11 1e-11 1e-11 3e-11 2e-10)
-I2 0 2 PULSE(0 3m 1e-11 1e-11 1e-11 3e-11 2e-10)
-I3 0 3 PULSE(0 1m 5e-11 1e-11 1e-11 3e-11 2e-10)
-I4 0 4 PWL(0 0 1e-10 1m 4e-10 1m)
-I5 0 5 PWL(0 0 1e-10 2m 4e-10 2m)
-I6 0 6 DC 2m
-.TRAN 0 4e-10
-.END
-"""
-
-
-@pytest.fixture()
-def mixed_system():
-    return es.build_system(MIXED_NETLIST)
 
 
 class TestExtractLts:
@@ -197,6 +168,19 @@ class TestRunSuperposed:
             assert runs[w].merged.states.tobytes() == ref.states.tobytes()
             assert runs[w].merged.times.tobytes() == ref.times.tobytes()
 
+    def test_group_tallies_do_not_depend_on_workers(self, mixed_system):
+        # Every group counts its pairs on its own copies of the shared
+        # factors, so concurrent groups never add to each other's tally.
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        tallies = {
+            w: [r.substitution_pairs for r in
+                decomp.run_superposed(mixed_system, cfg, workers=w).subtasks]
+            for w in (1, 2, 8)
+        }
+        assert len(tallies[1]) == 4
+        assert tallies[2] == tallies[1]
+        assert tallies[8] == tallies[1]
+
     def test_single_source_is_undecomposed(self, singular_c_system):
         cfg = stepper.SolverConfig(method="imatex", e_tol=1e-8)
         sup = decomp.run_superposed(singular_c_system, cfg)
@@ -212,9 +196,12 @@ class TestRunSuperposed:
         assert sup.merged.substitution_pairs == sum(
             r.substitution_pairs for r in sup.subtasks
         )
-        assert sup.merged.factorizations == sum(
-            r.factorizations for r in sup.subtasks
-        )
+        # The groups step with one set of factors of the whole circuit:
+        # the merged run counts them once, each subtask counts none.
+        one_group = decomp.run_superposed(mixed_system, cfg, max_groups=1)
+        assert sup.plan.num_groups > 1
+        assert sup.merged.factorizations == one_group.merged.factorizations == 3
+        assert all(r.factorizations == 0 for r in sup.subtasks)
         assert len(sup.merged.steps) == sum(len(r.steps) for r in sup.subtasks)
         # One worker runs the groups one after another, so the call's
         # own elapsed time covers every group's.

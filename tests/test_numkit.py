@@ -6,6 +6,8 @@ solves against numpy's dense solver, the small dense exponential the
 Krylov projections use against a compensated Taylor series.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -128,8 +130,21 @@ class TestLuFactorize:
 
     def test_rhs_shape_checked(self):
         factors = numkit.lu_factorize(numkit.from_scipy(sp.identity(3)))
-        with pytest.raises(ValueError):
-            factors.solve(np.zeros(4))
+        for bad in (np.zeros(4), np.zeros((4, 2)), np.zeros((3, 2, 1))):
+            with pytest.raises(ValueError):
+                factors.solve(bad)
+
+    def test_block_solve_matches_column_solves(self):
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal((12, 12)) + np.eye(12) * 12
+        block = rng.standard_normal((12, 5))
+        factors = numkit.lu_factorize(numkit.from_scipy(d))
+        got = factors.solve(block)
+        assert got.shape == (12, 5)
+        for j in range(5):
+            np.testing.assert_allclose(
+                got[:, j], factors.solve(block[:, j]), rtol=1e-14, atol=1e-15
+            )
 
 
 class TestCounters:
@@ -141,6 +156,20 @@ class TestCounters:
             factors.solve(np.ones(4))
         assert factors.solve_count == 5
         assert other.solve_count == 0  # tallies are per factor
+
+    def test_block_of_k_columns_is_k_pairs(self):
+        factors = numkit.lu_factorize(numkit.from_scipy(sp.identity(4)))
+        factors.solve(np.ones((4, 3)))
+        assert factors.solve_count == 3
+        factors.solve(np.ones((4, 0)))
+        assert factors.solve_count == 3
+
+    def test_counting_copy_shares_the_factorization(self):
+        factors = numkit.lu_factorize(numkit.from_scipy(sp.identity(4) * 2.0))
+        factors.solve(np.ones(4))
+        copy = dataclasses.replace(factors, solve_count=0)
+        np.testing.assert_array_equal(copy.solve(np.ones(4)), np.full(4, 0.5))
+        assert (factors.solve_count, copy.solve_count) == (1, 1)
 
 
 class TestDenseExpm:

@@ -92,8 +92,20 @@ class TestSpanAndGrid:
 
 def input_terms(system, t, h):
     """F and P for the window [t, t+h] from a fresh tracker."""
-    tracker = stepper._InputTracker(system, numkit.lu_factorize(system.g))
+    points = np.array([t, t + h])
+    tracker = stepper._InputTracker(system, numkit.lu_factorize(system.g), points)
     return tracker.f_term(t, t + h), tracker.p_term(t, t + h)
+
+
+def per_time_w_theta(system, g_factors, t):
+    """w and theta at t from their own solves, as the definitions read."""
+    w = -g_factors.solve(system.b @ system.eval_sources(t))
+    return w, -g_factors.solve(system.c @ w)
+
+
+MANY_DC_NETLIST = "R1 a 0 1k\nC1 a 0 1p\nR2 a b 1k\nC2 b 0 2p\n" + "".join(
+    f"I{k} 0 {'ab'[k % 2]} DC {k}m\n" for k in range(1, 11)
+) + ".TRAN 0 1n\n"
 
 
 class TestInputTerms:
@@ -123,18 +135,46 @@ class TestInputTerms:
         np.testing.assert_allclose(f, [10.0], rtol=1e-10)
         np.testing.assert_allclose(p, [10.0 * (1.0 - h)], rtol=1e-10)
 
-    def test_two_substitutions_per_new_time_point(self, ladder_system):
+    def test_input_pairs_paid_once_when_built(self, ladder_system):
+        # Two sources, three points: one W and one Theta column per source.
         g_factors = numkit.lu_factorize(ladder_system.g)
-        tracker = stepper._InputTracker(ladder_system, g_factors)
+        points = np.array([0.0, 1e-11, 2e-11])
+        tracker = stepper._InputTracker(ladder_system, g_factors, points)
+        assert g_factors.solve_count == 2 * min(ladder_system.num_sources, points.size)
         tracker.f_term(0.0, 1e-11)
         tracker.p_term(0.0, 1e-11)
-        assert g_factors.solve_count == 4  # two new points
         tracker.f_term(1e-11, 2e-11)
-        tracker.p_term(1e-11, 2e-11)
-        assert g_factors.solve_count == 6  # one new point
-        tracker.f_term(0.0, 2e-11)
         tracker.p_term(0.0, 2e-11)
-        assert g_factors.solve_count == 6  # all cached
+        assert g_factors.solve_count == 4  # lookups solve nothing
+
+    @pytest.mark.parametrize("n_points", [17, 4])
+    def test_matches_per_time_solves(self, mixed_system, n_points):
+        # Six sources: 17 points take the B columns, 4 points take the
+        # drives at the points themselves.
+        points = np.linspace(0.0, 4e-10, n_points)
+        g_factors = numkit.lu_factorize(mixed_system.g)
+        tracker = stepper._InputTracker(mixed_system, g_factors, points)
+        assert g_factors.solve_count == 2 * min(6, n_points)
+        for t in points:
+            for got, want in zip(
+                tracker.w_theta(float(t)), per_time_w_theta(mixed_system, g_factors, t)
+            ):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_many_sources_few_points_cost_two_pairs_per_point(self):
+        system = es.build_system(MANY_DC_NETLIST)
+        assert system.num_sources == 10
+        g_factors = numkit.lu_factorize(system.g)
+        tracker = stepper._InputTracker(system, g_factors, np.array([0.0, 1e-9]))
+        assert g_factors.solve_count == 4
+        w, theta = tracker.w_theta(1e-9)
+        want_w, want_theta = per_time_w_theta(system, g_factors, 1e-9)
+        np.testing.assert_allclose(w, want_w, rtol=1e-13)
+        np.testing.assert_allclose(theta, want_theta, rtol=1e-13)
+        # The run starts at the operating point -w(t0) and stays there.
+        run = stepper.solve_transient(system, stepper.SolverConfig(e_tol=1e-8))
+        np.testing.assert_allclose(run.states[0], -want_w, rtol=1e-13)
+        np.testing.assert_allclose(run.states[-1], run.states[0], rtol=1e-12)
 
 
 class TestMatexSolvers:
