@@ -134,7 +134,10 @@ def run_superposed(
         if fixed_step:
             max_groups = 1
         plan = build_plan(system.sources, t0, t1, max_groups=max_groups)
-    factors = None if fixed_step else stepper.factor_matex(system, config, plan.gts)
+    factors = None
+    if not fixed_step:
+        points = stepper._stepping_points(t0, t1, plan.gts)
+        factors = stepper.factor_matex(system, config, points)
 
     def run_group(members: list[int]) -> stepper.WaveformResult:
         return stepper.solve_transient(

@@ -12,10 +12,10 @@ where F and P collect the particular solution of the affine drive:
     F(t, h)  = w(t)      + (theta(t+h) - theta(t)) / h
     P(t, h)  = w(t+h)    + (theta(t+h) - theta(t)) / h
 
-w and theta are linear in the drive, so a run solves them once for a
-block of drive columns, 2 min(n_src, T) substitution pairs for n_src
-sources and T stepping points, and reads every time point off with a
-dense product. The operating point is -w(t0).
+w and theta are linear in the drive, so a run solves them once per
+source, 2 n_src substitution pairs for n_src sources, and forms every
+stepping point's terms with a dense product. The operating point is
+-w(t0).
 
 Steps land exactly on the spot times where any driving source changes
 slope. A fresh Krylov basis is grown only at the spots where this run's
@@ -173,28 +173,24 @@ def _stepping_points(t0, t1, spots):
 class _InputTracker:
     """w and theta at the stepping points, from two block solves with G.
 
-    With D a block of drive columns and c(t_k) the coefficients that
-    make D c(t_k) = B u(t_k), w(t_k) = W c(t_k) and theta(t_k) =
-    Theta c(t_k) for W = -G^-1 D and Theta = -G^-1 C W. D is B and c is
-    u when the run has no more sources than points; otherwise D holds
-    the drives B u(t_k) themselves and c(t_k) is the k-th unit vector.
-    Building costs 2 min(n_src, T) substitution pairs; lookups cost
-    none. Times must be stepping points.
+    W = -G^-1 B and Theta = -G^-1 C W hold one column per source, so
+    w(t_k) = W u(t_k) and theta(t_k) = Theta u(t_k); both are formed
+    for every point when the tracker is built. Building costs 2 n_src
+    substitution pairs; lookups cost none. Times must be stepping
+    points.
     """
 
     def __init__(self, system, g_factors, points: np.ndarray):
-        self._column = {float(t): k for k, t in enumerate(points)}
+        self._row = {float(t): k for k, t in enumerate(points)}
         u = np.column_stack([system.eval_sources(float(t)) for t in points])
-        if system.num_sources <= points.size:
-            drive, self._coefficients = system.b.to_dense(), u
-        else:
-            drive, self._coefficients = system.b @ u, np.eye(points.size)
-        self._w = -g_factors.solve(drive)
-        self._theta = -g_factors.solve(system.c @ self._w)
+        w = -g_factors.solve(system.b.to_dense())
+        theta = -g_factors.solve(system.c @ w)
+        self._w = u.T @ w.T  # row k is w(t_k)
+        self._theta = u.T @ theta.T
 
     def w_theta(self, t: float):
-        c = self._coefficients[:, self._column[t]]
-        return self._w @ c, self._theta @ c
+        k = self._row[t]
+        return self._w[k], self._theta[k]
 
     def f_term(self, t: float, t_next: float) -> np.ndarray:
         w_t, th_t = self.w_theta(t)
@@ -252,25 +248,21 @@ class MatexFactors:
 
 
 def factor_matex(
-    system: netlist.CircuitSystem,
-    config: SolverConfig,
-    gts: np.ndarray | None = None,
+    system: netlist.CircuitSystem, config: SolverConfig, points: np.ndarray
 ) -> MatexFactors:
     """Factor G and the variant operator of an exponential run.
 
-    gts is the run's sample grid as in solve_transient_matex; the
-    default gamma is a tenth of the median gap of its stepping points.
-    Subsystems keep C and G, so the factors of the whole circuit serve
-    every source group that samples on the same grid.
+    points are the run's stepping points; the default gamma is a tenth
+    of their median gap. Subsystems keep C and G, so the factors of the
+    whole circuit serve every source group that steps on the same
+    points.
     """
     if config.method not in _METHOD_VARIANT:
         raise ValueError(f"not an exponential method: {config.method!r}")
     variant = _METHOD_VARIANT[config.method]
     gamma = config.gamma
     if gamma is None and variant is krylov.Variant.RATIONAL:
-        t0, t1 = resolve_span(system, config)
-        spots = active_transitions(system, t0, t1) if gts is None else gts
-        gamma = float(np.median(np.diff(_stepping_points(t0, t1, spots)))) / 10.0
+        gamma = float(np.median(np.diff(points))) / 10.0
 
     made: list[numkit.LuFactors] = []
     g_factors = _factor(system.g, made)
@@ -323,9 +315,9 @@ def solve_transient_matex(
     on, and at its other spots the previous basis is reused. gts
     defaults to the system's own spots, so a run on its own grid
     rebuilds at every step. x0 overrides the computed operating point.
-    factors, made by factor_matex for the same C, G, config and gts,
-    are stepped with instead of factoring anew; the run then counts
-    its own substitution pairs and no factorizations.
+    factors, made by factor_matex for the same C, G, config and
+    stepping points, are stepped with instead of factoring anew; the
+    run then counts its own substitution pairs and no factorizations.
     """
     t_begin = time.perf_counter()
     if config.method not in _METHOD_VARIANT:
@@ -337,7 +329,7 @@ def solve_transient_matex(
     spot_atol = 1e-9 * span
 
     if factors is None:
-        factors = factor_matex(system, config, gts)
+        factors = factor_matex(system, config, points)
         factorizations = len(factors.made)
     else:
         factors = factors.counting_copy()

@@ -140,33 +140,30 @@ class TestInputTerms:
         g_factors = numkit.lu_factorize(ladder_system.g)
         points = np.array([0.0, 1e-11, 2e-11])
         tracker = stepper._InputTracker(ladder_system, g_factors, points)
-        assert g_factors.solve_count == 2 * min(ladder_system.num_sources, points.size)
+        assert g_factors.solve_count == 2 * ladder_system.num_sources
         tracker.f_term(0.0, 1e-11)
         tracker.p_term(0.0, 1e-11)
         tracker.f_term(1e-11, 2e-11)
         tracker.p_term(0.0, 2e-11)
         assert g_factors.solve_count == 4  # lookups solve nothing
 
-    @pytest.mark.parametrize("n_points", [17, 4])
-    def test_matches_per_time_solves(self, mixed_system, n_points):
-        # Six sources: 17 points take the B columns, 4 points take the
-        # drives at the points themselves.
-        points = np.linspace(0.0, 4e-10, n_points)
+    def test_matches_per_time_solves(self, mixed_system):
+        points = np.linspace(0.0, 4e-10, 17)
         g_factors = numkit.lu_factorize(mixed_system.g)
         tracker = stepper._InputTracker(mixed_system, g_factors, points)
-        assert g_factors.solve_count == 2 * min(6, n_points)
+        assert g_factors.solve_count == 2 * 6
         for t in points:
             for got, want in zip(
                 tracker.w_theta(float(t)), per_time_w_theta(mixed_system, g_factors, t)
             ):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_many_sources_few_points_cost_two_pairs_per_point(self):
+    def test_many_dc_sources_start_and_stay_at_operating_point(self):
         system = es.build_system(MANY_DC_NETLIST)
         assert system.num_sources == 10
         g_factors = numkit.lu_factorize(system.g)
         tracker = stepper._InputTracker(system, g_factors, np.array([0.0, 1e-9]))
-        assert g_factors.solve_count == 4
+        assert g_factors.solve_count == 2 * 10
         w, theta = tracker.w_theta(1e-9)
         want_w, want_theta = per_time_w_theta(system, g_factors, 1e-9)
         np.testing.assert_allclose(w, want_w, rtol=1e-13)
