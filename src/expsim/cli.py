@@ -197,10 +197,12 @@ def cmd_compare(args) -> int:
     for s in solvers:
         if s not in stepper.METHODS:
             raise ValueError(f"unknown solver {s!r}")
+    # Reject a bad configuration before the reference run, which can
+    # take far longer than the solvers compared.
+    configs = [_make_config(args, solver) for solver in solvers]
     oracle = _oracle(system, args)
     rows = []
-    for solver in solvers:
-        config = _make_config(args, solver)
+    for solver, config in zip(solvers, configs):
         try:
             run = decomp.run_superposed(
                 system, config, workers=args.workers, max_groups=args.groups

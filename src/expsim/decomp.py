@@ -118,14 +118,14 @@ def run_superposed(
     carries its own share of the operating point; with one group this
     is literally the undecomposed solve. Without an explicit plan, tr
     and be always run as one group. The exponential methods factor the
-    whole circuit's matrices once here and every group steps with
-    counting copies of those factors: the merged factorizations are
-    that one set, each subtask reports 0 and tallies only its own
-    substitution pairs. Workers map to an in-process thread pool:
-    subtasks share nothing mutable, and the merge always sums in group
-    index order, so the result is identical bytes for any worker count.
-    The merged wall_time is this call's elapsed time; each group's own
-    time stays on its subtask.
+    whole circuit's operator once here and every group steps with a
+    counting copy of it: the merged factorizations are that operator's,
+    each subtask reports 0 and tallies only its own substitution
+    pairs. Workers map to an in-process thread pool: subtasks share
+    nothing mutable, and the merge always sums in group index order, so
+    the result is identical bytes for any worker count. The merged
+    wall_time is this call's elapsed time; each group's own time stays
+    on its subtask.
     """
     t_begin = time.perf_counter()
     t0, t1 = stepper.resolve_span(system, config)
@@ -134,14 +134,14 @@ def run_superposed(
         if fixed_step:
             max_groups = 1
         plan = build_plan(system.sources, t0, t1, max_groups=max_groups)
-    factors = None
+    op = None
     if not fixed_step:
         points = stepper._stepping_points(t0, t1, plan.gts)
-        factors = stepper.factor_matex(system, config, points)
+        op = stepper.factor_matex(system, config, points)
 
     def run_group(members: list[int]) -> stepper.WaveformResult:
         return stepper.solve_transient(
-            system.subsystem(members), config, gts=plan.gts, factors=factors
+            system.subsystem(members), config, gts=plan.gts, op=op
         )
 
     if workers <= 1 or plan.num_groups == 1:
@@ -168,7 +168,7 @@ def run_superposed(
         method=first.method,
         steps=[s for r in results for s in r.steps],
         substitution_pairs=sum(r.substitution_pairs for r in results),
-        factorizations=(0 if factors is None else len(factors.made))
+        factorizations=(0 if op is None else len(op.factors()))
         + sum(r.factorizations for r in results),
         wall_time=time.perf_counter() - t_begin,
         gamma=first.gamma,

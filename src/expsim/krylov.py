@@ -17,21 +17,19 @@ Every basis produced here satisfies, up to rounding,
 
     M V_m = V_m H_m + h_next * v_next * e_m^T
 
-with M the variant's build operator and H_m the raw Hessenberg matrix;
-the audit registry at the bottom re-verifies this on demand.
+with M the variant's build operator and H_m the raw Hessenberg matrix.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from . import numkit
-from .errors import BasisDegenerate, NoConvergence
+from .errors import BasisDegenerate, NoConvergence, NumericalError
 
 # Relative tolerance declaring the subspace exact (happy breakdown).
 BREAKDOWN_RTOL = 1e-12
@@ -70,95 +68,100 @@ def _projected_expm(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class VariantOperator:
-    """One variant's build operator M, applied via factored solves.
+    """One exponential run's factorizations and its variant's build operator M.
 
-    x1 holds the factors that realize the inverse, x2 the matrix that is
-    multiplied first:
+        standard:  M v = -C^-1 (G v)              solved with c_factors
+        inverted:  M v = -G^-1 (C v)              solved with g_factors
+        rational:  M v = (C+gamma G)^-1 (C v)     solved with shift_factors
 
-        standard:  M v = -C^-1 (G v)          x1 = C,        x2 = G
-        inverted:  M v = -G^-1 (C v)          x1 = G,        x2 = C
-        rational:  M v = (C+gamma G)^-1 (C v) x1 = C+gamma G, x2 = C
-
-    aux_c_factors and g_matrix, when provided, let the error estimate
-    use the exact residual formulas for the inverted and rational
-    variants (they need one extra apply of A, i.e. a C solve). They are
-    omitted exactly when C cannot be factorized, which drops the
-    estimate to the empirical surrogate.
+    g_factors are always present: they also serve the input terms.
+    c_factors are None exactly when C cannot be factorized; the standard
+    variant needs them, and the inverted and rational variants use them
+    for the exact residual formulas (one extra apply of A, i.e. a C
+    solve), falling back to the empirical surrogate without them.
+    shift_factors exist for the rational variant only. Made by
+    factor_operator.
     """
 
     variant: Variant
-    x1: numkit.LuFactors
-    x2: numkit.SparseMatrix
+    c: numkit.SparseMatrix
+    g: numkit.SparseMatrix
+    g_factors: numkit.LuFactors
+    c_factors: numkit.LuFactors | None = None
+    shift_factors: numkit.LuFactors | None = None
     gamma: float | None = None
-    g_matrix: numkit.SparseMatrix | None = None
-    aux_c_factors: numkit.LuFactors | None = None
-
-    def __post_init__(self):
-        if self.variant is Variant.RATIONAL and not (
-            self.gamma and self.gamma > 0
-        ):
-            raise ValueError("rational variant needs a positive shift")
 
     @property
     def dim(self) -> int:
-        return self.x1.n
+        return self.g_factors.n
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.dim,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        sign = 1.0 if self.variant is Variant.RATIONAL else -1.0
-        return sign * self.x1.solve(self.x2 @ v)
+        if self.variant is Variant.STANDARD:
+            return -self.c_factors.solve(self.g @ v)
+        if self.variant is Variant.INVERTED:
+            return -self.g_factors.solve(self.c @ v)
+        return self.shift_factors.solve(self.c @ v)
 
-    def ode_apply(self, v: np.ndarray) -> np.ndarray | None:
-        """A v with A = -C^-1 G.
+    def ode_apply(self, v: np.ndarray) -> np.ndarray:
+        """A v with A = -C^-1 G, for the exact residual formulas."""
+        return -self.c_factors.solve(self.g @ v)
 
-        Used by the exact residual formulas of _residual_rate. Returns
-        None when the needed pieces (C factors, G) were not supplied,
-        which is the singular-C situation.
-        """
-        if self.aux_c_factors is None or self.g_matrix is None:
-            return None
-        return -self.aux_c_factors.solve(self.g_matrix @ v)
+    def factors(self) -> list[numkit.LuFactors]:
+        """Every factorization, in the order factor_operator made them."""
+        return [
+            f
+            for f in (self.g_factors, self.c_factors, self.shift_factors)
+            if f is not None
+        ]
+
+    def counting_copy(self) -> "VariantOperator":
+        """The same factorizations with substitution tallies of their own, at zero."""
+
+        def fresh(f):
+            return None if f is None else replace(f, solve_count=0)
+
+        return replace(
+            self,
+            g_factors=fresh(self.g_factors),
+            c_factors=fresh(self.c_factors),
+            shift_factors=fresh(self.shift_factors),
+        )
 
 
-def standard_operator(
-    c_factors: numkit.LuFactors, g: numkit.SparseMatrix
-) -> VariantOperator:
-    return VariantOperator(Variant.STANDARD, c_factors, g, g_matrix=g)
-
-
-def inverted_operator(
-    g_factors: numkit.LuFactors,
+def factor_operator(
+    variant: Variant,
     c: numkit.SparseMatrix,
-    g: numkit.SparseMatrix | None = None,
-    aux_c_factors: numkit.LuFactors | None = None,
+    g: numkit.SparseMatrix,
+    gamma: float | None = None,
 ) -> VariantOperator:
-    return VariantOperator(
-        Variant.INVERTED, g_factors, c, g_matrix=g, aux_c_factors=aux_c_factors
-    )
+    """Factorize G, then C, then (rational only) C + gamma G.
 
-
-def make_shift_matrix(
-    c: numkit.SparseMatrix, g: numkit.SparseMatrix, gamma: float
-) -> numkit.SparseMatrix:
-    return numkit.from_scipy(c.scipy + gamma * g.scipy)
-
-
-def rational_operator(
-    shift_factors: numkit.LuFactors,
-    c: numkit.SparseMatrix,
-    gamma: float,
-    g: numkit.SparseMatrix | None = None,
-    aux_c_factors: numkit.LuFactors | None = None,
-) -> VariantOperator:
-    return VariantOperator(
-        Variant.RATIONAL,
-        shift_factors,
-        c,
-        gamma=gamma,
-        g_matrix=g,
-        aux_c_factors=aux_c_factors,
-    )
+    A C that cannot be factorized leaves c_factors None, except for the
+    standard variant, which cannot step without C^-1: its failure is
+    re-raised with the same exception class. gamma is kept on the
+    operator for every variant and must be positive for the rational
+    one.
+    """
+    if variant is Variant.RATIONAL and not (gamma and gamma > 0):
+        raise ValueError("rational variant needs a positive shift")
+    g_factors = numkit.lu_factorize(g)
+    try:
+        c_factors = numkit.lu_factorize(c)
+    except NumericalError as exc:
+        if variant is Variant.STANDARD:
+            raise type(exc)(
+                f"C cannot be factorized ({exc}); the standard variant (mexp) "
+                "needs C^-1, the inverted and rational variants (imatex, "
+                "rmatex) step with a singular C"
+            ) from exc
+        c_factors = None
+    shift_factors = None
+    if variant is Variant.RATIONAL:
+        shift = numkit.from_scipy(c.scipy + gamma * g.scipy)
+        shift_factors = numkit.lu_factorize(shift)
+    return VariantOperator(variant, c, g, g_factors, c_factors, shift_factors, gamma)
 
 
 @dataclass
@@ -208,21 +211,6 @@ class KrylovBasis:
             self._h_eff = effective_generator(self)
         return self._h_eff
 
-    def truncated(self, m: int) -> "KrylovBasis":
-        """View of the leading m-dimensional sub-basis."""
-        if not 1 <= m <= self.m:
-            raise ValueError(f"cannot truncate basis of dimension {self.m} to {m}")
-        if m == self.m:
-            return self
-        return KrylovBasis(
-            operator=self.operator,
-            v_basis=self.v_basis[:, :m],
-            hessenberg=self.hessenberg[:m, :m],
-            h_next=float(self.hessenberg[m, m - 1]),
-            v_next=self.v_basis[:, m],
-            beta=self.beta,
-        )
-
 
 def effective_generator(basis: KrylovBasis) -> np.ndarray:
     """Map the raw Hessenberg projection to the generator of e^{hA}.
@@ -269,9 +257,9 @@ def _residual_rate(basis: KrylovBasis, e_s: np.ndarray) -> tuple[float, str]:
 
     The standard variant reads the classical Arnoldi overflow term. The
     inverted and rational variants use their exact expressions whenever
-    the operator carries the pieces to apply A (one C solve per basis,
-    cached on it); when C is singular those pieces do not exist and the
-    rate drops to the empirical surrogate
+    the operator carries C factors to apply A (one C solve per basis,
+    cached on it); when C is singular they do not exist and the rate
+    drops to the empirical surrogate
     |beta * h_next * e_m^T e^{s H_eff} e1|, which is reliable only once
     the basis is past the onset of convergence: it lacks the exact
     formulas' leading scale (||A v_next||, roughly 1/gamma for the
@@ -283,7 +271,7 @@ def _residual_rate(basis: KrylovBasis, e_s: np.ndarray) -> tuple[float, str]:
     op = basis.operator
     if basis.variant is Variant.STANDARD:
         return basis.beta * abs(basis.h_next * e_s[m - 1, 0]), "exact"
-    if op.aux_c_factors is None or op.g_matrix is None:
+    if op.c_factors is None:
         return basis.beta * abs(basis.h_next * e_s[m - 1, 0]), "empirical"
     if basis._exact_scale is None:
         av = op.ode_apply(basis.v_next)
@@ -409,7 +397,6 @@ def arnoldi(
         basis.hessenberg = basis.hessenberg.copy()
         basis.v_next = basis.v_next.copy()
         basis.estimate, basis.estimate_kind = est, kind
-        basis_audit.record(basis)
         return basis
 
     next_check = 1
@@ -458,80 +445,3 @@ def arnoldi(
         m=m_max,
         estimate=last_est,
     )
-
-
-# ---------------------------------------------------------------------------
-# Audit registry
-
-
-def orthonormality_defect(basis: KrylovBasis) -> float:
-    if basis.m == 0:
-        return 0.0
-    v = basis.v_basis
-    return float(np.abs(v.T @ v - np.eye(basis.m)).max())
-
-
-def relation_residual(basis: KrylovBasis) -> tuple[float, float]:
-    """(residual, scale) of M V = V H + h_next v_next e_m^T.
-
-    Applies the operator once per column; the solves land on the
-    operator's factor tally. The scale is ||M V||_F for relative
-    comparison.
-    """
-    if basis.m == 0:
-        return 0.0, 0.0
-    mv = np.column_stack(
-        [basis.operator.apply(basis.v_basis[:, j]) for j in range(basis.m)]
-    )
-    rhs = basis.v_basis @ basis.hessenberg
-    rhs[:, -1] += basis.h_next * basis.v_next
-    residual = float(np.linalg.norm(mv - rhs))
-    return residual, float(np.linalg.norm(mv))
-
-
-class BasisAudit:
-    """Opt-in registry re-verifying every emitted basis.
-
-    Tests enable it to assert the invariants (orthonormality defect and
-    the Arnoldi relation) on each basis a run produced, without slowing
-    production use.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.enabled = False
-        self._bases: list[KrylovBasis] = []
-
-    def record(self, basis: KrylovBasis) -> None:
-        if self.enabled and basis.m > 0:
-            with self._lock:
-                self._bases.append(basis)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._bases.clear()
-
-    def __len__(self):
-        return len(self._bases)
-
-    def verify_all(self, ortho_tol: float = 1e-8, rel_tol: float = 1e-8) -> int:
-        """Check invariants on all recorded bases; returns the count."""
-        with self._lock:
-            bases = list(self._bases)
-        for basis in bases:
-            defect = orthonormality_defect(basis)
-            if defect > ortho_tol:
-                raise AssertionError(
-                    f"orthonormality defect {defect:.3e} exceeds {ortho_tol:.1e} "
-                    f"({basis.variant.value}, m={basis.m})"
-                )
-            residual, scale = relation_residual(basis)
-            if residual > rel_tol * max(scale, 1.0):
-                raise AssertionError(
-                    f"Arnoldi relation residual {residual:.3e} exceeds "
-                    f"{rel_tol:.1e} * {scale:.3e} ({basis.variant.value}, m={basis.m})"
-                )
-        return len(bases)
-
-
-basis_audit = BasisAudit()

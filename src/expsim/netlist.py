@@ -354,12 +354,6 @@ class CircuitSystem:
             source_names=[self.source_names[i] for i in members],
         )
 
-    def structurally_singular_c(self) -> bool:
-        m = self.c.scipy
-        row_counts = np.diff(m.tocsr().indptr)
-        col_counts = np.diff(m.indptr)
-        return bool((row_counts == 0).any() or (col_counts == 0).any())
-
 
 def stamp_mna(netlist: Netlist) -> CircuitSystem:
     """Assemble C, G, B from parsed elements.

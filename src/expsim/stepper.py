@@ -33,11 +33,11 @@ reference everything else is measured against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import errors, krylov, netlist, numkit
+from . import krylov, netlist, numkit
 
 METHODS = ("tr", "be", "mexp", "imatex", "rmatex")
 
@@ -213,48 +213,14 @@ def matex_step(
     return krylov.expm_action(basis, h_from_anchor) - p
 
 
-def _factor(matrix: numkit.SparseMatrix, made: list[numkit.LuFactors]):
-    """Factorize and record the factors; a run's cost is read off made."""
-    f = numkit.lu_factorize(matrix)
-    made.append(f)
-    return f
-
-
-@dataclass
-class MatexFactors:
-    """The factors an exponential run steps with, its operator and shift.
-
-    made lists every factorization in the order it was made. Runs that
-    share one MatexFactors step with counting copies of it, so each
-    keeps its own substitution tally while the factorizations are made
-    once.
-    """
-
-    g: numkit.LuFactors
-    op: krylov.VariantOperator
-    gamma: float | None
-    made: list[numkit.LuFactors]
-
-    def counting_copy(self) -> "MatexFactors":
-        """The same factorizations with tallies of their own, at zero."""
-        copies = {id(f): replace(f, solve_count=0) for f in self.made}
-        aux = self.op.aux_c_factors
-        op = replace(
-            self.op,
-            x1=copies[id(self.op.x1)],
-            aux_c_factors=None if aux is None else copies[id(aux)],
-        )
-        return MatexFactors(copies[id(self.g)], op, self.gamma, list(copies.values()))
-
-
 def factor_matex(
     system: netlist.CircuitSystem, config: SolverConfig, points: np.ndarray
-) -> MatexFactors:
-    """Factor G and the variant operator of an exponential run.
+) -> krylov.VariantOperator:
+    """Factor the operator of an exponential run: G, C and the variant's own.
 
     points are the run's stepping points; the default gamma is a tenth
-    of their median gap. Subsystems keep C and G, so the factors of the
-    whole circuit serve every source group that steps on the same
+    of their median gap. Subsystems keep C and G, so the operator of
+    the whole circuit serves every source group that steps on the same
     points.
     """
     if config.method not in _METHOD_VARIANT:
@@ -263,34 +229,7 @@ def factor_matex(
     gamma = config.gamma
     if gamma is None and variant is krylov.Variant.RATIONAL:
         gamma = float(np.median(np.diff(points))) / 10.0
-
-    made: list[numkit.LuFactors] = []
-    g_factors = _factor(system.g, made)
-    if variant is krylov.Variant.STANDARD:
-        op = krylov.standard_operator(_factor(system.c, made), system.g)
-    else:
-        # Exact error formulas need C factors; a singular C drops the
-        # estimate to the empirical surrogate instead of failing.
-        aux_c = None
-        if not system.structurally_singular_c():
-            try:
-                aux_c = _factor(system.c, made)
-            except errors.NumericalError:
-                aux_c = None
-        if variant is krylov.Variant.INVERTED:
-            op = krylov.inverted_operator(
-                g_factors, system.c, g=system.g, aux_c_factors=aux_c
-            )
-        else:
-            shift = krylov.make_shift_matrix(system.c, system.g, gamma)
-            op = krylov.rational_operator(
-                _factor(shift, made),
-                system.c,
-                gamma,
-                g=system.g,
-                aux_c_factors=aux_c,
-            )
-    return MatexFactors(g_factors, op, gamma, made)
+    return krylov.factor_operator(variant, system.c, system.g, gamma)
 
 
 def _is_spot(t: float, spots: np.ndarray, atol: float) -> bool:
@@ -306,7 +245,7 @@ def solve_transient_matex(
     config: SolverConfig,
     gts: np.ndarray | None = None,
     x0: np.ndarray | None = None,
-    factors: MatexFactors | None = None,
+    op: krylov.VariantOperator | None = None,
 ) -> WaveformResult:
     """Adaptive exponential transient over the spot-time grid.
 
@@ -315,9 +254,10 @@ def solve_transient_matex(
     on, and at its other spots the previous basis is reused. gts
     defaults to the system's own spots, so a run on its own grid
     rebuilds at every step. x0 overrides the computed operating point.
-    factors, made by factor_matex for the same C, G, config and
-    stepping points, are stepped with instead of factoring anew; the
-    run then counts its own substitution pairs and no factorizations.
+    op, made by factor_matex for the same C, G, config and stepping
+    points, is stepped with instead of factoring anew; the run then
+    counts its own substitution pairs on a counting copy and no
+    factorizations.
     """
     t_begin = time.perf_counter()
     if config.method not in _METHOD_VARIANT:
@@ -328,14 +268,14 @@ def solve_transient_matex(
     points = _stepping_points(t0, t1, own_spots if gts is None else gts)
     spot_atol = 1e-9 * span
 
-    if factors is None:
-        factors = factor_matex(system, config, points)
-        factorizations = len(factors.made)
+    if op is None:
+        op = factor_matex(system, config, points)
+        factorizations = len(op.factors())
     else:
-        factors = factors.counting_copy()
+        op = op.counting_copy()
         factorizations = 0
 
-    tracker = _InputTracker(system, factors.g, points)
+    tracker = _InputTracker(system, op.g_factors, points)
     n = system.n
     x = np.array(x0, dtype=np.float64) if x0 is not None else -tracker.w_theta(t0)[0]
     if x.shape != (n,):
@@ -353,7 +293,7 @@ def solve_transient_matex(
         if fresh:
             anchor = t
             v = x + tracker.f_term(t, t_next)
-            basis = krylov.arnoldi(factors.op, v, m_max=config.m_max, h=h, eps=eps)
+            basis = krylov.arnoldi(op, v, m_max=config.m_max, h=h, eps=eps)
             h_a = h
             est = basis.estimate if basis.estimate is not None else 0.0
             kind = basis.estimate_kind or "breakdown"
@@ -380,10 +320,10 @@ def solve_transient_matex(
         names=list(system.names),
         method=config.method,
         steps=steps,
-        substitution_pairs=sum(f.solve_count for f in factors.made),
+        substitution_pairs=sum(f.solve_count for f in op.factors()),
         factorizations=factorizations,
         wall_time=time.perf_counter() - t_begin,
-        gamma=factors.gamma,
+        gamma=op.gamma,
     )
 
 
@@ -404,18 +344,20 @@ def _solve_fixed(system, config, x0, trapezoidal: bool):
     h = config.h
     made: list[numkit.LuFactors] = []
     if x0 is None:
-        x = netlist.dc_analysis(system, _factor(system.g, made), t=t0)
+        made.append(numkit.lu_factorize(system.g))
+        x = netlist.dc_analysis(system, made[0], t=t0)
     else:
         x = np.array(x0, dtype=np.float64)
 
     c = system.c.scipy
     g = system.g.scipy
     if trapezoidal:
-        lhs = _factor(numkit.from_scipy(c / h + g / 2.0), made)
+        lhs = numkit.lu_factorize(numkit.from_scipy(c / h + g / 2.0))
         rhs_matrix = (c / h - g / 2.0).tocsc()
     else:
-        lhs = _factor(numkit.from_scipy(c / h + g), made)
+        lhs = numkit.lu_factorize(numkit.from_scipy(c / h + g))
         rhs_matrix = (c / h).tocsc()
+    made.append(lhs)
 
     states = [x.copy()]
     u_prev = system.eval_sources(float(times[0]))
@@ -464,14 +406,14 @@ def solve_transient(
     config: SolverConfig,
     gts: np.ndarray | None = None,
     x0: np.ndarray | None = None,
-    factors: MatexFactors | None = None,
+    op: krylov.VariantOperator | None = None,
 ) -> WaveformResult:
-    """Dispatch on config.method; the fixed-step methods ignore gts and factors."""
+    """Dispatch on config.method; the fixed-step methods ignore gts and op."""
     if config.method == "tr":
         return solve_transient_tr(system, config, x0=x0)
     if config.method == "be":
         return solve_transient_be(system, config, x0=x0)
-    return solve_transient_matex(system, config, gts=gts, x0=x0, factors=factors)
+    return solve_transient_matex(system, config, gts=gts, x0=x0, op=op)
 
 
 def resample_states(result: WaveformResult, times: np.ndarray) -> np.ndarray:

@@ -5,7 +5,12 @@ where every drive is affine in t, using numpy solves and the scipy
 matrix exponential only; it shares no code with the package's stepping
 path beyond the closed-form update it implements, so agreement is
 meaningful. It requires a nonsingular C (dense A must exist).
+
+The autouse audit records every basis krylov.arnoldi returns during a
+test and re-verifies its invariants at teardown.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -97,21 +102,9 @@ class EstimatorFamily:
         lam = np.linalg.eigvals(self.a).real
         self.h = 5.0 / abs(lam).max()
         self.gamma = self.h / 10.0
-        self.g_factors = numkit.lu_factorize(self.g)
-        self.c_factors = numkit.lu_factorize(self.c)
-        shift = krylov.make_shift_matrix(self.c, self.g, self.gamma)
         self.operators = {
-            "standard": krylov.standard_operator(self.c_factors, self.g),
-            "inverted": krylov.inverted_operator(
-                self.g_factors, self.c, g=self.g, aux_c_factors=self.c_factors
-            ),
-            "rational": krylov.rational_operator(
-                numkit.lu_factorize(shift),
-                self.c,
-                self.gamma,
-                g=self.g,
-                aux_c_factors=self.c_factors,
-            ),
+            v.value: krylov.factor_operator(v, self.c, self.g, self.gamma)
+            for v in krylov.Variant
         }
 
     def exact_action(self, h, v=None):
@@ -131,21 +124,72 @@ def stiff_mesh():
     return mesh, es.build_system(mesh.text)
 
 
+def orthonormality_defect(basis) -> float:
+    if basis.m == 0:
+        return 0.0
+    v = basis.v_basis
+    return float(np.abs(v.T @ v - np.eye(basis.m)).max())
+
+
+def relation_residual(basis) -> tuple[float, float]:
+    """(residual, scale) of M V = V H + h_next v_next e_m^T.
+
+    Applies the operator once per column; the solves land on the
+    operator's factor tallies. The scale is ||M V||_F for relative
+    comparison.
+    """
+    if basis.m == 0:
+        return 0.0, 0.0
+    mv = np.column_stack(
+        [basis.operator.apply(basis.v_basis[:, j]) for j in range(basis.m)]
+    )
+    rhs = basis.v_basis @ basis.hessenberg
+    rhs[:, -1] += basis.h_next * basis.v_next
+    residual = float(np.linalg.norm(mv - rhs))
+    return residual, float(np.linalg.norm(mv))
+
+
+def verify_bases(bases, ortho_tol=1e-8, rel_tol=1e-8) -> int:
+    """Check both invariants on every basis; returns the count."""
+    for basis in bases:
+        defect = orthonormality_defect(basis)
+        if defect > ortho_tol:
+            raise AssertionError(
+                f"orthonormality defect {defect:.3e} exceeds {ortho_tol:.1e} "
+                f"({basis.variant.value}, m={basis.m})"
+            )
+        residual, scale = relation_residual(basis)
+        if residual > rel_tol * max(scale, 1.0):
+            raise AssertionError(
+                f"Arnoldi relation residual {residual:.3e} exceeds "
+                f"{rel_tol:.1e} * {scale:.3e} ({basis.variant.value}, m={basis.m})"
+            )
+    return len(bases)
+
+
 @pytest.fixture(autouse=True)
-def audited_bases():
+def audited_bases(monkeypatch):
     """Verify orthonormality and the Arnoldi relation on every basis.
 
-    Enabled for the whole suite so any run anywhere that emits a basis
-    gets both invariants re-checked on teardown.
+    krylov.arnoldi is replaced by a recorder for the whole suite, so any
+    run anywhere that emits a basis gets both invariants re-checked on
+    teardown. The recorder locks because run_superposed runs groups on
+    threads. Yields the list of recorded nonempty bases.
     """
-    krylov.basis_audit.enabled = True
-    krylov.basis_audit.clear()
-    yield krylov.basis_audit
-    try:
-        krylov.basis_audit.verify_all(ortho_tol=1e-8, rel_tol=1e-8)
-    finally:
-        krylov.basis_audit.enabled = False
-        krylov.basis_audit.clear()
+    bases = []
+    lock = threading.Lock()
+    build = krylov.arnoldi
+
+    def recording_arnoldi(*args, **kwargs):
+        basis = build(*args, **kwargs)
+        if basis.m > 0:
+            with lock:
+                bases.append(basis)
+        return basis
+
+    monkeypatch.setattr(krylov, "arnoldi", recording_arnoldi)
+    yield bases
+    verify_bases(bases)
 
 
 LADDER_NETLIST = """* driven ladder, current sources only

@@ -27,6 +27,7 @@ from conftest import (
     dense_exact,
     ladder_matrices,
     source_corners,
+    verify_bases,
 )
 
 ECONOMY_NETLIST_HEAD = """* twenty-node ladder, two pulse trains with different shapes
@@ -51,14 +52,7 @@ def economy_netlist() -> str:
 
 
 def rational_op(system, gamma):
-    shift = krylov.make_shift_matrix(system.c, system.g, gamma)
-    return krylov.rational_operator(
-        numkit.lu_factorize(shift),
-        system.c,
-        gamma,
-        g=system.g,
-        aux_c_factors=numkit.lu_factorize(system.c),
-    )
+    return krylov.factor_operator(krylov.Variant.RATIONAL, system.c, system.g, gamma)
 
 
 def test_exp_action_matches_dense_oracle():
@@ -71,19 +65,13 @@ def test_exp_action_matches_dense_oracle():
         gd, cd = ladder_matrices(n, caps, rng)
         g = numkit.from_scipy(sp.csc_matrix(gd))
         c = numkit.from_scipy(sp.csc_matrix(cd))
-        gf, cf = numkit.lu_factorize(g), numkit.lu_factorize(c)
         a = -np.linalg.solve(cd, gd)
         h = 2.0 / np.abs(np.linalg.eigvals(a).real).max()
         gamma = h / 10
-        shift_f = numkit.lu_factorize(krylov.make_shift_matrix(c, g, gamma))
-        operators = (
-            krylov.standard_operator(cf, g),
-            krylov.inverted_operator(gf, c),
-            krylov.rational_operator(shift_f, c, gamma),
-        )
         v = rng.standard_normal(n)
         exact = scipy.linalg.expm(h * a) @ v
-        for op in operators:
+        for variant in krylov.Variant:
+            op = krylov.factor_operator(variant, c, g, gamma)
             basis = krylov.arnoldi(op, v, m_max=n)
             got = krylov.expm_action(basis, h)
             worst = max(worst, np.linalg.norm(got - exact) / np.linalg.norm(exact))
@@ -355,7 +343,7 @@ def test_baseline_convergence_orders():
     )
 
 
-def test_invariant_suites(estimator_family, ladder_system):
+def test_invariant_suites(estimator_family, ladder_system, audited_bases):
     """Basis audit, merge determinism and CSV round-trip all hold."""
     # every emitted basis is audited; force one here and verify explicitly
     krylov.arnoldi(estimator_family.operators["rational"],
@@ -369,8 +357,17 @@ def test_invariant_suites(estimator_family, ladder_system):
 
     cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
     merged_1 = decomp.run_superposed(ladder_system, cfg, workers=1).merged
+    before = len(audited_bases)
+    merged_2 = decomp.run_superposed(ladder_system, cfg, workers=2).merged
+    threaded = len(audited_bases) - before
+    built = sum(1 for s in merged_2.steps if not s.reused and s.m > 0)
+    threads_recorded = threaded == built > 0
     merged_8 = decomp.run_superposed(ladder_system, cfg, workers=8).merged
-    merge_stable = merged_1.states.tobytes() == merged_8.states.tobytes()
+    merge_stable = (
+        merged_1.states.tobytes()
+        == merged_2.states.tobytes()
+        == merged_8.states.tobytes()
+    )
 
     buf = io.StringIO()
     cli.write_waveform_csv(merged_1, buf)
@@ -382,10 +379,11 @@ def test_invariant_suites(estimator_family, ladder_system):
         and np.array_equal(states, merged_1.states)
     )
 
-    audited = krylov.basis_audit.verify_all(ortho_tol=1e-8, rel_tol=1e-8)
-    ok = audited > 0 and plans_equal and merge_stable and csv_exact
+    audited = verify_bases(audited_bases, ortho_tol=1e-8, rel_tol=1e-8)
+    ok = audited > 0 and threads_recorded and plans_equal and merge_stable and csv_exact
     _check(
         "invariants", ok,
-        f"{audited} bases audited; plan determinism {plans_equal}; "
+        f"{audited} bases audited, {threaded} of {built} from 2 workers; "
+        f"plan determinism {plans_equal}; "
         f"merge worker-stability {merge_stable}; csv round-trip {csv_exact}",
     )

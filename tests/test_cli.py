@@ -35,6 +35,17 @@ C1 1 0 1e-12
 """
 
 
+VSOURCE_RC_NETLIST = """* rc driven through a voltage source: C has an empty branch row
+V1 1 0 PWL(0 0 1e-10 1 1e-9 1)
+R1 1 2 10
+R2 2 3 10
+C2 2 0 1e-12
+C3 3 0 1e-12
+.TRAN 0 1e-9
+.END
+"""
+
+
 @pytest.fixture()
 def netlist_file(tmp_path):
     path = tmp_path / "ladder.sp"
@@ -233,6 +244,26 @@ class TestExitCodes:
         rc = cli.main(["simulate", singular_file, "--solver", "mexp"])
         assert rc == 2
         assert "numerical error" in capsys.readouterr().err
+
+    def test_mexp_names_singular_c(self, tmp_path, capsys):
+        path = tmp_path / "vs.sp"
+        path.write_text(VSOURCE_RC_NETLIST)
+        rc = cli.main(["simulate", str(path), "--solver", "mexp"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "C cannot be factorized" in err
+        assert "imatex" in err and "rmatex" in err
+
+    def test_compare_rejects_config_before_oracle(
+        self, netlist_file, capsys, monkeypatch
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the reference ran before the configs were checked")
+
+        monkeypatch.setattr(stepper, "solve_transient_be", no_oracle)
+        rc = cli.main(["compare", netlist_file, "--solvers", "tr"])
+        assert rc == 2
+        assert "fixed step" in capsys.readouterr().err
 
     def test_fixed_step_without_h(self, netlist_file, capsys):
         rc = cli.main(["simulate", netlist_file, "--solver", "tr"])

@@ -1,5 +1,6 @@
 """Krylov propagator machinery: variants, estimates, reuse, breakdown."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 
 from expsim import krylov, numkit
 from expsim.errors import BasisDegenerate, NoConvergence
+from conftest import orthonormality_defect, relation_residual, verify_bases
 
 VARIANTS = ("standard", "inverted", "rational")
 
@@ -23,7 +25,7 @@ def scalar_standard_operator(a_scalar=-1.0):
     """1x1 system with C = 1, G = -a, so A = a."""
     c = numkit.from_scipy(sp.csc_matrix(np.array([[1.0]])))
     g = numkit.from_scipy(sp.csc_matrix(np.array([[-a_scalar]])))
-    return krylov.standard_operator(numkit.lu_factorize(c), g)
+    return krylov.factor_operator(krylov.Variant.STANDARD, c, g)
 
 
 class TestExactAtFullDimension:
@@ -69,7 +71,7 @@ class TestHappyBreakdown:
     def setup_method(self):
         c = numkit.from_scipy(sp.identity(3))
         g = numkit.from_scipy(sp.csc_matrix(np.diag([1.0, 2.0, 3.0])))
-        self.op = krylov.standard_operator(numkit.lu_factorize(c), g)
+        self.op = krylov.factor_operator(krylov.Variant.STANDARD, c, g)
 
     def test_invariant_subspace_detected(self):
         v = np.array([1.0, 0.0, 1.0])  # spans a 2-dimensional invariant space
@@ -139,13 +141,12 @@ class TestConvergenceGate:
         # reused-step estimate must not pay that C solve again.
         fam = estimator_family
         eps = 1e-4 * np.linalg.norm(fam.v)
-        basis = krylov.arnoldi(
-            fam.operators["inverted"], fam.v, h=fam.h, eps=eps, m_max=fam.n
-        )
+        op = fam.operators["inverted"]
+        basis = krylov.arnoldi(op, fam.v, h=fam.h, eps=eps, m_max=fam.n)
         assert basis.m < fam.n and basis.estimate_kind == "exact"
-        before = fam.c_factors.solve_count
+        before = op.c_factors.solve_count
         krylov.step_error_estimate(basis, fam.h / 3.0)
-        assert fam.c_factors.solve_count == before
+        assert op.c_factors.solve_count == before
 
 
 def residual_rate(basis, s):
@@ -181,7 +182,7 @@ class TestPosteriorError:
 
     def test_empirical_kind_without_c_factors(self, estimator_family):
         fam = estimator_family
-        bare = krylov.inverted_operator(fam.g_factors, fam.c)
+        bare = dataclasses.replace(fam.operators["inverted"], c_factors=None)
         basis = krylov.arnoldi(bare, fam.v, m_max=7)
         est, kind = residual_rate(basis, fam.h)
         assert kind == "empirical"
@@ -193,12 +194,11 @@ class TestPosteriorError:
         # close to h times it. Agreement within a factor of 100 is the
         # contract, the family sits well inside it.
         fam = estimator_family
-        full = full_basis(fam, which, m_max=12)
         exact = fam.exact_action(fam.h)
         floor = 1e-12 * np.linalg.norm(fam.v)
         checked = 0
         for m in range(2, 11):
-            trunc = full.truncated(m)
+            trunc = full_basis(fam, which, m_max=m)
             try:
                 est, _ = residual_rate(trunc, fam.h)
             except BasisDegenerate:
@@ -215,11 +215,10 @@ class TestPosteriorError:
     def test_estimate_decreases_with_m(self, estimator_family, which):
         # Monotone up to one bounded uptick across the growth sweep.
         fam = estimator_family
-        full = full_basis(fam, which, m_max=12)
         seq = []
         for m in range(2, 12):
             try:
-                est, _ = residual_rate(full.truncated(m), fam.h)
+                est, _ = residual_rate(full_basis(fam, which, m_max=m), fam.h)
             except BasisDegenerate:
                 continue
             if est > 0.0:
@@ -243,12 +242,11 @@ class TestStepErrorEstimate:
     @pytest.mark.parametrize("which", VARIANTS)
     def test_bounds_true_error_modestly(self, estimator_family, which):
         fam = estimator_family
-        full = full_basis(fam, which, m_max=12)
         exact = fam.exact_action(fam.h)
         floor = 1e-12 * np.linalg.norm(fam.v)
         checked = 0
         for m in range(2, 11):
-            trunc = full.truncated(m)
+            trunc = full_basis(fam, which, m_max=m)
             try:
                 est, _ = krylov.step_error_estimate(trunc, fam.h)
             except BasisDegenerate:
@@ -290,37 +288,12 @@ class TestReuse:
         assert diff <= 10.0 * est + 1e-12 * v_norm
 
 
-class TestTruncated:
-    def test_fields_line_up(self, estimator_family):
-        fam = estimator_family
-        full = full_basis(fam, "rational", m_max=9)
-        t = full.truncated(4)
-        assert t.m == 4
-        assert t.h_next == full.hessenberg[4, 3]
-        np.testing.assert_array_equal(t.v_next, full.v_basis[:, 4])
-        np.testing.assert_array_equal(t.v_basis, full.v_basis[:, :4])
-        assert t.beta == full.beta
-
-    def test_full_truncation_is_identity(self, estimator_family):
-        full = full_basis(estimator_family, "standard", m_max=6)
-        assert full.truncated(full.m) is full
-
-    def test_bounds_checked(self, estimator_family):
-        full = full_basis(estimator_family, "standard", m_max=6)
-        with pytest.raises(ValueError):
-            full.truncated(0)
-        with pytest.raises(ValueError):
-            full.truncated(full.m + 1)
-
-
 class TestOperatorValidation:
     def test_rational_needs_positive_shift(self, estimator_family):
         fam = estimator_family
         for gamma in (None, 0.0, -1.0):
             with pytest.raises(ValueError):
-                krylov.VariantOperator(
-                    krylov.Variant.RATIONAL, fam.g_factors, fam.c, gamma=gamma
-                )
+                krylov.factor_operator(krylov.Variant.RATIONAL, fam.c, fam.g, gamma)
 
     def test_apply_checks_shape(self, estimator_family):
         op = estimator_family.operators["standard"]
@@ -341,12 +314,12 @@ class TestBasisInvariants:
     def test_orthonormal_and_satisfies_relation(self, estimator_family, which):
         fam = estimator_family
         basis = full_basis(fam, which, m_max=10)
-        assert krylov.orthonormality_defect(basis) < 1e-10
-        residual, scale = krylov.relation_residual(basis)
+        assert orthonormality_defect(basis) < 1e-10
+        residual, scale = relation_residual(basis)
         assert residual < 1e-10 * scale
 
     def test_every_build_lands_in_audit(self, estimator_family, audited_bases):
         before = len(audited_bases)
         full_basis(estimator_family, "standard", m_max=4)
         assert len(audited_bases) == before + 1
-        assert audited_bases.verify_all() >= 1
+        assert verify_bases(audited_bases) >= 1
