@@ -34,10 +34,6 @@ from .errors import BasisDegenerate, NoConvergence, NumericalError
 # Relative tolerance declaring the subspace exact (happy breakdown).
 BREAKDOWN_RTOL = 1e-12
 
-# A second orthogonalization pass runs when the first one removes more
-# than this fraction of the vector's norm.
-REORTH_DROP = 1.0 / np.sqrt(2.0)
-
 DEFAULT_M_MAX = 30
 
 # The convergence gate opens at this dimension: a one-dimensional
@@ -338,9 +334,10 @@ def arnoldi(
 ) -> KrylovBasis:
     """Grow an orthonormal basis of K_m(M, v) until eps is met.
 
-    Modified Gram-Schmidt with one conditional reorthogonalization pass
-    (triggered when orthogonalization removes more than a 1/sqrt(2)
-    fraction of the candidate's norm). Convergence is judged by
+    Classical Gram-Schmidt run twice (CGS2): each pass projects the
+    candidate on the whole basis at once, and two passes keep it
+    orthonormal to working precision ("twice is enough"). The work
+    basis is stored row by row. Convergence is judged by
     step_error_estimate at horizon h against eps; pass eps=None to
     build all m_max dimensions unconditionally. The eps gate only fires
     from M_MIN on. A happy breakdown (subdiagonal below 1e-12 of the
@@ -376,14 +373,14 @@ def arnoldi(
         )
 
     m_max = min(m_max, dim)
-    big_v = np.zeros((dim, m_max + 1))
+    big_v = np.zeros((m_max + 1, dim))
     big_h = np.zeros((m_max + 1, m_max))
-    big_v[:, 0] = v / beta
+    big_v[0] = v / beta
 
     def view(m, h_next, v_next):
         return KrylovBasis(
             operator=operator,
-            v_basis=big_v[:, :m],
+            v_basis=big_v[:m].T,
             hessenberg=big_h[:m, :m],
             h_next=float(h_next),
             v_next=v_next,
@@ -393,7 +390,7 @@ def arnoldi(
     def finish(basis, est, kind):
         # Detach from the work arrays; the caches the convergence check
         # filled (projected generator, exact-residual scale) stay valid.
-        basis.v_basis = basis.v_basis.copy()
+        basis.v_basis = basis.v_basis.copy(order="F")
         basis.hessenberg = basis.hessenberg.copy()
         basis.v_next = basis.v_next.copy()
         basis.estimate, basis.estimate_kind = est, kind
@@ -402,23 +399,18 @@ def arnoldi(
     next_check = 1
     last_est = None
     for j in range(m_max):
-        w = operator.apply(big_v[:, j])
+        w = operator.apply(big_v[j])
         norm_pre = float(np.linalg.norm(w))
-        for i in range(j + 1):
-            coeff = float(big_v[:, i] @ w)
-            big_h[i, j] += coeff
-            w -= coeff * big_v[:, i]
-        if float(np.linalg.norm(w)) < REORTH_DROP * norm_pre:
-            for i in range(j + 1):
-                coeff = float(big_v[:, i] @ w)
-                big_h[i, j] += coeff
-                w -= coeff * big_v[:, i]
+        for _ in range(2):
+            c = big_v[: j + 1] @ w
+            big_h[: j + 1, j] += c
+            w -= c @ big_v[: j + 1]
         h_sub = float(np.linalg.norm(w))
         if h_sub <= BREAKDOWN_RTOL * max(norm_pre, 1e-300):
             big_h[j + 1, j] = 0.0
             return finish(view(j + 1, 0.0, np.zeros(dim)), 0.0, "breakdown")
         big_h[j + 1, j] = h_sub
-        big_v[:, j + 1] = w / h_sub
+        big_v[j + 1] = w / h_sub
 
         m = j + 1
         if eps is None or m < M_MIN:
@@ -426,7 +418,7 @@ def arnoldi(
         if m <= 32 or m >= next_check or m == m_max:
             if m >= next_check:
                 next_check = max(m + 1, int(np.ceil(m * 1.2)))
-            probe = view(m, h_sub, big_v[:, m])
+            probe = view(m, h_sub, big_v[m])
             try:
                 last_est, kind = step_error_estimate(probe, h)
             except BasisDegenerate:
@@ -438,7 +430,7 @@ def arnoldi(
 
     if eps is None:
         m = m_max
-        return finish(view(m, big_h[m, m - 1], big_v[:, m]), None, None)
+        return finish(view(m, big_h[m, m - 1], big_v[m]), None, None)
     raise NoConvergence(
         f"{operator.variant.value} basis did not reach {eps:.3e} within "
         f"m_max={m_max} (last estimate {last_est})",

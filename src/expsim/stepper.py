@@ -281,7 +281,8 @@ def solve_transient_matex(
     if x.shape != (n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
 
-    states = [x.copy()]
+    states = np.empty((points.size, n))
+    states[0] = x
     steps: list[StepRecord] = []
     basis = None
     anchor = None
@@ -301,7 +302,7 @@ def solve_transient_matex(
             h_a = t_next - anchor
             est, kind = krylov.step_error_estimate(basis, h_a)
         x = matex_step(basis, h_a, tracker.p_term(anchor, t_next))
-        states.append(x.copy())
+        states[k + 1] = x
         steps.append(
             StepRecord(
                 t=t,
@@ -316,7 +317,7 @@ def solve_transient_matex(
 
     return WaveformResult(
         times=points,
-        states=np.vstack(states),
+        states=states,
         names=list(system.names),
         method=config.method,
         steps=steps,
@@ -359,7 +360,8 @@ def _solve_fixed(system, config, x0, trapezoidal: bool):
         rhs_matrix = (c / h).tocsc()
     made.append(lhs)
 
-    states = [x.copy()]
+    states = np.empty((times.size, system.n))
+    states[0] = x
     u_prev = system.eval_sources(float(times[0]))
     b = system.b
     for k in range(times.size - 1):
@@ -369,12 +371,12 @@ def _solve_fixed(system, config, x0, trapezoidal: bool):
         else:
             drive = b @ u_next
         x = lhs.solve(rhs_matrix @ x + drive)
-        states.append(x.copy())
+        states[k + 1] = x
         u_prev = u_next
 
     return WaveformResult(
         times=times,
-        states=np.vstack(states),
+        states=states,
         names=list(system.names),
         method="tr" if trapezoidal else "be",
         substitution_pairs=sum(f.solve_count for f in made),

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import expsim as es
 from expsim import krylov, numkit
 from expsim.errors import BasisDegenerate, NoConvergence
 from conftest import orthonormality_defect, relation_residual, verify_bases
@@ -323,3 +324,42 @@ class TestBasisInvariants:
         full_basis(estimator_family, "standard", m_max=4)
         assert len(audited_bases) == before + 1
         assert verify_bases(audited_bases) >= 1
+
+
+@pytest.fixture(scope="module")
+def ten_decade_mesh():
+    """n=400 mesh whose -C^-1 G spectrum spans more than 10 decades."""
+    mesh = es.generate_mesh_netlist(n_nodes=400, stiffness_target=1e11, seed=7)
+    assert mesh.measured_stiffness >= 1e10
+    return es.build_system(mesh.text)
+
+
+class TestStiffOrthogonality:
+    @pytest.mark.parametrize("which", VARIANTS)
+    def test_full_build_stays_orthonormal(self, ten_decade_mesh, which):
+        # One classical pass loses orthogonality here outright; the
+        # second pass has to restore it to rounding level.
+        system = ten_decade_mesh
+        gamma = (system.t_stop - system.t_start) / 100.0
+        op = krylov.factor_operator(krylov.Variant(which), system.c, system.g, gamma)
+        v = np.random.default_rng(3).standard_normal(system.n)
+        basis = krylov.arnoldi(op, v, m_max=30, eps=None)
+        assert basis.m == 30 and not basis.breakdown
+        assert orthonormality_defect(basis) <= 1e-8
+        residual, scale = relation_residual(basis)
+        assert residual <= 1e-8 * scale
+
+    @pytest.mark.parametrize("which", VARIANTS)
+    def test_breakdown_on_ten_decade_invariant_subspace(self, which):
+        # C = I, G diagonal across 10 decades: a start vector on three
+        # coordinates spans an invariant subspace of every variant.
+        n = 12
+        c = numkit.from_scipy(sp.identity(n, format="csc"))
+        g = numkit.from_scipy(sp.diags(np.logspace(0.0, 10.0, n), format="csc"))
+        op = krylov.factor_operator(krylov.Variant(which), c, g, 1e-3)
+        v = np.zeros(n)
+        v[[0, 5, n - 1]] = (1.0, -2.0, 0.5)
+        basis = krylov.arnoldi(op, v, m_max=n, eps=None)
+        assert basis.m == 3 and basis.h_next == 0.0
+        assert basis.estimate_kind == "breakdown"
+        assert orthonormality_defect(basis) <= 1e-12

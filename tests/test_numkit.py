@@ -3,7 +3,8 @@
 Each numerical kernel is checked against an independently computed
 reference: triplet assembly against a dense accumulation loop, LU
 solves against numpy's dense solver, the small dense exponential the
-Krylov projections use against a compensated Taylor series.
+Krylov projections use against a compensated Taylor series. The LU
+ordering is held to the fill it reaches on an MNA grid.
 """
 
 import dataclasses
@@ -11,8 +12,9 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from expsim import krylov, numkit
+from expsim import krylov, netlist, numkit
 from expsim.errors import NumericallySingular, StructurallySingular
 
 
@@ -40,6 +42,21 @@ def taylor_expm(a, terms=60):
     for _ in range(s):
         total = total @ total
     return total
+
+
+def rc_grid_netlist(k, extra="", seed=0):
+    """k x k resistor grid, a capacitor from every node to ground."""
+    rng = np.random.default_rng(seed)
+    lines = ["* rc grid"]
+    for i in range(k):
+        for j in range(k):
+            if j + 1 < k:
+                lines.append(f"RH{i}_{j} n{i}_{j} n{i}_{j + 1} {rng.uniform(1, 10)}")
+            if i + 1 < k:
+                lines.append(f"RV{i}_{j} n{i}_{j} n{i + 1}_{j} {rng.uniform(1, 10)}")
+            lines.append(f"C{i}_{j} n{i}_{j} 0 {rng.uniform(1, 100)}e-15")
+    lines += ["RG n0_0 0 1", f"I1 0 n{k // 2}_{k // 2} DC 1m", extra]
+    return "\n".join(lines + [".TRAN 0 1e-9", ".END", ""])
 
 
 class TestSparseMatrix:
@@ -145,6 +162,37 @@ class TestLuFactorize:
             np.testing.assert_allclose(
                 got[:, j], factors.solve(block[:, j]), rtol=1e-14, atol=1e-15
             )
+
+
+class TestOrderingFill:
+    # nnz(L) + nnz(U) of the 60 x 60 grid's C + gamma G: 108,430 with
+    # minimum degree on A + A^T, 179,720 with COLAMD.
+    FILL_BOUND = 115_000
+
+    def test_grid_fill_stays_below_bound(self):
+        system = netlist.build_system(rc_grid_netlist(60))
+        shifted = numkit.from_scipy(system.c.scipy + 1e-12 * system.g.scipy)
+        lu = numkit.lu_factorize(shifted)._splu
+        colamd = spla.splu(
+            shifted.scipy,
+            permc_spec="COLAMD",
+            diag_pivot_thresh=1.0,
+            options={"SymmetricMode": False},
+        )
+        assert lu.L.nnz + lu.U.nnz <= self.FILL_BOUND < colamd.L.nnz + colamd.U.nnz
+
+    def test_zero_diagonals_factor_and_solve(self):
+        # Voltage-source and inductor branches leave zeros on G's diagonal.
+        system = netlist.build_system(
+            rc_grid_netlist(60, extra="V1 vin 0 DC 1\nL1 vin n0_0 1n\nL2 n59_59 0 2n")
+        )
+        c, g = system.c.scipy, system.g.scipy
+        assert (g.diagonal() == 0).sum() >= 3
+        rng = np.random.default_rng(5)
+        for m in (g, c + 1e-12 * g, c / 1e-12 + g / 2.0):
+            b = rng.standard_normal(system.n)
+            x = numkit.lu_factorize(numkit.from_scipy(m)).solve(b)
+            assert np.linalg.norm(m @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestCounters:
