@@ -24,13 +24,14 @@ def main():
     system = es.build_system(mesh.text)
     config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
 
-    plan = decomp.build_plan(system.sources, system.t_start, system.t_stop)
+    sup = decomp.run_superposed(system, config, workers=4)
+    plan = sup.plan
     print(f"{system.num_sources} sources -> {plan.num_groups} groups: {plan.groups}")
     for g in range(plan.num_groups):
-        print(f"  group {g}: {plan.group_lts[g].size} own transitions, "
-              f"{plan.group_snapshots[g].size} snapshots of foreign ones")
+        own = plan.group_lts[g].size
+        print(f"  group {g}: {own} own transitions, "
+              f"{plan.gts.size - own} snapshots of foreign ones")
 
-    sup = decomp.run_superposed(system, config, workers=4, plan=plan)
     plain = stepper.solve_transient(system, config)
     diff = np.abs(sup.merged.states - plain.states).max()
     print(f"\nmerged vs undecomposed: max |diff| = {diff:.3e} "

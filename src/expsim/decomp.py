@@ -37,12 +37,10 @@ MAX_GROUPS_DEFAULT = 100
 
 @dataclass
 class TransitionPlan:
-    """Grouping of the sources plus all derived spot-time sets."""
+    """Grouping of the sources plus their spot-time sets."""
 
-    source_lts: list[np.ndarray]
     groups: list[list[int]]  # source indices, each inner list sorted
     group_lts: list[np.ndarray]
-    group_snapshots: list[np.ndarray]
     gts: np.ndarray
 
     @property
@@ -87,13 +85,7 @@ def build_plan(
         del group_lts[small]
 
     gts = np.unique(np.concatenate([np.empty(0), *group_lts]))
-    return TransitionPlan(
-        source_lts=source_lts,
-        groups=groups,
-        group_lts=group_lts,
-        group_snapshots=[np.setdiff1d(gts, g) for g in group_lts],
-        gts=gts,
-    )
+    return TransitionPlan(groups=groups, group_lts=group_lts, gts=gts)
 
 
 @dataclass
@@ -110,30 +102,27 @@ def run_superposed(
     config: stepper.SolverConfig,
     workers: int = 1,
     max_groups: int = MAX_GROUPS_DEFAULT,
-    plan: TransitionPlan | None = None,
 ) -> SuperposedResult:
     """Solve per source group and sum the responses.
 
     Each group runs the configured solver on its subsystem, so it
     carries its own share of the operating point; with one group this
-    is literally the undecomposed solve. Without an explicit plan, tr
-    and be always run as one group. The exponential methods factor the
-    whole circuit's operator once here and every group steps with a
-    counting copy of it: the merged factorizations are that operator's,
-    each subtask reports 0 and tallies only its own substitution
-    pairs. Workers map to an in-process thread pool: subtasks share
-    nothing mutable, and the merge always sums in group index order, so
-    the result is identical bytes for any worker count. The merged
-    wall_time is this call's elapsed time; each group's own time stays
-    on its subtask.
+    is literally the undecomposed solve. tr and be always run as one
+    group. The exponential methods factor the whole circuit's operator
+    once here and every group steps with a counting copy of it: the
+    merged factorizations are that operator's, each subtask reports 0
+    and tallies only its own substitution pairs. Workers map to an
+    in-process thread pool: subtasks share nothing mutable, and the
+    merge always sums in group index order, so the result is identical
+    bytes for any worker count. The merged wall_time is this call's
+    elapsed time; each group's own time stays on its subtask.
     """
     t_begin = time.perf_counter()
     t0, t1 = stepper.resolve_span(system, config)
     fixed_step = config.method in ("tr", "be")
-    if plan is None:
-        if fixed_step:
-            max_groups = 1
-        plan = build_plan(system.sources, t0, t1, max_groups=max_groups)
+    plan = build_plan(
+        system.sources, t0, t1, max_groups=1 if fixed_step else max_groups
+    )
     op = None
     if not fixed_step:
         points = stepper._stepping_points(t0, t1, plan.gts)

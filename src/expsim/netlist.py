@@ -32,7 +32,7 @@ import bisect
 import math
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -324,7 +324,6 @@ class CircuitSystem:
     sources: list[Waveform]
     names: list[str]  # unknown names, v(node) then i(element)
     source_names: list[str]
-    node_index: dict[str, int] = field(default_factory=dict)
     t_start: float | None = None
     t_stop: float | None = None
 
@@ -448,7 +447,6 @@ def stamp_mna(netlist: Netlist) -> CircuitSystem:
         sources=[e.waveform for e in sources],
         names=names,
         source_names=[e.name.lower() for e in sources],
-        node_index=dict(node_index),
         t_start=netlist.t_start,
         t_stop=netlist.t_stop,
     )

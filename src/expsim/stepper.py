@@ -170,47 +170,17 @@ def _stepping_points(t0, t1, spots):
     return np.asarray(keep)
 
 
-class _InputTracker:
-    """w and theta at the stepping points, from two block solves with G.
+def _input_terms(system, g_factors, points: np.ndarray):
+    """Rows w(t_k) and theta(t_k) at the stepping points, two (T, n) arrays.
 
     W = -G^-1 B and Theta = -G^-1 C W hold one column per source, so
-    w(t_k) = W u(t_k) and theta(t_k) = Theta u(t_k); both are formed
-    for every point when the tracker is built. Building costs 2 n_src
-    substitution pairs; lookups cost none. Times must be stepping
-    points.
+    w(t_k) = W u(t_k) and theta(t_k) = Theta u(t_k); two block solves
+    cost 2 n_src substitution pairs for every point at once.
     """
-
-    def __init__(self, system, g_factors, points: np.ndarray):
-        self._row = {float(t): k for k, t in enumerate(points)}
-        u = np.column_stack([system.eval_sources(float(t)) for t in points])
-        w = -g_factors.solve(system.b.to_dense())
-        theta = -g_factors.solve(system.c @ w)
-        self._w = u.T @ w.T  # row k is w(t_k)
-        self._theta = u.T @ theta.T
-
-    def w_theta(self, t: float):
-        k = self._row[t]
-        return self._w[k], self._theta[k]
-
-    def f_term(self, t: float, t_next: float) -> np.ndarray:
-        w_t, th_t = self.w_theta(t)
-        _, th_n = self.w_theta(t_next)
-        return w_t + (th_n - th_t) / (t_next - t)
-
-    def p_term(self, anchor: float, t_next: float) -> np.ndarray:
-        _, th_a = self.w_theta(anchor)
-        w_n, th_n = self.w_theta(t_next)
-        return w_n + (th_n - th_a) / (t_next - anchor)
-
-
-def matex_step(
-    basis: krylov.KrylovBasis, h_from_anchor: float, p: np.ndarray
-) -> np.ndarray:
-    """One exponential update from the basis anchor.
-
-    p is the particular term re-anchored at the basis anchor.
-    """
-    return krylov.expm_action(basis, h_from_anchor) - p
+    u = np.column_stack([system.eval_sources(float(t)) for t in points])
+    w = -g_factors.solve(system.b.to_dense())
+    theta = -g_factors.solve(system.c @ w)
+    return u.T @ w.T, u.T @ theta.T
 
 
 def factor_matex(
@@ -244,16 +214,14 @@ def solve_transient_matex(
     system: netlist.CircuitSystem,
     config: SolverConfig,
     gts: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
     op: krylov.VariantOperator | None = None,
 ) -> WaveformResult:
     """Adaptive exponential transient over the spot-time grid.
 
-    A fresh basis is built at the spot times where the system's own
-    sources change slope; gts is the full grid the samples must land
-    on, and at its other spots the previous basis is reused. gts
-    defaults to the system's own spots, so a run on its own grid
-    rebuilds at every step. x0 overrides the computed operating point.
+    The run starts at its operating point -w(t0). It steps on the
+    system's own spots plus gts, the other spots the samples must land
+    on. A fresh basis is built at the spots where the system's own
+    sources change slope; at the others the previous basis is reused.
     op, made by factor_matex for the same C, G, config and stepping
     points, is stepped with instead of factoring anew; the run then
     counts its own substitution pairs on a counting copy and no
@@ -265,7 +233,9 @@ def solve_transient_matex(
     t0, t1 = resolve_span(system, config)
     span = t1 - t0
     own_spots = active_transitions(system, t0, t1)
-    points = _stepping_points(t0, t1, own_spots if gts is None else gts)
+    points = _stepping_points(
+        t0, t1, own_spots if gts is None else np.union1d(gts, own_spots)
+    )
     spot_atol = 1e-9 * span
 
     if op is None:
@@ -275,33 +245,30 @@ def solve_transient_matex(
         op = op.counting_copy()
         factorizations = 0
 
-    tracker = _InputTracker(system, op.g_factors, points)
-    n = system.n
-    x = np.array(x0, dtype=np.float64) if x0 is not None else -tracker.w_theta(t0)[0]
-    if x.shape != (n,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
-
-    states = np.empty((points.size, n))
+    w, theta = _input_terms(system, op.g_factors, points)
+    x = -w[0]
+    states = np.empty((points.size, system.n))
     states[0] = x
     steps: list[StepRecord] = []
     basis = None
-    anchor = None
+    a = 0  # index of the basis anchor
     for k in range(points.size - 1):
         t, t_next = float(points[k]), float(points[k + 1])
         h = t_next - t
-        eps = config.e_tol * h / span
         fresh = basis is None or _is_spot(t, own_spots, spot_atol)
         if fresh:
-            anchor = t
-            v = x + tracker.f_term(t, t_next)
+            a = k
+            eps = config.e_tol * h / span
+            v = x + (w[k] + (theta[k + 1] - theta[k]) / h)
             basis = krylov.arnoldi(op, v, m_max=config.m_max, h=h, eps=eps)
-            h_a = h
             est = basis.estimate if basis.estimate is not None else 0.0
             kind = basis.estimate_kind or "breakdown"
-        else:
-            h_a = t_next - anchor
+        t_a = float(points[a])
+        h_a = t_next - t_a
+        if not fresh:
             est, kind = krylov.step_error_estimate(basis, h_a)
-        x = matex_step(basis, h_a, tracker.p_term(anchor, t_next))
+        p = w[k + 1] + (theta[k + 1] - theta[a]) / h_a
+        x = krylov.expm_action(basis, h_a) - p
         states[k + 1] = x
         steps.append(
             StepRecord(
@@ -311,7 +278,7 @@ def solve_transient_matex(
                 estimate=float(est),
                 reused=not fresh,
                 estimate_kind=kind,
-                anchor=anchor,
+                anchor=t_a,
             )
         )
 
@@ -338,17 +305,13 @@ def _fixed_grid(t0, t1, h):
     return np.array([t0 + k * h for k in range(n_steps + 1)])
 
 
-def _solve_fixed(system, config, x0, trapezoidal: bool):
+def _solve_fixed(system, config, trapezoidal: bool):
     t_begin = time.perf_counter()
     t0, t1 = resolve_span(system, config)
     times = _fixed_grid(t0, t1, config.h)
     h = config.h
-    made: list[numkit.LuFactors] = []
-    if x0 is None:
-        made.append(numkit.lu_factorize(system.g))
-        x = netlist.dc_analysis(system, made[0], t=t0)
-    else:
-        x = np.array(x0, dtype=np.float64)
+    g_factors = numkit.lu_factorize(system.g)
+    x = netlist.dc_analysis(system, g_factors, t=t0)
 
     c = system.c.scipy
     g = system.g.scipy
@@ -358,7 +321,6 @@ def _solve_fixed(system, config, x0, trapezoidal: bool):
     else:
         lhs = numkit.lu_factorize(numkit.from_scipy(c / h + g))
         rhs_matrix = (c / h).tocsc()
-    made.append(lhs)
 
     states = np.empty((times.size, system.n))
     states[0] = x
@@ -379,43 +341,42 @@ def _solve_fixed(system, config, x0, trapezoidal: bool):
         states=states,
         names=list(system.names),
         method="tr" if trapezoidal else "be",
-        substitution_pairs=sum(f.solve_count for f in made),
-        factorizations=len(made),
+        substitution_pairs=g_factors.solve_count + lhs.solve_count,
+        factorizations=2,
         wall_time=time.perf_counter() - t_begin,
     )
 
 
-def solve_transient_tr(system, config, x0=None) -> WaveformResult:
+def solve_transient_tr(system, config) -> WaveformResult:
     """Fixed-step trapezoidal rule; one substitution pair per step.
 
     (C/h + G/2) x_{k+1} = (C/h - G/2) x_k + B (u_k + u_{k+1}) / 2.
     Second order in h.
     """
-    return _solve_fixed(system, config, x0, trapezoidal=True)
+    return _solve_fixed(system, config, trapezoidal=True)
 
 
-def solve_transient_be(system, config, x0=None) -> WaveformResult:
+def solve_transient_be(system, config) -> WaveformResult:
     """Fixed-step backward Euler; first order, unconditionally damped.
 
     (C/h + G) x_{k+1} = (C/h) x_k + B u_{k+1}. At a step much finer than
     every input feature this is the accuracy reference for the others.
     """
-    return _solve_fixed(system, config, x0, trapezoidal=False)
+    return _solve_fixed(system, config, trapezoidal=False)
 
 
 def solve_transient(
     system: netlist.CircuitSystem,
     config: SolverConfig,
     gts: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
     op: krylov.VariantOperator | None = None,
 ) -> WaveformResult:
     """Dispatch on config.method; the fixed-step methods ignore gts and op."""
     if config.method == "tr":
-        return solve_transient_tr(system, config, x0=x0)
+        return solve_transient_tr(system, config)
     if config.method == "be":
-        return solve_transient_be(system, config, x0=x0)
-    return solve_transient_matex(system, config, gts=gts, x0=x0, op=op)
+        return solve_transient_be(system, config)
+    return solve_transient_matex(system, config, gts=gts, op=op)
 
 
 def resample_states(result: WaveformResult, times: np.ndarray) -> np.ndarray:

@@ -63,11 +63,13 @@ class TestBuildPlan:
 
     def test_group_lts_is_member_union(self, mixed_system):
         plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10)
+        sources = mixed_system.sources
         for g, lts in zip(plan.groups, plan.group_lts):
             member = np.unique(
-                np.concatenate([plan.source_lts[i] for i in g])
-                if any(plan.source_lts[i].size for i in g)
-                else np.empty(0)
+                np.concatenate(
+                    [np.empty(0)]
+                    + [sources[i].transition_times(0.0, 4e-10) for i in g]
+                )
             )
             np.testing.assert_array_equal(lts, member)
 
@@ -75,11 +77,16 @@ class TestBuildPlan:
         plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10)
         union = np.unique(np.concatenate([g for g in plan.group_lts if g.size]))
         np.testing.assert_array_equal(plan.gts, union)
-        for lts, snaps in zip(plan.group_lts, plan.group_snapshots):
-            assert np.intersect1d(snaps, lts).size == 0
-            np.testing.assert_array_equal(
-                np.union1d(snaps, lts), plan.gts
+        # A group's snapshots, the global spots not local to it, are
+        # exactly the steps its run takes on a reused basis.
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        for g, lts in zip(plan.groups, plan.group_lts):
+            snapshots = np.setdiff1d(plan.gts, lts)
+            run = stepper.solve_transient(
+                mixed_system.subsystem(g), cfg, gts=plan.gts
             )
+            reused = [s.t for s in run.steps if s.reused]
+            assert reused == [t for t in snapshots if 0.0 < t < 4e-10]
 
     def test_gts_matches_solver_transitions(self, ladder_system):
         plan = decomp.build_plan(ladder_system.sources, 0.0, 4e-10)
@@ -97,14 +104,16 @@ class TestBuildPlan:
         # source 0 adds one new spot to source 1's group and four to
         # the outlier's, so it folds into source 1's
         assert plan.groups == [[0, 1], [2]]
-        lts01 = np.union1d(plan.source_lts[0], plan.source_lts[1])
+        lts01 = np.union1d(
+            sources[0].transition_times(0.0, 1e-8),
+            sources[1].transition_times(0.0, 1e-8),
+        )
         np.testing.assert_array_equal(plan.group_lts[0], lts01)
 
     def test_folding_to_one_group(self, mixed_system):
         plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10, max_groups=1)
         assert plan.groups == [[0, 1, 2, 3, 4, 5]]
         np.testing.assert_array_equal(plan.group_lts[0], plan.gts)
-        assert plan.group_snapshots[0].size == 0
 
     def test_determinism(self, mixed_system):
         a = decomp.build_plan(mixed_system.sources, 0.0, 4e-10, max_groups=3)
@@ -206,13 +215,6 @@ class TestRunSuperposed:
         # One worker runs the groups one after another, so the call's
         # own elapsed time covers every group's.
         assert sup.merged.wall_time >= sum(r.wall_time for r in sup.subtasks)
-
-    def test_explicit_plan_is_used(self, mixed_system):
-        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-        plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10, max_groups=2)
-        sup = decomp.run_superposed(mixed_system, cfg, plan=plan)
-        assert sup.plan is plan
-        assert len(sup.subtasks) == 2
 
 
 class TestSpeedupModel:

@@ -91,10 +91,10 @@ class TestSpanAndGrid:
 
 
 def input_terms(system, t, h):
-    """F and P for the window [t, t+h] from a fresh tracker."""
+    """F and P for the window [t, t+h] from fresh input terms."""
     points = np.array([t, t + h])
-    tracker = stepper._InputTracker(system, numkit.lu_factorize(system.g), points)
-    return tracker.f_term(t, t + h), tracker.p_term(t, t + h)
+    w, theta = stepper._input_terms(system, numkit.lu_factorize(system.g), points)
+    return w[0] + (theta[1] - theta[0]) / h, w[1] + (theta[1] - theta[0]) / h
 
 
 def per_time_w_theta(system, g_factors, t):
@@ -136,25 +136,22 @@ class TestInputTerms:
         np.testing.assert_allclose(p, [10.0 * (1.0 - h)], rtol=1e-10)
 
     def test_input_pairs_paid_once_when_built(self, ladder_system):
-        # Two sources, three points: one W and one Theta column per source.
+        # Two sources, three points: one W and one Theta column per
+        # source, and every point's rows come with them.
         g_factors = numkit.lu_factorize(ladder_system.g)
         points = np.array([0.0, 1e-11, 2e-11])
-        tracker = stepper._InputTracker(ladder_system, g_factors, points)
-        assert g_factors.solve_count == 2 * ladder_system.num_sources
-        tracker.f_term(0.0, 1e-11)
-        tracker.p_term(0.0, 1e-11)
-        tracker.f_term(1e-11, 2e-11)
-        tracker.p_term(0.0, 2e-11)
-        assert g_factors.solve_count == 4  # lookups solve nothing
+        w, theta = stepper._input_terms(ladder_system, g_factors, points)
+        assert w.shape == theta.shape == (3, ladder_system.n)
+        assert g_factors.solve_count == 2 * ladder_system.num_sources == 4
 
     def test_matches_per_time_solves(self, mixed_system):
         points = np.linspace(0.0, 4e-10, 17)
         g_factors = numkit.lu_factorize(mixed_system.g)
-        tracker = stepper._InputTracker(mixed_system, g_factors, points)
+        w, theta = stepper._input_terms(mixed_system, g_factors, points)
         assert g_factors.solve_count == 2 * 6
-        for t in points:
+        for k, t in enumerate(points):
             for got, want in zip(
-                tracker.w_theta(float(t)), per_time_w_theta(mixed_system, g_factors, t)
+                (w[k], theta[k]), per_time_w_theta(mixed_system, g_factors, t)
             ):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -162,12 +159,11 @@ class TestInputTerms:
         system = es.build_system(MANY_DC_NETLIST)
         assert system.num_sources == 10
         g_factors = numkit.lu_factorize(system.g)
-        tracker = stepper._InputTracker(system, g_factors, np.array([0.0, 1e-9]))
+        w, theta = stepper._input_terms(system, g_factors, np.array([0.0, 1e-9]))
         assert g_factors.solve_count == 2 * 10
-        w, theta = tracker.w_theta(1e-9)
         want_w, want_theta = per_time_w_theta(system, g_factors, 1e-9)
-        np.testing.assert_allclose(w, want_w, rtol=1e-13)
-        np.testing.assert_allclose(theta, want_theta, rtol=1e-13)
+        np.testing.assert_allclose(w[1], want_w, rtol=1e-13)
+        np.testing.assert_allclose(theta[1], want_theta, rtol=1e-13)
         # The run starts at the operating point -w(t0) and stays there.
         run = stepper.solve_transient(system, stepper.SolverConfig(e_tol=1e-8))
         np.testing.assert_allclose(run.states[0], -want_w, rtol=1e-13)
@@ -237,13 +233,6 @@ class TestMatexSolvers:
         assert result.times[0] == 3e-9
         np.testing.assert_allclose(result.states[:, 0], 1.0, rtol=1e-9)
 
-    def test_x0_override_and_shape_check(self, dc_rc_system):
-        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
-        result = stepper.solve_transient(dc_rc_system, cfg, x0=np.zeros(1))
-        assert result.states[0, 0] == 0.0
-        with pytest.raises(ValueError):
-            stepper.solve_transient(dc_rc_system, cfg, x0=np.zeros(3))
-
     def test_fixed_methods_rejected(self, ladder_system):
         with pytest.raises(ValueError):
             stepper.solve_transient_matex(
@@ -252,16 +241,34 @@ class TestMatexSolvers:
 
 
 class TestBasisReuse:
-    def test_reuse_is_exact_for_constant_drive(self, dc_rc_system):
-        # Artificial interior grid points with no local transitions: one
-        # basis at t0 serves the whole span and every sample is exact.
+    def test_reuse_is_exact_for_constant_drive(self):
+        # The drive ramps to 1 mA over the first microsecond and then
+        # holds. The grid's later points are no corners of the drive:
+        # one basis at the last corner serves every later step, and
+        # every sample is exact.
+        system = es.build_system(
+            DC_RC_NETLIST.replace("DC 1m", "PWL(0 0 1e-6 1m 5e-6 1m)")
+        )
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
-        grid = np.linspace(0.0, 5e-6, 6)
-        result = stepper.solve_transient(dc_rc_system, cfg, gts=grid, x0=np.zeros(1))
-        assert result.reused_steps == 4
-        tau = 1e-6
-        exact = 1.0 - np.exp(-result.times / tau)
-        np.testing.assert_allclose(result.states[:, 0], exact, atol=1e-9)
+        result = stepper.solve_transient(system, cfg, gts=np.linspace(0.0, 5e-6, 6))
+        anchors = [s.anchor for s in result.steps]
+        assert anchors == pytest.approx([0.0, 1e-6, 1e-6, 1e-6, 1e-6], abs=1e-18)
+        assert result.reused_steps == 3
+        exact = dense_exact(system, result.times)
+        np.testing.assert_allclose(result.states, exact, atol=1e-9)
+
+    def test_given_grid_keeps_own_corners(self):
+        # A grid that skips the drive's corners must not step across
+        # them: the run still steps on its own corners as well.
+        system = es.build_system(
+            "I1 0 1 PWL(0 0 1e-10 1m 2e-10 1m 2.1e-10 0)\n"
+            "R1 1 0 1k\nC1 1 0 1p\n.TRAN 0 4e-10\n"
+        )
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
+        coarse = stepper.solve_transient(system, cfg, gts=np.array([0.0, 4e-10]))
+        own = stepper.solve_transient(system, cfg)
+        np.testing.assert_array_equal(coarse.times, own.times)
+        np.testing.assert_allclose(coarse.states[-1], dense_exact(system), atol=1e-9)
 
     def test_decomposed_grid_matches_masked_run(self, ladder_system):
         # Restrict the drive to the PWL source; stepping on the full
@@ -319,9 +326,6 @@ class TestFixedStep:
         # one pair per step plus the operating-point solve
         assert result.substitution_pairs == n_steps + 1
         assert result.factorizations == 2
-        given_x0 = stepper.solve_transient(dc_rc_system, cfg, x0=np.ones(1))
-        assert given_x0.substitution_pairs == n_steps
-        assert given_x0.factorizations == 1
 
 
 class TestPostprocessing:
