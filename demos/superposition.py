@@ -1,14 +1,12 @@
-"""Input superposition: split sources into groups, solve in parallel,
-merge deterministically.
+"""Input superposition: split sources into groups, solve each, merge.
 
 A linear circuit's response to a sum of inputs is the sum of the
 responses. The planner groups sources that share their exact set of
-slope-change times, each group is integrated independently as its own
-subsystem (cheaper: fewer fresh bases per subtask), and the merge is a
-plain sum in fixed group order, so the bytes of the result do not
-depend on the worker count.
+slope-change times, each group is integrated as its own subsystem
+(cheaper: fewer fresh bases per subtask), and the merge is a plain sum
+in fixed group order.
 
-Run from the repository root:  python3 demos/superposed_workers.py
+Run from the repository root:  python3 demos/superposition.py
 """
 
 import numpy as np
@@ -24,7 +22,7 @@ def main():
     system = es.build_system(mesh.text)
     config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
 
-    sup = decomp.run_superposed(system, config, workers=4)
+    sup = decomp.run_superposed(system, config)
     plan = sup.plan
     print(f"{system.num_sources} sources -> {plan.num_groups} groups: {plan.groups}")
     for g in range(plan.num_groups):
@@ -37,20 +35,13 @@ def main():
     print(f"\nmerged vs undecomposed: max |diff| = {diff:.3e} "
           f"(budget e_tol = {config.e_tol:.0e})")
 
-    byte_stable = all(
-        decomp.run_superposed(system, config, workers=w).merged.states.tobytes()
-        == sup.merged.states.tobytes()
-        for w in (1, 2, 8)
-    )
-    print(f"byte-identical across 1/2/4/8 workers: {byte_stable}")
-
     print("\nper-subtask cost:")
     for g, sub in enumerate(sup.subtasks):
         print(f"  group {g}: pairs {sub.substitution_pairs:5d}  "
               f"m_peak {sub.m_peak:3d}  reused steps {sub.reused_steps}")
 
     n_fixed = 1000
-    est = decomp.speedup_model(
+    predicted = decomp.speedup_model(
         n_fixed_steps=n_fixed,
         total_transitions=sum(g.size for g in plan.group_lts),
         max_group_transitions=max(g.size for g in plan.group_lts),
@@ -60,8 +51,7 @@ def main():
     )
     measured = n_fixed / max(s.substitution_pairs for s in sup.subtasks)
     print(f"\ncost model vs a {n_fixed}-step fixed-step run:")
-    print(f"  predicted advantage {est.versus_fixed:.2f}x "
-          f"(distributed over one worker: {est.distributed:.2f}x)")
+    print(f"  predicted advantage {predicted:.2f}x")
     print(f"  measured advantage  {measured:.2f}x "
           "(fixed steps / critical-path pairs)")
 

@@ -28,7 +28,7 @@ from .errors import NetlistError, NumericalError
 
 # Version of the --diag JSON layout; bumped whenever a key is removed or
 # changes meaning.
-DIAG_SCHEMA = 1
+DIAG_SCHEMA = 2
 
 
 def _value(text: str) -> float:
@@ -106,7 +106,12 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
         help="max source groups for superposition; exponential methods only "
         f"(default {decomp.MAX_GROUPS_DEFAULT})",
     )
-    p.add_argument("--workers", type=int, default=1, help="thread workers (default 1)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="at least 1; groups run in one thread, kept for existing callers",
+    )
     p.add_argument("--tstart", type=_value, help="override the netlist start time")
     p.add_argument("--tstop", type=_value, help="override the netlist stop time")
 
@@ -139,7 +144,6 @@ def cmd_simulate(args) -> int:
             "e_tol": config.e_tol,
             "gamma": merged.gamma,
             "groups": run.plan.num_groups,
-            "workers": args.workers,
             "substitution_pairs": merged.substitution_pairs,
             "factorizations": merged.factorizations,
             "wall_time": merged.wall_time,

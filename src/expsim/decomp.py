@@ -24,7 +24,6 @@ one group.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass
 
@@ -109,14 +108,16 @@ def run_superposed(
     carries its own share of the operating point; with one group this
     is literally the undecomposed solve. tr and be always run as one
     group. The exponential methods factor the whole circuit's operator
-    once here and every group steps with a counting copy of it: the
-    merged factorizations are that operator's, each subtask reports 0
-    and tallies only its own substitution pairs. Workers map to an
-    in-process thread pool: subtasks share nothing mutable, and the
-    merge always sums in group index order, so the result is identical
-    bytes for any worker count. The merged wall_time is this call's
-    elapsed time; each group's own time stays on its subtask.
+    once here and every group steps with it: the merged factorizations
+    are that operator's, each subtask reports 0 factorizations and the
+    substitution pairs it added. Groups run one after another in the
+    calling thread and the merge sums in group index order. workers
+    must be at least 1 and has no other effect; it is kept for existing
+    callers. The merged wall_time is this call's elapsed time; each
+    group's own time stays on its subtask.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     t_begin = time.perf_counter()
     t0, t1 = stepper.resolve_span(system, config)
     fixed_step = config.method in ("tr", "be")
@@ -128,16 +129,10 @@ def run_superposed(
         points = stepper._stepping_points(t0, t1, plan.gts)
         op = stepper.factor_matex(system, config, points)
 
-    def run_group(members: list[int]) -> stepper.WaveformResult:
-        return stepper.solve_transient(
-            system.subsystem(members), config, gts=plan.gts, op=op
-        )
-
-    if workers <= 1 or plan.num_groups == 1:
-        results = [run_group(g) for g in plan.groups]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_group, plan.groups))
+    results = [
+        stepper.solve_transient(system.subsystem(g), config, gts=plan.gts, op=op)
+        for g in plan.groups
+    ]
 
     first = results[0]
     for r in results[1:]:
@@ -148,7 +143,7 @@ def run_superposed(
 
     merged_states = np.zeros_like(first.states)
     for r in results:
-        merged_states = merged_states + r.states
+        merged_states += r.states
 
     merged = stepper.WaveformResult(
         times=first.times.copy(),
@@ -165,12 +160,6 @@ def run_superposed(
     return SuperposedResult(merged=merged, subtasks=results, plan=plan)
 
 
-@dataclass
-class SpeedupEstimate:
-    distributed: float
-    versus_fixed: float
-
-
 def speedup_model(
     n_fixed_steps: int,
     total_transitions: int,
@@ -180,33 +169,27 @@ def speedup_model(
     t_h: float = 0.0,
     t_e: float = 0.0,
     t_serial: float = 0.0,
-) -> SpeedupEstimate:
-    """Cost-model speedups of the decomposed exponential run.
+) -> float:
+    """Cost-model speedup of the decomposed exponential run over fixed steps.
 
     With K total local transitions across groups, k the largest count
-    on any one worker, m the typical basis dimension, T_bs the cost of
+    in any one group, m the typical basis dimension, T_bs the cost of
     one substitution pair, T_H and T_e the per-basis projection and
-    small-exponential costs, and T_serial everything unparallelized:
-
-        distributed   = (K m T_bs + K (T_H + T_e) + T_serial)
-                      / (k m T_bs + K (T_H + T_e) + T_serial)
+    small-exponential costs, T_serial everything else, and N the
+    fixed-step baseline's step count (one pair each):
 
         versus_fixed  = (N T_bs + T_serial)
                       / (k m T_bs + K (T_H + T_e) + T_serial)
 
-    where N is the fixed-step baseline's step count (one pair each).
+    k is the critical path when groups run on separate machines, as in
+    the paper; this package runs them one after another in one process.
     Input terms are left out: a group solves them once per source, two
     pairs each, however many spots it steps through.
     """
     if min(n_fixed_steps, total_transitions, max_group_transitions) < 0:
         raise ValueError("counts must be nonnegative")
-    k_total = total_transitions
-    k_max = max_group_transitions
-    overhead = k_total * (t_h + t_e) + t_serial
-    parallel_cost = k_max * m * t_bs + overhead
-    if parallel_cost <= 0:
+    cost = max_group_transitions * m * t_bs
+    cost += total_transitions * (t_h + t_e) + t_serial
+    if cost <= 0:
         raise ValueError("model cost is zero; nothing to compare")
-    return SpeedupEstimate(
-        distributed=(k_total * m * t_bs + overhead) / parallel_cost,
-        versus_fixed=(n_fixed_steps * t_bs + t_serial) / parallel_cost,
-    )
+    return (n_fixed_steps * t_bs + t_serial) / cost

@@ -23,7 +23,7 @@ with M the variant's build operator and H_m the raw Hessenberg matrix.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -76,7 +76,9 @@ class VariantOperator:
     for the exact residual formulas (one extra apply of A, i.e. a C
     solve), falling back to the empirical surrogate without them.
     shift_factors exist for the rational variant only. Made by
-    factor_operator.
+    factor_operator. The factors' solve_count tallies are plain
+    counters for one thread: a run sharing the operator reads its pairs
+    as how much their sum grew.
     """
 
     variant: Variant
@@ -111,19 +113,6 @@ class VariantOperator:
             for f in (self.g_factors, self.c_factors, self.shift_factors)
             if f is not None
         ]
-
-    def counting_copy(self) -> "VariantOperator":
-        """The same factorizations with substitution tallies of their own, at zero."""
-
-        def fresh(f):
-            return None if f is None else replace(f, solve_count=0)
-
-        return replace(
-            self,
-            g_factors=fresh(self.g_factors),
-            c_factors=fresh(self.c_factors),
-            shift_factors=fresh(self.shift_factors),
-        )
 
 
 def factor_operator(

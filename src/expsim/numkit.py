@@ -3,9 +3,9 @@
 Everything the rest of the package does reduces to three primitives:
 assembling compressed sparse column matrices from coordinate triplets,
 factorizing them once, and back-substituting many times. Substitutions
-are the unit of cost in the distributed-cost model; each factor counts
-its own in ``solve_count``, and a run's cost is the sum over the
-factors it made, so concurrent runs never share a tally.
+are the unit of cost in the speedup model; each factor counts its own
+in ``solve_count``, and a run's cost is what it added to the factors it
+stepped with.
 
 The heavy lifting is delegated to scipy (SuperLU ordered by minimum
 degree on A + A^T, since MNA matrices have a symmetric pattern); this
@@ -118,8 +118,7 @@ class LuFactors:
 
     solve() performs one forward/backward substitution pair per
     right-hand side and adds them to solve_count, the only substitution
-    tally in the package. dataclasses.replace(f, solve_count=0) is a
-    counting copy: it shares the factorization and tallies on its own.
+    tally in the package.
     """
 
     n: int

@@ -224,7 +224,7 @@ def solve_transient_matex(
     sources change slope; at the others the previous basis is reused.
     op, made by factor_matex for the same C, G, config and stepping
     points, is stepped with instead of factoring anew; the run then
-    counts its own substitution pairs on a counting copy and no
+    reports the substitution pairs it added to op's tallies and no
     factorizations.
     """
     t_begin = time.perf_counter()
@@ -238,12 +238,11 @@ def solve_transient_matex(
     )
     spot_atol = 1e-9 * span
 
+    factorizations = 0
     if op is None:
         op = factor_matex(system, config, points)
         factorizations = len(op.factors())
-    else:
-        op = op.counting_copy()
-        factorizations = 0
+    pairs_before = sum(f.solve_count for f in op.factors())
 
     w, theta = _input_terms(system, op.g_factors, points)
     x = -w[0]
@@ -288,7 +287,7 @@ def solve_transient_matex(
         names=list(system.names),
         method=config.method,
         steps=steps,
-        substitution_pairs=sum(f.solve_count for f in op.factors()),
+        substitution_pairs=sum(f.solve_count for f in op.factors()) - pairs_before,
         factorizations=factorizations,
         wall_time=time.perf_counter() - t_begin,
         gamma=op.gamma,

@@ -10,8 +10,6 @@ The autouse audit records every basis krylov.arnoldi returns during a
 test and re-verifies its invariants at teardown.
 """
 
-import threading
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -173,18 +171,15 @@ def audited_bases(monkeypatch):
 
     krylov.arnoldi is replaced by a recorder for the whole suite, so any
     run anywhere that emits a basis gets both invariants re-checked on
-    teardown. The recorder locks because run_superposed runs groups on
-    threads. Yields the list of recorded nonempty bases.
+    teardown. Yields the list of recorded nonempty bases.
     """
     bases = []
-    lock = threading.Lock()
     build = krylov.arnoldi
 
     def recording_arnoldi(*args, **kwargs):
         basis = build(*args, **kwargs)
         if basis.m > 0:
-            with lock:
-                bases.append(basis)
+            bases.append(basis)
         return basis
 
     monkeypatch.setattr(krylov, "arnoldi", recording_arnoldi)

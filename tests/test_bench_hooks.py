@@ -57,6 +57,7 @@ def test_every_layer_target_installs(tracer, ladder_system):
             "krylov.VariantOperator.ode_apply", "numkit.LuFactors.solve"} <= traced
 
 
+# workers=2 is the call shape of perfbench/run.py on grid10k-groups.
 @pytest.mark.parametrize("workers", [1, 2])
 def test_group_runs_hang_under_the_superposed_run(tracer, ladder_system, workers):
     # layers_of counts decomp.groups and parallel_eff from exactly the

@@ -119,12 +119,12 @@ class TestSimulate:
         assert rc == 0
         diag = json.loads(diag_path.read_text())
         assert diag["method"] == "rmatex"
-        assert diag["schema"] == 1
+        assert diag["schema"] == 2
+        assert "workers" not in diag
         assert "input_path" not in diag
         assert diag["e_tol"] == 1e-8
         assert diag["gamma"] > 0
         assert diag["groups"] == 2
-        assert diag["workers"] == 1
         assert diag["substitution_pairs"] > 0
         assert diag["factorizations"] > 0
         assert diag["samples"] >= 2
@@ -138,11 +138,10 @@ class TestSimulate:
             assert {"t", "h", "m", "estimate", "reused", "estimate_kind",
                     "anchor"} <= step.keys()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path, workers):
+    def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path):
         diag_path = tmp_path / "diag.json"
         rc = cli.main(
-            ["simulate", netlist_file, "--etol", "1e-8", "--workers", workers,
+            ["simulate", netlist_file, "--etol", "1e-8",
              "--out", str(tmp_path / "wave.csv"), "--diag", str(diag_path)]
         )
         assert rc == 0
@@ -154,18 +153,6 @@ class TestSimulate:
         assert diag["substitution_pairs"] == sum(
             s["substitution_pairs"] for s in diag["subtasks"]
         )
-
-    def test_workers_do_not_change_output(self, netlist_file, tmp_path):
-        outs = []
-        for w in ("1", "4"):
-            out = tmp_path / f"wave{w}.csv"
-            rc = cli.main(
-                ["simulate", netlist_file, "--etol", "1e-8",
-                 "--workers", w, "--out", str(out)]
-            )
-            assert rc == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
 
     def test_fixed_step_solver(self, netlist_file, tmp_path):
         out = tmp_path / "wave.csv"
@@ -264,6 +251,12 @@ class TestExitCodes:
         rc = cli.main(["compare", netlist_file, "--solvers", "tr"])
         assert rc == 2
         assert "fixed step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, netlist_file, capsys, workers):
+        rc = cli.main(["simulate", netlist_file, "--workers", workers])
+        assert rc == 2
+        assert "numerical error: workers must be at least 1" in capsys.readouterr().err
 
     def test_fixed_step_without_h(self, netlist_file, capsys):
         rc = cli.main(["simulate", netlist_file, "--solver", "tr"])

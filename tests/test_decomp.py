@@ -161,34 +161,19 @@ class TestRunSuperposed:
         assert diff < 10.0 * cfg.e_tol
         assert any(r.reused_steps > 0 for r in sup.subtasks)
 
-    @pytest.mark.parametrize("method", ["tr", "rmatex"])
-    def test_worker_count_does_not_change_bytes(self, mixed_system, method):
-        cfg = (
-            stepper.SolverConfig(method="tr", h=2e-12)
-            if method == "tr"
-            else stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-        )
-        runs = {
-            w: decomp.run_superposed(mixed_system, cfg, workers=w)
-            for w in (1, 2, 8)
-        }
-        ref = runs[1].merged
-        for w in (2, 8):
-            assert runs[w].merged.states.tobytes() == ref.states.tobytes()
-            assert runs[w].merged.times.tobytes() == ref.times.tobytes()
-
-    def test_group_tallies_do_not_depend_on_workers(self, mixed_system):
-        # Every group counts its pairs on its own copies of the shared
-        # factors, so concurrent groups never add to each other's tally.
+    def test_each_group_equals_its_standalone_run(self, mixed_system):
+        # A group reads its pairs off the shared operator as how much
+        # its tallies grew, so no group carries an earlier group's pairs.
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-        tallies = {
-            w: [r.substitution_pairs for r in
-                decomp.run_superposed(mixed_system, cfg, workers=w).subtasks]
-            for w in (1, 2, 8)
-        }
-        assert len(tallies[1]) == 4
-        assert tallies[2] == tallies[1]
-        assert tallies[8] == tallies[1]
+        sup = decomp.run_superposed(mixed_system, cfg)
+        assert len(sup.subtasks) == 4
+        for members, r in zip(sup.plan.groups, sup.subtasks):
+            alone = stepper.solve_transient(
+                mixed_system.subsystem(members), cfg, gts=sup.plan.gts
+            )
+            assert r.substitution_pairs == alone.substitution_pairs
+            assert r.times.tobytes() == alone.times.tobytes()
+            assert r.states.tobytes() == alone.states.tobytes()
 
     def test_single_source_is_undecomposed(self, singular_c_system):
         cfg = stepper.SolverConfig(method="imatex", e_tol=1e-8)
@@ -201,7 +186,7 @@ class TestRunSuperposed:
 
     def test_merged_accounting_sums_subtasks(self, mixed_system):
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-        sup = decomp.run_superposed(mixed_system, cfg, workers=1)
+        sup = decomp.run_superposed(mixed_system, cfg)
         assert sup.merged.substitution_pairs == sum(
             r.substitution_pairs for r in sup.subtasks
         )
@@ -212,8 +197,8 @@ class TestRunSuperposed:
         assert sup.merged.factorizations == one_group.merged.factorizations == 3
         assert all(r.factorizations == 0 for r in sup.subtasks)
         assert len(sup.merged.steps) == sum(len(r.steps) for r in sup.subtasks)
-        # One worker runs the groups one after another, so the call's
-        # own elapsed time covers every group's.
+        # The groups run one after another, so the call's own elapsed
+        # time covers every group's.
         assert sup.merged.wall_time >= sum(r.wall_time for r in sup.subtasks)
 
 
@@ -222,8 +207,7 @@ class TestSpeedupModel:
         est = decomp.speedup_model(
             n_fixed_steps=1000, total_transitions=20, max_group_transitions=10, m=5
         )
-        assert est.distributed == pytest.approx(2.0)
-        assert est.versus_fixed == pytest.approx(20.0)
+        assert est == pytest.approx(20.0)
 
     def test_overhead_terms(self):
         est = decomp.speedup_model(
@@ -235,9 +219,8 @@ class TestSpeedupModel:
             t_e=1.0,
             t_serial=10.0,
         )
-        # overhead 20*(1+1)+10 = 50, parallel cost 10*5+50 = 100
-        assert est.distributed == pytest.approx(150.0 / 100.0)
-        assert est.versus_fixed == pytest.approx(1010.0 / 100.0)
+        # overhead 20*(1+1)+10 = 50, cost 10*5+50 = 100
+        assert est == pytest.approx(1010.0 / 100.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,6 @@ Krylov projections use against a compensated Taylor series. The LU
 ordering is held to the fill it reaches on an MNA grid.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -211,13 +209,6 @@ class TestCounters:
         assert factors.solve_count == 3
         factors.solve(np.ones((4, 0)))
         assert factors.solve_count == 3
-
-    def test_counting_copy_shares_the_factorization(self):
-        factors = numkit.lu_factorize(numkit.from_scipy(sp.identity(4) * 2.0))
-        factors.solve(np.ones(4))
-        copy = dataclasses.replace(factors, solve_count=0)
-        np.testing.assert_array_equal(copy.solve(np.ones(4)), np.full(4, 0.5))
-        assert (factors.solve_count, copy.solve_count) == (1, 1)
 
 
 class TestDenseExpm:

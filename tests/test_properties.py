@@ -90,9 +90,6 @@ def test_factor_operator_matches_dense(text, gamma, seed):
             a = -np.linalg.solve(cd, gd)
             assert_close(op.ode_apply(v), a @ v, a, v)
 
-        tallies = [f.solve_count for f in op.factors()]
-        copy = op.counting_copy()
-        assert [f.solve_count for f in copy.factors()] == [0] * len(tallies)
-        copy.apply(v)
-        assert sum(f.solve_count for f in copy.factors()) == 1
-        assert [f.solve_count for f in op.factors()] == tallies
+        pairs = sum(f.solve_count for f in op.factors())
+        op.apply(v)
+        assert sum(f.solve_count for f in op.factors()) == pairs + 1
