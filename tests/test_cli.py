@@ -138,10 +138,13 @@ class TestSimulate:
             assert {"t", "h", "m", "estimate", "reused", "estimate_kind",
                     "anchor"} <= step.keys()
 
-    def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path, workers):
+        # --workers is still accepted; whatever its value, the reported
+        # pairs are those of one superposed run.
         diag_path = tmp_path / "diag.json"
         rc = cli.main(
-            ["simulate", netlist_file, "--etol", "1e-8",
+            ["simulate", netlist_file, "--etol", "1e-8", "--workers", workers,
              "--out", str(tmp_path / "wave.csv"), "--diag", str(diag_path)]
         )
         assert rc == 0
