@@ -204,6 +204,8 @@ def cmd_compare(args) -> int:
     # Reject a bad configuration before the reference run, which can
     # take far longer than the solvers compared.
     configs = [_make_config(args, solver) for solver in solvers]
+    if args.workers < 1:
+        raise ValueError("workers must be at least 1")
     oracle = _oracle(system, args)
     rows = []
     for solver, config in zip(solvers, configs):

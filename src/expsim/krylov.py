@@ -23,10 +23,10 @@ with M the variant's build operator and H_m the raw Hessenberg matrix.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import numkit
 from .errors import BasisDegenerate, NoConvergence, NumericalError
@@ -53,13 +53,59 @@ class Variant(enum.Enum):
     RATIONAL = "rational"
 
 
-def _projected_expm(m: np.ndarray) -> np.ndarray:
-    # Pade scaling-and-squaring on the m x m projection. Low-dimension
-    # projections of a stable generator can stick out into the right
-    # half plane and overflow; the resulting infs just read as a failed
-    # convergence check, so the warnings are noise.
+# Higham's [13/13] Pade approximant ("The scaling and squaring method for
+# the matrix exponential revisited", SIMAX 26, 2005), written as
+# U = A (A6 U_in + U_out) and V = A6 V_in + V_out with the four inner
+# sums combinations of I, A2, A4, A6: one row of coefficients each.
+_PADE13_ROWS = np.array([
+    [0.0, 40840800.0, 16380.0, 1.0],  # U_in:  b9,  b11, b13
+    [32382376266240000.0, 1187353796428800.0, 10559470521600.0,
+     33522128640.0],  # U_out: b1, b3, b5, b7
+    [0.0, 1323241920.0, 960960.0, 182.0],  # V_in:  b8,  b10, b12
+    [64764752532480000.0, 7771770303897600.0, 129060195264000.0,
+     670442572800.0],  # V_out: b0, b2, b4, b6
+])
+# The 1-norm up to which that approximant meets double precision.
+_THETA13 = 5.371920351148152
+
+
+def _projected_expm(a: np.ndarray) -> np.ndarray:
+    """e^a of a small dense matrix: [13/13] Pade scaling and squaring.
+
+    Built on np.linalg.solve and @ alone, which stay on the calling
+    thread at these sizes, where scipy.linalg.expm wakes the BLAS
+    thread pool on every call. A zero matrix gives the identity exactly.
+    Low-dimension projections of a stable generator can stick out into
+    the right half plane and overflow; non-finite input or a singular
+    denominator gives all nan. Either reads as a failed convergence
+    check, so nothing is raised or warned.
+    """
+    n = a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        return scipy.linalg.expm(m)
+        norm = float(np.abs(a).sum(axis=0).max())
+        if norm == 0.0:
+            return np.eye(n)
+        if not math.isfinite(norm):
+            return np.full((n, n), np.nan)
+        s = max(0, math.ceil(math.log2(norm / _THETA13)))
+        a = a / 2.0**s
+        powers = np.empty((4, n, n))  # I, A2, A4, A6
+        powers[0] = np.eye(n)
+        np.matmul(a, a, out=powers[1])
+        np.matmul(powers[1], powers[1], out=powers[2])
+        np.matmul(powers[2], powers[1], out=powers[3])
+        a6 = powers[3]
+        sums = _PADE13_ROWS @ powers.reshape(4, n * n)
+        u_in, u_out, v_in, v_out = sums.reshape(4, n, n)
+        u = a @ (a6 @ u_in + u_out)
+        v = a6 @ v_in + v_out
+        try:
+            r = np.linalg.solve(v - u, v + u)
+        except np.linalg.LinAlgError:
+            return np.full((n, n), np.nan)
+        for _ in range(s):
+            r = r @ r
+    return r
 
 
 @dataclass
@@ -174,6 +220,9 @@ class KrylovBasis:
     # (rational); v_next is fixed, so reused-basis estimates pay the
     # extra C solve only once.
     _exact_scale: float | None = field(default=None, repr=False)
+    # (h, e^{h H_eff} e1) as step_error_estimate left it, so expm_action
+    # at the same h needs no second small exponential.
+    _action_column: tuple[float, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -229,22 +278,31 @@ def expm_action(basis: KrylovBasis, h: float) -> np.ndarray:
     """beta * V * e^{h H_eff} e1: the projected propagator action.
 
     Valid for any nonnegative h, not just the one the basis converged
-    at; reused-basis steps exploit exactly that.
+    at; reused-basis steps exploit exactly that. After
+    step_error_estimate(basis, h) the column e^{h H_eff} e1 is already
+    on the basis and no exponential is evaluated here.
     """
     if basis.m == 0:
         return np.zeros(basis.operator.dim)
-    e_h = _projected_expm(h * basis.effective_generator())
-    return basis.beta * (basis.v_basis @ e_h[:, 0])
+    cached = basis._action_column
+    if cached is not None and cached[0] == h:
+        column = cached[1]
+    else:
+        column = _projected_expm(h * basis.effective_generator())[:, 0]
+    return basis.beta * (basis.v_basis @ column)
 
 
-def _residual_rate(basis: KrylovBasis, e_s: np.ndarray) -> tuple[float, str]:
-    """||r_m(s)|| given e^{s H_eff}: the per-variant residual-norm formula.
+def _residual_rate(
+    basis: KrylovBasis, first_columns: np.ndarray
+) -> tuple[np.ndarray, str]:
+    """||r_m(s)|| for each column e^{s H_eff} e1 of first_columns.
 
-    The standard variant reads the classical Arnoldi overflow term. The
-    inverted and rational variants use their exact expressions whenever
-    the operator carries C factors to apply A (one C solve per basis,
-    cached on it); when C is singular they do not exist and the rate
-    drops to the empirical surrogate
+    first_columns is (m, k), one column per time s, and the k rates
+    come back as one array. The standard variant reads the classical
+    Arnoldi overflow term. The inverted and rational variants use their
+    exact expressions whenever the operator carries C factors to apply
+    A (one C solve per basis, cached on it); when C is singular they do
+    not exist and the rate drops to the empirical surrogate
     |beta * h_next * e_m^T e^{s H_eff} e1|, which is reliable only once
     the basis is past the onset of convergence: it lacks the exact
     formulas' leading scale (||A v_next||, roughly 1/gamma for the
@@ -254,10 +312,11 @@ def _residual_rate(basis: KrylovBasis, e_s: np.ndarray) -> tuple[float, str]:
     """
     m = basis.m
     op = basis.operator
+    last = first_columns[m - 1]
     if basis.variant is Variant.STANDARD:
-        return basis.beta * abs(basis.h_next * e_s[m - 1, 0]), "exact"
+        return basis.beta * np.abs(basis.h_next * last), "exact"
     if op.c_factors is None:
-        return basis.beta * abs(basis.h_next * e_s[m - 1, 0]), "empirical"
+        return basis.beta * np.abs(basis.h_next * last), "empirical"
     if basis._exact_scale is None:
         av = op.ode_apply(basis.v_next)
         if basis.variant is Variant.INVERTED:
@@ -268,11 +327,11 @@ def _residual_rate(basis: KrylovBasis, e_s: np.ndarray) -> tuple[float, str]:
             )
     # e_m^T Hraw^-1 e^{s H_eff} e1 without forming the inverse:
     # inverted has Hraw^-1 = H_eff, rational I - gamma H_eff.
-    col = basis.effective_generator() @ e_s[:, 0]
+    row = basis.effective_generator()[m - 1] @ first_columns
     if basis.variant is Variant.INVERTED:
-        tail = abs(col[m - 1])
+        tail = np.abs(row)
     else:
-        tail = abs(e_s[m - 1, 0] - op.gamma * col[m - 1])
+        tail = np.abs(last - op.gamma * row)
     return basis.beta * abs(basis.h_next) * basis._exact_scale * tail, "exact"
 
 
@@ -290,25 +349,27 @@ def step_error_estimate(basis: KrylovBasis, h: float) -> tuple[float, str]:
     Quadrature runs over geometric panels with nodes h/2^L, ..., h/2, h
     (L = ESTIMATE_LEVELS), each panel bounded by its larger endpoint
     rate. All nodes come from one small matrix exponential squared up
-    level by level.
+    level by level, and all rates from one _residual_rate call on the
+    levels' first columns. The last of them, e^{h H_eff} e1, stays on
+    the basis for expm_action at the same h.
     """
     if basis.m == 0 or basis.h_next == 0.0:
         return 0.0, "breakdown"
     width = h / 2.0**ESTIMATE_LEVELS
     with np.errstate(over="ignore", invalid="ignore"):
         e_s = _projected_expm(width * basis.effective_generator())
-        rates = []
-        while True:
-            rate, kind = _residual_rate(basis, e_s)
-            rates.append(rate)
-            if len(rates) > ESTIMATE_LEVELS:
-                break
+        first_columns = np.empty((basis.m, ESTIMATE_LEVELS + 1))
+        first_columns[:, 0] = e_s[:, 0]
+        for level in range(1, ESTIMATE_LEVELS + 1):
             e_s = e_s @ e_s
+            first_columns[:, level] = e_s[:, 0]
+        rates, kind = _residual_rate(basis, first_columns)
+        basis._action_column = (h, e_s[:, 0])
+        rates = rates.tolist()
         est = rates[0] * width
         for j in range(ESTIMATE_LEVELS):
             est += max(rates[j], rates[j + 1]) * width
             width *= 2.0
-    est = float(est)
     if not np.isfinite(est):
         est = float("inf")
     return est, kind

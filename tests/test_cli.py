@@ -256,6 +256,19 @@ class TestExitCodes:
         assert "fixed step" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_compare_rejects_workers_before_oracle(
+        self, netlist_file, capsys, monkeypatch, workers
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the reference ran before the workers were checked")
+
+        monkeypatch.setattr(stepper, "solve_transient_be", no_oracle)
+        rc = cli.main(["compare", netlist_file, "--solvers", "rmatex",
+                       "--workers", workers])
+        assert rc == 2
+        assert "numerical error: workers must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, netlist_file, capsys, workers):
         rc = cli.main(["simulate", netlist_file, "--workers", workers])
         assert rc == 2

@@ -154,7 +154,8 @@ def residual_rate(basis, s):
     """(||r_m(s)||, kind) from the per-variant shortcut formula."""
     with np.errstate(over="ignore", invalid="ignore"):
         e_s = krylov._projected_expm(s * basis.effective_generator())
-        return krylov._residual_rate(basis, e_s)
+        rates, kind = krylov._residual_rate(basis, e_s[:, :1])
+        return float(rates[0]), kind
 
 
 def dense_residual_norm(fam, basis, s):
@@ -287,6 +288,62 @@ class TestReuse:
             krylov.expm_action(b1, h3) - krylov.expm_action(fresh, h3)
         )
         assert diff <= 10.0 * est + 1e-12 * v_norm
+
+
+def count_projected_expm(monkeypatch):
+    """Replace krylov._projected_expm by a counting wrapper; returns the calls."""
+    calls = []
+    real = krylov._projected_expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(krylov, "_projected_expm", counted)
+    return calls
+
+
+class TestOneExponentialPerStep:
+    @pytest.mark.parametrize("which", VARIANTS)
+    def test_action_after_estimate_reuses_its_column(
+        self, estimator_family, which, monkeypatch
+    ):
+        fam = estimator_family
+        basis = full_basis(fam, which, m_max=6)
+        assert not basis.breakdown
+        expected = basis.beta * (
+            basis.v_basis
+            @ krylov._projected_expm(fam.h * basis.effective_generator())[:, 0]
+        )
+        calls = count_projected_expm(monkeypatch)
+        krylov.step_error_estimate(basis, fam.h)
+        got = krylov.expm_action(basis, fam.h)
+        assert len(calls) == 1
+        np.testing.assert_allclose(
+            got, expected, rtol=0, atol=1e-12 * np.linalg.norm(expected)
+        )
+        krylov.expm_action(basis, 2.0 * fam.h)
+        assert len(calls) == 2
+
+    def test_whole_run_one_exponential_per_estimate(self, stiff_mesh, monkeypatch):
+        _, system = stiff_mesh
+        estimates = []
+        estimate = krylov.step_error_estimate
+
+        def counted_estimate(basis, h):
+            est, kind = estimate(basis, h)
+            if basis.m > 0:  # a zero start vector's basis evaluates nothing
+                estimates.append(kind)
+            return est, kind
+
+        monkeypatch.setattr(krylov, "step_error_estimate", counted_estimate)
+        calls = count_projected_expm(monkeypatch)
+        cfg = es.SolverConfig(method="rmatex", e_tol=1e-6)
+        run = es.run_superposed(system, cfg, max_groups=system.num_sources)
+        steps = run.merged.steps
+        assert any(s.reused for s in steps) and not all(s.reused for s in steps)
+        assert "breakdown" not in estimates
+        assert len(calls) == len(estimates) > len(steps)
 
 
 class TestOperatorValidation:

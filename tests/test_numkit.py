@@ -3,9 +3,12 @@
 Each numerical kernel is checked against an independently computed
 reference: triplet assembly against a dense accumulation loop, LU
 solves against numpy's dense solver, the small dense exponential the
-Krylov projections use against a compensated Taylor series. The LU
+Krylov projections use against a compensated Taylor series and, on
+stiff symmetric spectra, against the eigendecomposition. The LU
 ordering is held to the fill it reaches on an MNA grid.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -228,3 +231,35 @@ class TestDenseExpm:
     def test_scalar_decay(self):
         got = krylov._projected_expm(np.array([[-1.0]]))
         np.testing.assert_allclose(got, [[np.exp(-1.0)]], rtol=1e-15)
+
+
+class TestDenseExpmStiff:
+    """The projections of stiff circuits: large norms, nothing escapes."""
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 30])
+    @pytest.mark.parametrize("norm", [1e2, 1e4, 1e6])
+    def test_symmetric_negative_definite(self, n, norm):
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # Decades from 0.1 up to the norm: slow modes survive the step.
+        lam = -np.logspace(-1.0, np.log10(norm), n)
+        lam *= norm / np.abs((q * lam) @ q.T).sum(axis=0).max()
+        a = (q * lam) @ q.T
+        exact = (q * np.exp(lam)) @ q.T
+        err = np.abs(krylov._projected_expm(a) - exact).max()
+        assert err <= 1e-15 * np.abs(a).sum(axis=0).max()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_gives_nan(self, bad):
+        a = np.array([[-1.0, 0.5], [bad, -2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = krylov._projected_expm(a)
+        assert np.isnan(got).all()
+
+    def test_right_half_plane_overflows_quietly(self):
+        a = np.array([[1e4, 0.0], [1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = krylov._projected_expm(a)
+        assert not np.isfinite(got).all()
