@@ -6,7 +6,8 @@ Three subcommands:
   optionally a JSON diagnostics file.
 * compare: run several solvers on the same netlist and tabulate basis
   dimensions, substitution pairs and error against a fine-step
-  backward-Euler reference.
+  backward-Euler reference, whose own error is printed above the
+  table; an error within 10x of it reads as "<" that limit.
 * genmesh: emit a synthetic RC mesh netlist with a calibrated
   stiffness ratio.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
@@ -29,6 +31,10 @@ from .errors import NetlistError, NumericalError
 # Version of the --diag JSON layout; bumped whenever a key is removed or
 # changes meaning.
 DIAG_SCHEMA = 2
+
+# compare resolves a solver's error only when it is at least this many
+# times the reference's own error.
+RESOLVED_FACTOR = 10.0
 
 
 def _value(text: str) -> float:
@@ -161,18 +167,7 @@ def cmd_simulate(args) -> int:
                 }
                 for g, r in enumerate(run.subtasks)
             ],
-            "steps": [
-                {
-                    "t": s.t,
-                    "h": s.h,
-                    "m": s.m,
-                    "estimate": s.estimate,
-                    "reused": s.reused,
-                    "estimate_kind": s.estimate_kind,
-                    "anchor": s.anchor,
-                }
-                for s in merged.steps
-            ],
+            "steps": [dataclasses.asdict(s) for s in merged.steps],
         }
         with open(args.diag, "w") as fh:
             json.dump(diag, fh, indent=2)
@@ -180,7 +175,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _oracle(system, args) -> stepper.WaveformResult:
+def _oracle(system, args) -> tuple[stepper.WaveformResult, float]:
+    """Backward-Euler reference at step h and its own error in percent.
+
+    Backward Euler is first order, so its run at 2h deviates from its
+    run at h by about the error of the run at h; that deviation is the
+    reference's own error.
+    """
     t0, t1 = stepper.resolve_span(
         system, stepper.SolverConfig(method="rmatex", t_start=args.tstart, t_stop=args.tstop)
     )
@@ -189,10 +190,14 @@ def _oracle(system, args) -> stepper.WaveformResult:
         spots = stepper.active_transitions(system, t0, t1)
         pts = stepper._stepping_points(t0, t1, spots)
         h = float(np.diff(pts).min()) / 100.0
-    steps = max(1, int(round((t1 - t0) / h)))
-    h = (t1 - t0) / steps
-    config = stepper.SolverConfig(method="be", h=h, t_start=t0, t_stop=t1)
-    return stepper.solve_transient_be(system, config)
+    steps = 2 * max(1, int(round((t1 - t0) / (2 * h))))
+    fine, coarse = (
+        stepper.solve_transient_be(
+            system, stepper.SolverConfig(method="be", h=(t1 - t0) / k, t_start=t0, t_stop=t1)
+        )
+        for k in (steps, steps // 2)
+    )
+    return fine, stepper.waveform_error(coarse, fine)
 
 
 def cmd_compare(args) -> int:
@@ -206,7 +211,10 @@ def cmd_compare(args) -> int:
     configs = [_make_config(args, solver) for solver in solvers]
     if args.workers < 1:
         raise ValueError("workers must be at least 1")
-    oracle = _oracle(system, args)
+    if args.groups < 1:
+        raise ValueError("max_groups must be at least 1")
+    oracle, oracle_err = _oracle(system, args)
+    limit = RESOLVED_FACTOR * oracle_err
     rows = []
     for solver, config in zip(solvers, configs):
         try:
@@ -223,11 +231,13 @@ def cmd_compare(args) -> int:
                     "substitution_pairs": merged.substitution_pairs,
                     "factorizations": merged.factorizations,
                     "error_pct": float(err),
+                    "resolved": bool(err >= limit),
                     "wall_time": merged.wall_time,
                 }
             )
         except NumericalError as exc:
             rows.append({"solver": solver, "failed": str(exc)})
+    print(f"reference error: {oracle_err:.8f} % (backward Euler at 2h against h)")
     header = (
         f"{'solver':8s} {'m_avg':>8s} {'m_peak':>6s} {'pairs':>10s} "
         f"{'factor':>6s} {'err_pct':>14s} {'wall_s':>10s}"
@@ -237,14 +247,17 @@ def cmd_compare(args) -> int:
         if "failed" in row:
             print(f"{row['solver']:8s} failed: {row['failed']}")
             continue
+        err = f"{row['error_pct']:.8f}" if row["resolved"] else f"<{limit:.8f}"
         print(
             f"{row['solver']:8s} {row['m_average']:8.3f} {row['m_peak']:6d} "
             f"{row['substitution_pairs']:10d} {row['factorizations']:6d} "
-            f"{row['error_pct']:14.8f} {row['wall_time']:10.4f}"
+            f"{err:>14s} {row['wall_time']:10.4f}"
         )
     if args.report:
+        oracle_h = float(np.diff(oracle.times)[0])
+        report = {"oracle_h": oracle_h, "oracle_error_pct": oracle_err, "rows": rows}
         with open(args.report, "w") as fh:
-            json.dump({"oracle_h": float(np.diff(oracle.times)[0]), "rows": rows}, fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
     return 0
 

@@ -111,13 +111,16 @@ def run_superposed(
     once here and every group steps with it: the merged factorizations
     are that operator's, each subtask reports 0 factorizations and the
     substitution pairs it added. Groups run one after another in the
-    calling thread and the merge sums in group index order. workers
-    must be at least 1 and has no other effect; it is kept for existing
-    callers. The merged wall_time is this call's elapsed time; each
-    group's own time stays on its subtask.
+    calling thread and the merge sums in group index order. max_groups
+    must be at least 1 for every method. workers must be at least 1 and
+    has no other effect; it is kept for existing callers. The merged
+    wall_time is this call's elapsed time; each group's own time stays
+    on its subtask.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if max_groups < 1:
+        raise ValueError("max_groups must be at least 1")
     t_begin = time.perf_counter()
     t0, t1 = stepper.resolve_span(system, config)
     fixed_step = config.method in ("tr", "be")

@@ -35,6 +35,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import numkit
 from .errors import NetlistError, NoDcOperatingPoint, NumericalError
@@ -146,22 +148,16 @@ class Pulse(Waveform):
             return self.v2 + (self.v1 - self.v2) / self.t_fall * (tau - fall_start)
         return self.v1
 
-    def corner_offsets(self) -> tuple[float, float, float, float]:
-        return (
-            0.0,
-            self.t_rise,
-            self.t_rise + self.t_width,
-            self.t_rise + self.t_width + self.t_fall,
-        )
-
     def transition_times(self, t_start, t_stop):
+        fall_start = self.t_rise + self.t_width
+        offsets = (0.0, self.t_rise, fall_start, fall_start + self.t_fall)
         times = []
         k = 0
         while True:
             base = self.t_delay + k * self.t_period
             if base > t_stop:
                 break
-            for off in self.corner_offsets():
+            for off in offsets:
                 c = quantize_time(base + off)
                 if t_start <= c <= t_stop:
                     times.append(c)
@@ -224,34 +220,26 @@ class Netlist:
     t_stop: float | None = None
 
 
-def _parse_source_spec(spec: str, line_no: int) -> Waveform:
+def _parse_source_spec(spec: str) -> Waveform:
     spec = spec.strip()
     upper = spec.upper()
-    try:
-        if upper.startswith("DC"):
-            return Dc(parse_value(spec[2:].strip()))
-        if upper.startswith("PULSE"):
-            m = re.match(r"PULSE\s*\((.*)\)\s*$", upper)
-            if not m:
-                raise ValueError("malformed PULSE(...)")
-            args = [parse_value(tok) for tok in re.split(r"[\s,]+", m.group(1).strip()) if tok]
-            if len(args) != 7:
-                raise ValueError(f"PULSE takes 7 values, got {len(args)}")
-            v1, v2, td, tr, tf, tw, tp = args
-            return Pulse(v1, v2, td, tr, tf, tw, tp)
-        if upper.startswith("PWL"):
-            m = re.match(r"PWL\s*\((.*)\)\s*$", upper)
-            if not m:
-                raise ValueError("malformed PWL(...)")
-            args = [parse_value(tok) for tok in re.split(r"[\s,]+", m.group(1).strip()) if tok]
-            if len(args) < 2 or len(args) % 2:
-                raise ValueError("PWL takes an even number of values")
-            pts = tuple(zip(args[0::2], args[1::2]))
-            return Pwl(pts)
+    if upper.startswith("DC"):
+        return Dc(parse_value(spec[2:].strip()))
+    match = re.match(r"(PULSE|PWL)(?:\s*\((.*)\)\s*$)?", upper)
+    if match is None:
         # A bare number means DC.
         return Dc(parse_value(spec))
-    except ValueError as exc:
-        raise NetlistError(str(exc), line_no) from exc
+    kind, body = match.groups()
+    if body is None:
+        raise ValueError(f"malformed {kind}(...)")
+    args = [parse_value(tok) for tok in re.split(r"[\s,]+", body.strip()) if tok]
+    if kind == "PULSE":
+        if len(args) != 7:
+            raise ValueError(f"PULSE takes 7 values, got {len(args)}")
+        return Pulse(*args)
+    if len(args) < 2 or len(args) % 2:
+        raise ValueError("PWL takes an even number of values")
+    return Pwl(tuple(zip(args[0::2], args[1::2])))
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -263,48 +251,45 @@ def parse_netlist(text: str) -> Netlist:
         line = raw.split(";", 1)[0].strip()
         if not line or line.startswith("*"):
             continue
-        if line.startswith("."):
-            tokens = line.split()
-            card = tokens[0].upper()
-            if card == ".END":
-                break
-            if card == ".TRAN":
+        try:
+            if line.startswith("."):
+                tokens = line.split()
+                card = tokens[0].upper()
+                if card == ".END":
+                    break
+                if card != ".TRAN":
+                    raise ValueError(f"unknown directive {tokens[0]!r}")
                 if len(tokens) != 3:
-                    raise NetlistError(".TRAN takes start and stop times", line_no)
-                try:
-                    t_start = parse_value(tokens[1])
-                    t_stop = parse_value(tokens[2])
-                except ValueError as exc:
-                    raise NetlistError(str(exc), line_no) from exc
+                    raise ValueError(".TRAN takes start and stop times")
+                t_start = parse_value(tokens[1])
+                t_stop = parse_value(tokens[2])
                 if t_stop <= t_start:
-                    raise NetlistError(".TRAN stop must exceed start", line_no)
+                    raise ValueError(".TRAN stop must exceed start")
                 continue
-            raise NetlistError(f"unknown directive {tokens[0]!r}", line_no)
-        tokens = line.split(None, 3)
-        if len(tokens) < 4:
-            raise NetlistError("element line needs name, two nodes and a value", line_no)
-        name, pos, neg, rest = tokens[0], tokens[1], tokens[2], tokens[3]
-        kind = name[0].upper()
-        key = name.upper()
-        if key in seen_names:
-            raise NetlistError(f"duplicate element name {name!r}", line_no)
-        seen_names.add(key)
-        if pos.upper() == neg.upper():
-            raise NetlistError(f"element {name!r} shorts node {pos!r} to itself", line_no)
-        pos, neg = pos.upper(), neg.upper()
-        if kind in "RCL":
-            try:
+            tokens = line.split(None, 3)
+            if len(tokens) < 4:
+                raise ValueError("element line needs name, two nodes and a value")
+            name, pos, neg, rest = tokens
+            kind = name[0].upper()
+            key = name.upper()
+            if key in seen_names:
+                raise ValueError(f"duplicate element name {name!r}")
+            seen_names.add(key)
+            if pos.upper() == neg.upper():
+                raise ValueError(f"element {name!r} shorts node {pos!r} to itself")
+            pos, neg = pos.upper(), neg.upper()
+            if kind in "RCL":
                 value = parse_value(rest.split()[0])
-            except ValueError as exc:
-                raise NetlistError(str(exc), line_no) from exc
-            if value <= 0:
-                raise NetlistError(f"{name!r} must have a positive value", line_no)
-            elements.append(Element(kind, key, pos, neg, value=value))
-        elif kind in "IV":
-            wave = _parse_source_spec(rest, line_no)
-            elements.append(Element(kind, key, pos, neg, waveform=wave))
-        else:
-            raise NetlistError(f"unknown element type {name!r}", line_no)
+                if value <= 0:
+                    raise ValueError(f"{name!r} must have a positive value")
+                elements.append(Element(kind, key, pos, neg, value=value))
+            elif kind in "IV":
+                wave = _parse_source_spec(rest)
+                elements.append(Element(kind, key, pos, neg, waveform=wave))
+            else:
+                raise ValueError(f"unknown element type {name!r}")
+        except ValueError as exc:
+            raise NetlistError(str(exc), line_no) from exc
     if not elements:
         raise NetlistError("netlist has no elements")
     return Netlist(elements=elements, t_start=t_start, t_stop=t_stop)
@@ -359,28 +344,24 @@ def stamp_mna(netlist: Netlist) -> CircuitSystem:
 
     Unknown ordering: non-ground nodes in first-appearance order, then
     one branch current per voltage source or inductor in appearance
-    order. Nodes with no conductive path to ground get a warning (their
-    DC system is singular) but assembly still succeeds.
+    order. R (1/R into G) and C share one two-terminal stamp. L and V
+    share one branch stamp in G, the branch current's +-1 KCL column
+    and its voltage-law row; L adds -L on C's diagonal and V its column
+    of B. Nodes with no path to ground through R, L or V get a warning
+    (their DC system is singular) but assembly still succeeds.
     """
     node_index: dict[str, int] = {}
-
-    def node(name: str) -> int | None:
-        if name == "0":
-            return None
-        if name not in node_index:
-            node_index[name] = len(node_index)
-        return node_index[name]
-
-    # First pass fixes the node numbering and counts branches.
-    branches = [e for e in netlist.elements if e.kind in "VL"]
     for e in netlist.elements:
-        node(e.pos)
-        node(e.neg)
+        for name in (e.pos, e.neg):
+            if name != "0":
+                node_index.setdefault(name, len(node_index))
     n_nodes = len(node_index)
+    branches = [e.name for e in netlist.elements if e.kind in "VL"]
+    branch_index = {name: n_nodes + i for i, name in enumerate(branches)}
     n = n_nodes + len(branches)
-    branch_index = {e.name: n_nodes + i for i, e in enumerate(branches)}
-
     sources = [e for e in netlist.elements if e.kind in "IV"]
+    src_col = {e.name: k for k, e in enumerate(sources)}
+
     c_trip: list[tuple[int, int, float]] = []
     g_trip: list[tuple[int, int, float]] = []
     b_trip: list[tuple[int, int, float]] = []
@@ -394,25 +375,12 @@ def stamp_mna(netlist: Netlist) -> CircuitSystem:
             trip.append((i, j, -val))
             trip.append((j, i, -val))
 
-    src_col = {e.name: k for k, e in enumerate(sources)}
     for e in netlist.elements:
-        p, q = node(e.pos), node(e.neg)
+        p, q = node_index.get(e.pos), node_index.get(e.neg)
         if e.kind == "R":
             stamp_pair(g_trip, p, q, 1.0 / e.value)
         elif e.kind == "C":
             stamp_pair(c_trip, p, q, e.value)
-        elif e.kind == "L":
-            k = branch_index[e.name]
-            # KCL columns for the branch current, branch row for the
-            # voltage law; storing -L in C keeps the node block of G
-            # symmetric with the branch row.
-            if p is not None:
-                g_trip.append((p, k, 1.0))
-                g_trip.append((k, p, 1.0))
-            if q is not None:
-                g_trip.append((q, k, -1.0))
-                g_trip.append((k, q, -1.0))
-            c_trip.append((k, k, -e.value))
         elif e.kind == "I":
             col = src_col[e.name]
             # Current flows from pos to neg through the source, so it
@@ -421,65 +389,53 @@ def stamp_mna(netlist: Netlist) -> CircuitSystem:
                 b_trip.append((q, col, 1.0))
             if p is not None:
                 b_trip.append((p, col, -1.0))
-        elif e.kind == "V":
+        else:
             k = branch_index[e.name]
-            col = src_col[e.name]
-            if p is not None:
-                g_trip.append((p, k, 1.0))
-                g_trip.append((k, p, 1.0))
-            if q is not None:
-                g_trip.append((q, k, -1.0))
-                g_trip.append((k, q, -1.0))
-            b_trip.append((k, col, 1.0))
+            for i, sign in ((p, 1.0), (q, -1.0)):
+                if i is not None:
+                    g_trip.append((i, k, sign))
+                    g_trip.append((k, i, sign))
+            if e.kind == "L":
+                # -L in C keeps the node block of G symmetric with the
+                # branch row.
+                c_trip.append((k, k, -e.value))
+            else:
+                b_trip.append((k, src_col[e.name], 1.0))
 
-    names = [None] * n
-    for nm, i in node_index.items():
-        names[i] = f"v({nm.lower()})"
-    for e in branches:
-        names[branch_index[e.name]] = f"i({e.name.lower()})"
-
-    _warn_floating_nodes(netlist, node_index)
+    # Ground is vertex n_nodes of the graph of elements that conduct at DC.
+    ground = n_nodes
+    ends = np.array(
+        [
+            (node_index.get(e.pos, ground), node_index.get(e.neg, ground))
+            for e in netlist.elements
+            if e.kind in "RLV"
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    graph = sp.coo_matrix(
+        (np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(ground + 1, ground + 1)
+    )
+    _, label = connected_components(graph, directed=False)
+    floating = sorted(
+        name for name, i in node_index.items() if label[i] != label[ground]
+    )
+    if floating:
+        warnings.warn(
+            f"nodes with no DC path to ground: {', '.join(floating)}",
+            stacklevel=2,
+        )
 
     return CircuitSystem(
         c=numkit.csc_from_triplets(c_trip, n, n),
         g=numkit.csc_from_triplets(g_trip, n, n),
         b=numkit.csc_from_triplets(b_trip, n, max(1, len(sources))),
         sources=[e.waveform for e in sources],
-        names=names,
+        names=[f"v({name.lower()})" for name in node_index]
+        + [f"i({name.lower()})" for name in branches],
         source_names=[e.name.lower() for e in sources],
         t_start=netlist.t_start,
         t_stop=netlist.t_stop,
     )
-
-
-def _warn_floating_nodes(netlist: Netlist, node_index: dict[str, int]):
-    # Union-find over elements that conduct at DC (R, L, V).
-    parent: dict[str, str] = {name: name for name in node_index}
-    parent["0"] = "0"
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for e in netlist.elements:
-        if e.kind in "RLV":
-            union(e.pos, e.neg)
-    ground_root = find("0")
-    floating = sorted(
-        name for name in node_index if find(name) != ground_root
-    )
-    if floating:
-        warnings.warn(
-            f"nodes with no DC path to ground: {', '.join(floating)}",
-            stacklevel=3,
-        )
 
 
 def build_system(text: str) -> CircuitSystem:

@@ -4,11 +4,15 @@ The dense oracle advances the descriptor system exactly on each interval
 where every drive is affine in t, using numpy solves and the scipy
 matrix exponential only; it shares no code with the package's stepping
 path beyond the closed-form update it implements, so agreement is
-meaningful. It requires a nonsingular C (dense A must exist).
+meaningful. It requires a nonsingular C (dense A must exist);
+dense_exact_singular_c first eliminates the unknowns that carry no
+capacitance.
 
 The autouse audit records every basis krylov.arnoldi returns during a
 test and re-verifies its invariants at teardown.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +67,37 @@ def dense_exact(system, times=None):
     if times is None:
         return out[grid[-1]]
     return np.array([out[t] for t in want])
+
+
+def dense_exact_singular_c(system, times):
+    """Exact states at the given times when C has empty rows and columns.
+
+    The unknowns a with no capacitance obey 0 = -G_aa x_a - G_ad x_d
+    + B_a u, so x_a = G_aa^-1 (B_a u - G_ad x_d). Substituting that
+    into the other rows leaves C_dd x_d' = -S x_d + B_s u with the
+    Schur complement S = G_dd - G_da G_aa^-1 G_ad and B_s = B_d -
+    G_da G_aa^-1 B_a, whose C_dd is nonsingular, so dense_exact
+    propagates it.
+    """
+    gd, cd, bd = system.g.to_dense(), system.c.to_dense(), system.b.to_dense()
+    alg = ~(cd.any(axis=0) | cd.any(axis=1))
+    dyn = ~alg
+    g_aa, g_ad = gd[np.ix_(alg, alg)], gd[np.ix_(alg, dyn)]
+    g_da, b_a = gd[np.ix_(dyn, alg)], bd[alg]
+    reduced = replace(
+        system,
+        c=numkit.from_scipy(sp.csc_matrix(cd[np.ix_(dyn, dyn)])),
+        g=numkit.from_scipy(
+            sp.csc_matrix(gd[np.ix_(dyn, dyn)] - g_da @ np.linalg.solve(g_aa, g_ad))
+        ),
+        b=numkit.from_scipy(sp.csc_matrix(bd[dyn] - g_da @ np.linalg.solve(g_aa, b_a))),
+    )
+    x_d = dense_exact(reduced, times)
+    u = np.array([[w.value(float(t)) for w in system.sources] for t in times])
+    x = np.empty((len(x_d), system.n))
+    x[:, dyn] = x_d
+    x[:, alg] = np.linalg.solve(g_aa, b_a @ u.T - g_ad @ x_d.T).T
+    return x
 
 
 def ladder_matrices(n, caps, rng):
@@ -235,6 +270,22 @@ I3 0 3 PULSE(0 1m 5e-11 1e-11 1e-11 3e-11 2e-10)
 I4 0 4 PWL(0 0 1e-10 1m 4e-10 1m)
 I5 0 5 PWL(0 0 1e-10 2m 4e-10 2m)
 I6 0 6 DC 2m
+.TRAN 0 4e-10
+.END
+"""
+
+TWO_SOURCE_NETLIST = """* ladder with one pulsed and one ramped source
+I1 0 1 PULSE(0 1e-3 2e-11 1e-11 1e-11 5e-11 2e-10)
+I2 0 3 PWL(0 0 5e-11 5e-4 4e-10 5e-4)
+R1 1 2 10
+R2 2 3 10
+R3 3 4 10
+R4 4 5 10
+R5 5 0 10
+C1 1 0 1e-12
+C2 2 0 2e-12
+C3 3 0 1e-12
+C4 4 0 5e-13
 .TRAN 0 4e-10
 .END
 """

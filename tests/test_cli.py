@@ -8,22 +8,7 @@ import pytest
 
 import expsim as es
 from expsim import cli, decomp, stepper
-
-TWO_SOURCE_NETLIST = """* ladder with one pulsed and one ramped source
-I1 0 1 PULSE(0 1e-3 2e-11 1e-11 1e-11 5e-11 2e-10)
-I2 0 3 PWL(0 0 5e-11 5e-4 4e-10 5e-4)
-R1 1 2 10
-R2 2 3 10
-R3 3 4 10
-R4 4 5 10
-R5 5 0 10
-C1 1 0 1e-12
-C2 2 0 2e-12
-C3 3 0 1e-12
-C4 4 0 5e-13
-.TRAN 0 4e-10
-.END
-"""
+from conftest import TWO_SOURCE_NETLIST
 
 CAP_FREE_NODE_NETLIST = """* node 2 carries no capacitance
 I1 0 1 PULSE(0 1e-3 1e-10 1e-10 1e-10 3e-10 1e-9)
@@ -206,6 +191,32 @@ class TestCompare:
         assert row["substitution_pairs"] == plain.substitution_pairs
         assert row["factorizations"] == plain.factorizations
 
+    @pytest.mark.parametrize("h,resolved", [("2e-11", True), ("2e-12", False)])
+    def test_rows_within_the_reference_error_are_unresolved(
+        self, netlist_file, tmp_path, capsys, h, resolved
+    ):
+        # The 1 ps backward-Euler reference is itself about 0.7 % off:
+        # tr at 20 ps (8.8 %) is measured against it, tr at 2 ps (0.74 %)
+        # is not.
+        report = tmp_path / "report.json"
+        rc = cli.main(
+            ["compare", netlist_file, "--solvers", "tr", "--h", h,
+             "--oracle-h", "1e-12", "--report", str(report)]
+        )
+        assert rc == 0
+        data = json.loads(report.read_text())
+        oracle_err = data["oracle_error_pct"]
+        assert 0.5 < oracle_err < 0.9
+        (row,) = data["rows"]
+        assert row["resolved"] is resolved
+        assert (row["error_pct"] >= cli.RESOLVED_FACTOR * oracle_err) is resolved
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"reference error: {oracle_err:.8f} % (backward Euler at 2h against h)"
+        (tr_line,) = [line for line in out if line.startswith("tr ")]
+        limit = f"<{cli.RESOLVED_FACTOR * oracle_err:.8f}"
+        assert (limit in tr_line) is not resolved
+        assert (f"{row['error_pct']:.8f}" in tr_line) is resolved
+
     def test_failed_solver_gets_a_row(self, singular_file, capsys):
         rc = cli.main(
             ["compare", singular_file, "--solvers", "mexp,imatex",
@@ -273,6 +284,27 @@ class TestExitCodes:
         rc = cli.main(["simulate", netlist_file, "--workers", workers])
         assert rc == 2
         assert "numerical error: workers must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("groups", ["0", "-3"])
+    def test_compare_rejects_groups_before_oracle(
+        self, netlist_file, capsys, monkeypatch, groups
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the reference ran before the groups were checked")
+
+        monkeypatch.setattr(stepper, "solve_transient_be", no_oracle)
+        rc = cli.main(["compare", netlist_file, "--solvers", "tr", "--h", "2e-12",
+                       "--groups", groups])
+        assert rc == 2
+        assert "numerical error: max_groups must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["rmatex", "tr"])
+    @pytest.mark.parametrize("groups", ["0", "-3"])
+    def test_groups_below_one(self, netlist_file, capsys, groups, solver):
+        rc = cli.main(["simulate", netlist_file, "--solver", solver, "--h", "2e-12",
+                       "--groups", groups])
+        assert rc == 2
+        assert "numerical error: max_groups must be at least 1" in capsys.readouterr().err
 
     def test_fixed_step_without_h(self, netlist_file, capsys):
         rc = cli.main(["simulate", netlist_file, "--solver", "tr"])

@@ -1,5 +1,7 @@
 """Netlist parsing, waveform evaluation and MNA assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,8 @@ class TestParseNetlist:
             ("R1 1 0 10\n.NODESET 1\n.END\n", 2),
             ("I1 0 1 PULSE(0 1 0)\n.END\n", 1),
             ("I1 0 1 PWL(0 0 1)\n.END\n", 1),
+            ("R1 1 0 1\nI1 0 1 PULSE 0 1 0 1 1 1 5\n.END\n", 2),
+            ("R1 1 0 1\nI1 0 1 PWL 0 0 1 1\n.END\n", 2),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line_no):
@@ -148,6 +152,20 @@ class TestParseNetlist:
             netlist.parse_netlist(text)
         assert info.value.line_no == line_no
         assert f"line {line_no}:" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("PULSE 0 1 0 1 1 1 5", "malformed PULSE(...)"),
+            ("PWL 0 0 1 1", "malformed PWL(...)"),
+            ("PULSE(0 1 0)", "PULSE takes 7 values, got 3"),
+            ("PWL(0 0 1)", "PWL takes an even number of values"),
+        ],
+    )
+    def test_source_spec_messages(self, spec, message):
+        with pytest.raises(NetlistError) as info:
+            netlist.parse_netlist(f"I1 0 1 {spec}\n.END\n")
+        assert str(info.value) == f"line 1: {message}"
 
     def test_empty_netlist_rejected(self):
         with pytest.raises(NetlistError):
@@ -196,6 +214,28 @@ class TestStampMna:
             sys_.c.to_dense(), [[3.0, 0.0], [0.0, -2.0]]
         )
 
+    def test_inductor_between_nodes(self):
+        sys_ = es.build_system(
+            "I1 0 1 DC 1\nR1 1 0 1\nL1 1 2 2\nR2 2 0 4\nC1 1 0 3\nC2 2 0 5\n.END\n"
+        )
+        assert sys_.names == ["v(1)", "v(2)", "i(l1)"]
+        g = np.array([[1.0, 0.0, 1.0], [0.0, 0.25, -1.0], [1.0, -1.0, 0.0]])
+        np.testing.assert_array_equal(sys_.g.to_dense(), g)
+        np.testing.assert_array_equal(sys_.c.to_dense(), np.diag([3.0, 5.0, -2.0]))
+        np.testing.assert_array_equal(sys_.b.to_dense()[:, 0], [1.0, 0.0, 0.0])
+
+    def test_voltage_source_between_nodes(self):
+        sys_ = es.build_system(
+            "V1 1 2 DC 2\nR1 1 0 1\nR2 2 0 4\nC1 2 0 1\n.END\n"
+        )
+        assert sys_.names == ["v(1)", "v(2)", "i(v1)"]
+        g = np.array([[1.0, 0.0, 1.0], [0.0, 0.25, -1.0], [1.0, -1.0, 0.0]])
+        np.testing.assert_array_equal(sys_.g.to_dense(), g)
+        np.testing.assert_array_equal(sys_.c.to_dense(), np.diag([0.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(sys_.b.to_dense()[:, 0], [0.0, 0.0, 1.0])
+        # The source holds v(1) - v(2) = 2 across two grounded resistors.
+        np.testing.assert_allclose(es.dc_analysis(sys_), [0.4, -1.6, -0.4])
+
     def test_current_source_direction(self):
         # I 0->1 injects at node 1: positive DC level lifts v(1).
         sys_ = es.build_system("I1 0 1 DC 2\nR1 1 0 3\nC1 1 0 1\n.END\n")
@@ -216,9 +256,29 @@ class TestStampMna:
         assert sub.c is sys_.c and sub.g is sys_.g
         np.testing.assert_allclose(es.dc_analysis(sub), [0.0, 5.0])
 
-    def test_floating_node_warns(self):
-        with pytest.warns(UserWarning, match="no DC path"):
-            es.build_system("R1 1 0 1\nC1 1 0 1\nC2 2 0 1\n.END\n")
+    @pytest.mark.parametrize(
+        "text,floating",
+        [
+            pytest.param("R1 1 0 1\nC1 1 0 1\nC2 2 0 1\n", "2", id="cap-only-node"),
+            pytest.param(
+                "R1 1 0 1\nC1 1 0 1\nR2 Y X 1\nCY Y 0 1\nCX X 0 1\n", "X, Y",
+                id="ungrounded-r-island",
+            ),
+            pytest.param("L1 1 0 1\nC1 1 0 1\nR1 1 2 1\nC2 2 0 1\n", None, id="grounded-by-l"),
+            pytest.param("V1 1 0 DC 1\nR1 1 2 1\nC2 2 0 1\n", None, id="grounded-by-v"),
+        ],
+    )
+    def test_floating_node_warns(self, text, floating):
+        if floating is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                es.build_system(text + ".END\n")
+            return
+        with pytest.warns(UserWarning) as record:
+            es.build_system(text + ".END\n")
+        assert [str(w.message) for w in record] == [
+            f"nodes with no DC path to ground: {floating}"
+        ]
 
 
 class TestDcAnalysis:

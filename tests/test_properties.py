@@ -9,13 +9,15 @@ nodes, so C is singular on some examples and not on others; a voltage
 source always makes it singular (its branch row of C is empty).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expsim as es
-from expsim import krylov
+from expsim import krylov, netlist
 from expsim.errors import NumericalError
 
 VALUES = st.floats(0.5, 2.0)
@@ -93,3 +95,50 @@ def test_factor_operator_matches_dense(text, gamma, seed):
         pairs = sum(f.solve_count for f in op.factors())
         op.apply(v)
         assert sum(f.solve_count for f in op.factors()) == pairs + 1
+
+
+def dense_stamp(parsed):
+    """C, G, B written from each element's incidence vector a.
+
+    R adds aa^T/R to G and C adds C aa^T to C. An L or V branch k adds
+    a as column k and row k of G; L adds -L at C[k, k] and V a 1 at
+    B[k, its source]. An I source subtracts a from its column of B.
+    """
+    nodes = []
+    for e in parsed.elements:
+        nodes += [x for x in (e.pos, e.neg) if x != "0" and x not in nodes]
+    branches = [e.name for e in parsed.elements if e.kind in "LV"]
+    sources = [e.name for e in parsed.elements if e.kind in "IV"]
+    n = len(nodes) + len(branches)
+    c, g, b = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, len(sources)))
+    for e in parsed.elements:
+        a = np.zeros(n)
+        for node, sign in ((e.pos, 1.0), (e.neg, -1.0)):
+            if node != "0":
+                a[nodes.index(node)] = sign
+        if e.kind == "R":
+            g += np.outer(a, a) / e.value
+        elif e.kind == "C":
+            c += np.outer(a, a) * e.value
+        elif e.kind == "I":
+            b[:, sources.index(e.name)] -= a
+        else:
+            k = len(nodes) + branches.index(e.name)
+            g[:, k] += a
+            g[k, :] += a
+            if e.kind == "L":
+                c[k, k] -= e.value
+            else:
+                b[k, sources.index(e.name)] = 1.0
+    return c, g, b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(text=dc_path_netlists())
+def test_stamp_matches_dense_incidence_stamp(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # every node has a DC path
+        system = es.build_system(text)
+    c, g, b = dense_stamp(netlist.parse_netlist(text))
+    for got, want in ((system.c, c), (system.g, g), (system.b, b)):
+        np.testing.assert_allclose(got.to_dense(), want, rtol=1e-13, atol=0)
