@@ -127,10 +127,7 @@ def run_superposed(
     plan = build_plan(
         system.sources, t0, t1, max_groups=1 if fixed_step else max_groups
     )
-    op = None
-    if not fixed_step:
-        points = stepper._stepping_points(t0, t1, plan.gts)
-        op = stepper.factor_matex(system, config, points)
+    op = None if fixed_step else stepper.factor_matex(system, config, plan.gts)
 
     results = [
         stepper.solve_transient(system.subsystem(g), config, gts=plan.gts, op=op)

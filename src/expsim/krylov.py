@@ -23,6 +23,7 @@ with M the variant's build operator and H_m the raw Hessenberg matrix.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -204,7 +205,8 @@ class KrylovBasis:
     operator, h_next / v_next the (m+1)-th subdiagonal entry and basis
     vector that the square form drops (h_next = 0 after a happy
     breakdown, in which case the subspace is invariant and results are
-    exact).
+    exact). h_eff and residual_scale are derived at first use and kept
+    for every step that reuses the basis.
     """
 
     operator: VariantOperator
@@ -215,11 +217,6 @@ class KrylovBasis:
     beta: float
     estimate: float | None = None
     estimate_kind: str | None = None
-    _h_eff: np.ndarray | None = field(default=None, repr=False)
-    # ||A v_next|| (inverted) or ||(I - gamma A) v_next|| / gamma
-    # (rational); v_next is fixed, so reused-basis estimates pay the
-    # extra C solve only once.
-    _exact_scale: float | None = field(default=None, repr=False)
     # (h, e^{h H_eff} e1) as step_error_estimate left it, so expm_action
     # at the same h needs no second small exponential.
     _action_column: tuple[float, np.ndarray] | None = field(default=None, repr=False)
@@ -229,49 +226,50 @@ class KrylovBasis:
         return self.v_basis.shape[1]
 
     @property
-    def variant(self) -> Variant:
-        return self.operator.variant
-
-    @property
-    def gamma(self) -> float | None:
-        return self.operator.gamma
-
-    @property
     def breakdown(self) -> bool:
         return self.m > 0 and self.h_next == 0.0
 
-    def effective_generator(self) -> np.ndarray:
-        if self._h_eff is None:
-            self._h_eff = effective_generator(self)
-        return self._h_eff
+    @functools.cached_property
+    def h_eff(self) -> np.ndarray:
+        """Generator of e^{hA} from the projection H of the build operator M:
 
+            standard:  H            (M = A already)
+            inverted:  H^-1         (M = A^-1)
+            rational:  (I - H^-1) / gamma   (M = (I - gamma A)^-1)
 
-def effective_generator(basis: KrylovBasis) -> np.ndarray:
-    """Map the raw Hessenberg projection to the generator of e^{hA}.
+        Raises BasisDegenerate if H cannot be inverted.
+        """
+        op = self.operator
+        if op.variant is Variant.STANDARD:
+            return self.hessenberg.copy()
+        try:
+            h_inv = np.linalg.inv(self.hessenberg)
+        except np.linalg.LinAlgError as exc:
+            raise BasisDegenerate(
+                f"projected {op.variant.value} operator is singular at m={self.m}"
+            ) from exc
+        if not np.all(np.isfinite(h_inv)):
+            raise BasisDegenerate(
+                f"projected {op.variant.value} operator inverse overflowed"
+            )
+        if op.variant is Variant.INVERTED:
+            return h_inv
+        return (np.eye(self.m) - h_inv) / op.gamma
 
-    The projected build operator approximates M, so the generator that
-    belongs in the exponential is recovered per variant:
+    @functools.cached_property
+    def residual_scale(self) -> float | None:
+        """||A v_next|| (inverted) or ||(I - gamma A) v_next|| / gamma
+        (rational), the exact residual formulas' scale, at one C solve.
 
-        standard:  H            (M = A already)
-        inverted:  H^-1         (M = A^-1)
-        rational:  (I - H^-1) / gamma   (M = (I - gamma A)^-1)
-    """
-    h = basis.hessenberg
-    if basis.variant is Variant.STANDARD:
-        return h.copy()
-    try:
-        h_inv = np.linalg.inv(h)
-    except np.linalg.LinAlgError as exc:
-        raise BasisDegenerate(
-            f"projected {basis.variant.value} operator is singular at m={basis.m}"
-        ) from exc
-    if not np.all(np.isfinite(h_inv)):
-        raise BasisDegenerate(
-            f"projected {basis.variant.value} operator inverse overflowed"
-        )
-    if basis.variant is Variant.INVERTED:
-        return h_inv
-    return (np.eye(basis.m) - h_inv) / basis.gamma
+        None for the standard variant and when C has no factors.
+        """
+        op = self.operator
+        if op.variant is Variant.STANDARD or op.c_factors is None:
+            return None
+        av = op.ode_apply(self.v_next)
+        if op.variant is Variant.INVERTED:
+            return float(np.linalg.norm(av))
+        return float(np.linalg.norm(self.v_next / op.gamma - av))
 
 
 def expm_action(basis: KrylovBasis, h: float) -> np.ndarray:
@@ -288,7 +286,7 @@ def expm_action(basis: KrylovBasis, h: float) -> np.ndarray:
     if cached is not None and cached[0] == h:
         column = cached[1]
     else:
-        column = _projected_expm(h * basis.effective_generator())[:, 0]
+        column = _projected_expm(h * basis.h_eff)[:, 0]
     return basis.beta * (basis.v_basis @ column)
 
 
@@ -298,41 +296,33 @@ def _residual_rate(
     """||r_m(s)|| for each column e^{s H_eff} e1 of first_columns.
 
     first_columns is (m, k), one column per time s, and the k rates
-    come back as one array. The standard variant reads the classical
-    Arnoldi overflow term. The inverted and rational variants use their
-    exact expressions whenever the operator carries C factors to apply
-    A (one C solve per basis, cached on it); when C is singular they do
-    not exist and the rate drops to the empirical surrogate
-    |beta * h_next * e_m^T e^{s H_eff} e1|, which is reliable only once
-    the basis is past the onset of convergence: it lacks the exact
-    formulas' leading scale (||A v_next||, roughly 1/gamma for the
-    rational variant), so on circuits whose time constants are far from
-    one second it can be optimistic by that scale until the projected
-    dynamics actually converges.
+    come back as one array. The inverted and rational variants use their
+    exact expressions, scaled by basis.residual_scale. Without that
+    scale the rate is the Arnoldi overflow term
+    |beta * h_next * e_m^T e^{s H_eff} e1|: exact for the standard
+    variant, and for the others, whose C is singular, an empirical
+    surrogate that is reliable only once the basis is past the onset of
+    convergence: it lacks the exact formulas' leading scale
+    (||A v_next||, roughly 1/gamma for the rational variant), so on
+    circuits whose time constants are far from one second it can be
+    optimistic by that scale until the projected dynamics actually
+    converges.
     """
     m = basis.m
     op = basis.operator
     last = first_columns[m - 1]
-    if basis.variant is Variant.STANDARD:
-        return basis.beta * np.abs(basis.h_next * last), "exact"
-    if op.c_factors is None:
-        return basis.beta * np.abs(basis.h_next * last), "empirical"
-    if basis._exact_scale is None:
-        av = op.ode_apply(basis.v_next)
-        if basis.variant is Variant.INVERTED:
-            basis._exact_scale = float(np.linalg.norm(av))
-        else:
-            basis._exact_scale = float(
-                np.linalg.norm(basis.v_next / op.gamma - av)
-            )
+    scale = basis.residual_scale
+    if scale is None:
+        kind = "exact" if op.variant is Variant.STANDARD else "empirical"
+        return basis.beta * np.abs(basis.h_next * last), kind
     # e_m^T Hraw^-1 e^{s H_eff} e1 without forming the inverse:
     # inverted has Hraw^-1 = H_eff, rational I - gamma H_eff.
-    row = basis.effective_generator()[m - 1] @ first_columns
-    if basis.variant is Variant.INVERTED:
+    row = basis.h_eff[m - 1] @ first_columns
+    if op.variant is Variant.INVERTED:
         tail = np.abs(row)
     else:
         tail = np.abs(last - op.gamma * row)
-    return basis.beta * abs(basis.h_next) * basis._exact_scale * tail, "exact"
+    return basis.beta * abs(basis.h_next) * scale * tail, "exact"
 
 
 def step_error_estimate(basis: KrylovBasis, h: float) -> tuple[float, str]:
@@ -357,7 +347,7 @@ def step_error_estimate(basis: KrylovBasis, h: float) -> tuple[float, str]:
         return 0.0, "breakdown"
     width = h / 2.0**ESTIMATE_LEVELS
     with np.errstate(over="ignore", invalid="ignore"):
-        e_s = _projected_expm(width * basis.effective_generator())
+        e_s = _projected_expm(width * basis.h_eff)
         first_columns = np.empty((basis.m, ESTIMATE_LEVELS + 1))
         first_columns[:, 0] = e_s[:, 0]
         for level in range(1, ESTIMATE_LEVELS + 1):
@@ -409,23 +399,9 @@ def arnoldi(
     if v.shape != (dim,):
         raise ValueError(f"start vector has shape {v.shape}, expected ({dim},)")
     beta = float(np.linalg.norm(v))
-    if beta == 0.0:
-        # Zero start vector: the action is identically zero.
-        return KrylovBasis(
-            operator=operator,
-            v_basis=np.zeros((dim, 0)),
-            hessenberg=np.zeros((0, 0)),
-            h_next=0.0,
-            v_next=np.zeros(dim),
-            beta=0.0,
-            estimate=0.0,
-            estimate_kind="breakdown",
-        )
-
     m_max = min(m_max, dim)
     big_v = np.zeros((m_max + 1, dim))
     big_h = np.zeros((m_max + 1, m_max))
-    big_v[0] = v / beta
 
     def view(m, h_next, v_next):
         return KrylovBasis(
@@ -438,13 +414,18 @@ def arnoldi(
         )
 
     def finish(basis, est, kind):
-        # Detach from the work arrays; the caches the convergence check
-        # filled (projected generator, exact-residual scale) stay valid.
+        # Detach from the work arrays; h_eff and residual_scale, if the
+        # convergence check derived them, stay valid.
         basis.v_basis = basis.v_basis.copy(order="F")
         basis.hessenberg = basis.hessenberg.copy()
         basis.v_next = basis.v_next.copy()
         basis.estimate, basis.estimate_kind = est, kind
         return basis
+
+    if beta == 0.0:
+        # Zero start vector: the action is identically zero.
+        return finish(view(0, 0.0, big_v[0]), 0.0, "breakdown")
+    big_v[0] = v / beta
 
     next_check = 1
     last_est = None
@@ -457,7 +438,6 @@ def arnoldi(
             w -= c @ big_v[: j + 1]
         h_sub = float(np.linalg.norm(w))
         if h_sub <= BREAKDOWN_RTOL * max(norm_pre, 1e-300):
-            big_h[j + 1, j] = 0.0
             return finish(view(j + 1, 0.0, np.zeros(dim)), 0.0, "breakdown")
         big_h[j + 1, j] = h_sub
         big_v[j + 1] = w / h_sub

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import re
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -40,6 +42,8 @@ from scipy.sparse.csgraph import connected_components
 
 from . import numkit
 from .errors import NetlistError, NoDcOperatingPoint, NumericalError
+
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 # Spot times are snapped to this grid so set operations on them are exact.
 TIME_QUANTUM = 1e-15
@@ -420,9 +424,13 @@ def stamp_mna(netlist: Netlist) -> CircuitSystem:
         name for name, i in node_index.items() if label[i] != label[ground]
     )
     if floating:
+        # Point the warning at the first caller outside this package.
+        frame, level = sys._getframe(1), 2
+        while frame and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"nodes with no DC path to ground: {', '.join(floating)}",
-            stacklevel=2,
+            stacklevel=level,
         )
 
     return CircuitSystem(

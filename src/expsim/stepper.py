@@ -184,20 +184,21 @@ def _input_terms(system, g_factors, points: np.ndarray):
 
 
 def factor_matex(
-    system: netlist.CircuitSystem, config: SolverConfig, points: np.ndarray
+    system: netlist.CircuitSystem, config: SolverConfig, spots: np.ndarray
 ) -> krylov.VariantOperator:
     """Factor the operator of an exponential run: G, C and the variant's own.
 
-    points are the run's stepping points; the default gamma is a tenth
-    of their median gap. Subsystems keep C and G, so the operator of
-    the whole circuit serves every source group that steps on the same
-    points.
+    spots are the spot times the run steps on; the default gamma is a
+    tenth of the median gap of the stepping points they make in the
+    run's span. Subsystems keep C and G, so the operator of the whole
+    circuit serves every source group that steps on the same spots.
     """
     if config.method not in _METHOD_VARIANT:
         raise ValueError(f"not an exponential method: {config.method!r}")
     variant = _METHOD_VARIANT[config.method]
     gamma = config.gamma
     if gamma is None and variant is krylov.Variant.RATIONAL:
+        points = _stepping_points(*resolve_span(system, config), spots)
         gamma = float(np.median(np.diff(points))) / 10.0
     return krylov.factor_operator(variant, system.c, system.g, gamma)
 
@@ -222,10 +223,9 @@ def solve_transient_matex(
     system's own spots plus gts, the other spots the samples must land
     on. A fresh basis is built at the spots where the system's own
     sources change slope; at the others the previous basis is reused.
-    op, made by factor_matex for the same C, G, config and stepping
-    points, is stepped with instead of factoring anew; the run then
-    reports the substitution pairs it added to op's tallies and no
-    factorizations.
+    op, made by factor_matex for the same C, G, config and spots, is
+    stepped with instead of factoring anew; the run then reports the
+    substitution pairs it added to op's tallies and no factorizations.
     """
     t_begin = time.perf_counter()
     if config.method not in _METHOD_VARIANT:
@@ -233,14 +233,13 @@ def solve_transient_matex(
     t0, t1 = resolve_span(system, config)
     span = t1 - t0
     own_spots = active_transitions(system, t0, t1)
-    points = _stepping_points(
-        t0, t1, own_spots if gts is None else np.union1d(gts, own_spots)
-    )
+    spots = own_spots if gts is None else np.union1d(gts, own_spots)
+    points = _stepping_points(t0, t1, spots)
     spot_atol = 1e-9 * span
 
     factorizations = 0
     if op is None:
-        op = factor_matex(system, config, points)
+        op = factor_matex(system, config, spots)
         factorizations = len(op.factors())
     pairs_before = sum(f.solve_count for f in op.factors())
 
@@ -260,8 +259,7 @@ def solve_transient_matex(
             eps = config.e_tol * h / span
             v = x + (w[k] + (theta[k + 1] - theta[k]) / h)
             basis = krylov.arnoldi(op, v, m_max=config.m_max, h=h, eps=eps)
-            est = basis.estimate if basis.estimate is not None else 0.0
-            kind = basis.estimate_kind or "breakdown"
+            est, kind = basis.estimate, basis.estimate_kind
         t_a = float(points[a])
         h_a = t_next - t_a
         if not fresh:
@@ -304,22 +302,24 @@ def _fixed_grid(t0, t1, h):
     return np.array([t0 + k * h for k in range(n_steps + 1)])
 
 
-def _solve_fixed(system, config, trapezoidal: bool):
+# theta of each fixed-step method: (C/h + theta G) x_{k+1}
+#   = (C/h - (1 - theta) G) x_k + B ((1 - theta) u_k + theta u_{k+1}).
+_THETA = {"tr": 0.5, "be": 1.0}
+
+
+def _solve_fixed(system, config, method):
     t_begin = time.perf_counter()
     t0, t1 = resolve_span(system, config)
     times = _fixed_grid(t0, t1, config.h)
     h = config.h
+    theta = _THETA[method]
     g_factors = numkit.lu_factorize(system.g)
     x = netlist.dc_analysis(system, g_factors, t=t0)
 
     c = system.c.scipy
     g = system.g.scipy
-    if trapezoidal:
-        lhs = numkit.lu_factorize(numkit.from_scipy(c / h + g / 2.0))
-        rhs_matrix = (c / h - g / 2.0).tocsc()
-    else:
-        lhs = numkit.lu_factorize(numkit.from_scipy(c / h + g))
-        rhs_matrix = (c / h).tocsc()
+    lhs = numkit.lu_factorize(numkit.from_scipy(c / h + theta * g))
+    rhs_matrix = (c / h - (1.0 - theta) * g).tocsc()
 
     states = np.empty((times.size, system.n))
     states[0] = x
@@ -327,10 +327,7 @@ def _solve_fixed(system, config, trapezoidal: bool):
     b = system.b
     for k in range(times.size - 1):
         u_next = system.eval_sources(float(times[k + 1]))
-        if trapezoidal:
-            drive = b @ ((u_prev + u_next) / 2.0)
-        else:
-            drive = b @ u_next
+        drive = b @ ((1.0 - theta) * u_prev + theta * u_next)
         x = lhs.solve(rhs_matrix @ x + drive)
         states[k + 1] = x
         u_prev = u_next
@@ -339,7 +336,7 @@ def _solve_fixed(system, config, trapezoidal: bool):
         times=times,
         states=states,
         names=list(system.names),
-        method="tr" if trapezoidal else "be",
+        method=method,
         substitution_pairs=g_factors.solve_count + lhs.solve_count,
         factorizations=2,
         wall_time=time.perf_counter() - t_begin,
@@ -347,21 +344,21 @@ def _solve_fixed(system, config, trapezoidal: bool):
 
 
 def solve_transient_tr(system, config) -> WaveformResult:
-    """Fixed-step trapezoidal rule; one substitution pair per step.
+    """Fixed-step trapezoidal rule (theta 1/2); one substitution pair per step.
 
     (C/h + G/2) x_{k+1} = (C/h - G/2) x_k + B (u_k + u_{k+1}) / 2.
     Second order in h.
     """
-    return _solve_fixed(system, config, trapezoidal=True)
+    return _solve_fixed(system, config, "tr")
 
 
 def solve_transient_be(system, config) -> WaveformResult:
-    """Fixed-step backward Euler; first order, unconditionally damped.
+    """Fixed-step backward Euler (theta 1); first order, unconditionally damped.
 
     (C/h + G) x_{k+1} = (C/h) x_k + B u_{k+1}. At a step much finer than
     every input feature this is the accuracy reference for the others.
     """
-    return _solve_fixed(system, config, trapezoidal=False)
+    return _solve_fixed(system, config, "be")
 
 
 def solve_transient(
@@ -392,9 +389,9 @@ def waveform_error(
 ) -> float:
     """Peak relative deviation (percent) against a reference run.
 
-    Both trajectories are compared on the coarser run's samples; the
-    deviation is normalized by the reference's peak magnitude so quiet
-    nets do not divide by zero.
+    The reference is interpolated onto result.times, so pass the coarser
+    run as result; the deviation is normalized by the reference's peak
+    magnitude so quiet nets do not divide by zero.
     """
     ref = resample_states(reference, result.times)
     scale = float(np.abs(ref).max())

@@ -189,13 +189,13 @@ def verify_bases(bases, ortho_tol=1e-8, rel_tol=1e-8) -> int:
         if defect > ortho_tol:
             raise AssertionError(
                 f"orthonormality defect {defect:.3e} exceeds {ortho_tol:.1e} "
-                f"({basis.variant.value}, m={basis.m})"
+                f"({basis.operator.variant.value}, m={basis.m})"
             )
         residual, scale = relation_residual(basis)
         if residual > rel_tol * max(scale, 1.0):
             raise AssertionError(
                 f"Arnoldi relation residual {residual:.3e} exceeds "
-                f"{rel_tol:.1e} * {scale:.3e} ({basis.variant.value}, m={basis.m})"
+                f"{rel_tol:.1e} * {scale:.3e} ({basis.operator.variant.value}, m={basis.m})"
             )
     return len(bases)
 

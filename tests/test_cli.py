@@ -176,6 +176,17 @@ class TestCompare:
             assert 0.0 <= row["error_pct"] < 20.0
             assert row["substitution_pairs"] > 0
 
+    def test_default_reference_step(self, netlist_file, tmp_path):
+        # Without --oracle-h the reference steps at the smallest corner
+        # gap (10 ps here) / 100, rounded to an even step count.
+        report = tmp_path / "report.json"
+        rc = cli.main(
+            ["compare", netlist_file, "--solvers", "tr", "--h", "1e-11",
+             "--report", str(report)]
+        )
+        assert rc == 0
+        assert json.loads(report.read_text())["oracle_h"] == pytest.approx(1e-13)
+
     def test_tr_row_costs_one_undecomposed_run(self, netlist_file, tmp_path):
         report = tmp_path / "report.json"
         rc = cli.main(

@@ -153,7 +153,7 @@ class TestConvergenceGate:
 def residual_rate(basis, s):
     """(||r_m(s)||, kind) from the per-variant shortcut formula."""
     with np.errstate(over="ignore", invalid="ignore"):
-        e_s = krylov._projected_expm(s * basis.effective_generator())
+        e_s = krylov._projected_expm(s * basis.h_eff)
         rates, kind = krylov._residual_rate(basis, e_s[:, :1])
         return float(rates[0]), kind
 
@@ -165,7 +165,7 @@ def dense_residual_norm(fam, basis, s):
     A, so this shares nothing with the per-variant shortcut formulas it
     checks.
     """
-    h_eff = basis.effective_generator()
+    h_eff = basis.h_eff
     e_s = scipy.linalg.expm(s * h_eff)
     defect = fam.a @ basis.v_basis - basis.v_basis @ h_eff
     return basis.beta * float(np.linalg.norm(defect @ e_s[:, 0]))
@@ -313,7 +313,7 @@ class TestOneExponentialPerStep:
         assert not basis.breakdown
         expected = basis.beta * (
             basis.v_basis
-            @ krylov._projected_expm(fam.h * basis.effective_generator())[:, 0]
+            @ krylov._projected_expm(fam.h * basis.h_eff)[:, 0]
         )
         calls = count_projected_expm(monkeypatch)
         krylov.step_error_estimate(basis, fam.h)
@@ -365,6 +365,24 @@ class TestOperatorValidation:
             krylov.arnoldi(op, np.zeros(fam.n - 1))
         with pytest.raises(ValueError):
             krylov.arnoldi(op, fam.v, m_max=0)
+
+
+class TestDegenerateProjection:
+    @pytest.mark.parametrize(
+        "entry,message", [(0.0, "singular at m=1"), (1e-320, "inverse overflowed")]
+    )
+    def test_h_eff_raises(self, estimator_family, entry, message):
+        op = estimator_family.operators["inverted"]
+        basis = krylov.KrylovBasis(
+            operator=op,
+            v_basis=np.zeros((op.dim, 1)),
+            hessenberg=np.array([[entry]]),
+            h_next=1.0,
+            v_next=np.zeros(op.dim),
+            beta=1.0,
+        )
+        with pytest.raises(BasisDegenerate, match=message):
+            basis.h_eff
 
 
 class TestBasisInvariants:

@@ -242,6 +242,12 @@ class TestStampMna:
         x = es.dc_analysis(sys_)
         np.testing.assert_allclose(x, [6.0])
 
+    def test_current_source_between_nodes(self):
+        # I 1->2 draws its current out of node 1 and injects it at node 2.
+        sys_ = es.build_system("I1 1 2 DC 1\nR1 1 0 1\nR2 2 0 1\nC1 1 0 1\n.END\n")
+        np.testing.assert_array_equal(sys_.b.to_dense()[:, 0], [-1.0, 1.0])
+        np.testing.assert_allclose(es.dc_analysis(sys_), [-1.0, 1.0])
+
     def test_eval_sources_mask(self):
         # Restricting the drive to a source subset is a subsystem: the
         # deselected sources leave u and their columns leave B.
@@ -279,6 +285,21 @@ class TestStampMna:
         assert [str(w.message) for w in record] == [
             f"nodes with no DC path to ground: {floating}"
         ]
+
+    @pytest.mark.parametrize(
+        "assemble",
+        [
+            pytest.param(es.build_system, id="build_system"),
+            pytest.param(
+                lambda text: netlist.stamp_mna(netlist.parse_netlist(text)),
+                id="stamp_mna",
+            ),
+        ],
+    )
+    def test_floating_node_warning_names_the_caller(self, assemble):
+        with pytest.warns(UserWarning) as record:
+            assemble("R1 1 0 1\nC1 1 0 1\nC2 2 0 1\n.END\n")
+        assert record[0].filename == __file__
 
 
 class TestDcAnalysis:

@@ -137,9 +137,14 @@ class TestLuFactorize:
             numkit.lu_factorize(m)
 
     def test_numerically_singular_detected(self):
-        d = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(NumericallySingular):
-            numkit.lu_factorize(numkit.from_scipy(d))
+        # Exactly singular, SuperLU's own failure; then a pivot of
+        # 1.1e-15 under the threshold SINGULAR_RTOL * max|A| = 1e-14.
+        for d, match in (
+            ([[1.0, 2.0], [2.0, 4.0]], "singular"),
+            ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], "below threshold"),
+        ):
+            with pytest.raises(NumericallySingular, match=match):
+                numkit.lu_factorize(numkit.from_scipy(np.array(d)))
 
     def test_rectangular_rejected(self):
         m = numkit.csc_from_triplets([(0, 0, 1.0)], 2, 3)

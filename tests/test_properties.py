@@ -27,7 +27,8 @@ CAPS = st.floats(0.1, 10.0)
 @st.composite
 def dc_path_netlists(draw):
     k = draw(st.integers(1, 4))
-    lines = ["I1 0 1 PWL(0 0 0.1 1 1 1)"]
+    i_pos, i_neg = draw(st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True))
+    lines = [f"I1 {i_pos} {i_neg} PWL(0 0 0.1 1 1 1)"]
     for i in range(1, k + 1):
         parent = draw(st.integers(0, i - 1))
         kind = draw(st.sampled_from("RL"))
