@@ -188,7 +188,7 @@ def _oracle(system, args) -> tuple[stepper.WaveformResult, float]:
     h = args.oracle_h
     if h is None:
         spots = stepper.active_transitions(system, t0, t1)
-        pts = stepper._stepping_points(t0, t1, spots)
+        pts = stepper.stepping_points(t0, t1, spots)
         h = float(np.diff(pts).min()) / 100.0
     steps = 2 * max(1, int(round((t1 - t0) / (2 * h))))
     fine, coarse = (

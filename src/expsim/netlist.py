@@ -13,10 +13,13 @@ case-insensitive, with engineering suffixes on numbers
     .TRAN <tstart> <tstop>
     .END
 
-Node "0" is ground and is eliminated. Unknowns are the non-ground node
-voltages in first-appearance order followed by the branch currents of
-voltage sources and inductors in appearance order. Assembly produces the
-descriptor system
+Parsing checks each line in order and keeps the elements as columns,
+one list per field. Node "0" is ground and is eliminated. Unknowns are
+the non-ground node voltages in first-appearance order followed by the
+branch currents of voltage sources and inductors in appearance order.
+Assembly numbers the nodes into index arrays, stamps each element kind
+as numpy index and value arrays in netlist order and converts them to
+CSC once per matrix, producing the descriptor system
 
     C xdot(t) = -G x(t) + B u(t)
 
@@ -35,6 +38,9 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,17 +54,12 @@ _PACKAGE_DIR = os.path.dirname(__file__)
 # Spot times are snapped to this grid so set operations on them are exact.
 TIME_QUANTUM = 1e-15
 
-_SUFFIXES = [
-    ("MEG", 1e6),
-    ("F", 1e-15),
-    ("P", 1e-12),
-    ("N", 1e-9),
-    ("U", 1e-6),
-    ("M", 1e-3),
-    ("K", 1e3),
-    ("G", 1e9),
-    ("T", 1e12),
-]
+# A number, at most one engineering suffix, then the rest of the token.
+_NUMBER = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:E[+-]?\d+)?)(MEG|[FPNUMKGT])?(.*)", re.S)
+_SUFFIXES = {
+    "MEG": 1e6, "F": 1e-15, "P": 1e-12, "N": 1e-9, "U": 1e-6,
+    "M": 1e-3, "K": 1e3, "G": 1e9, "T": 1e12,
+}
 
 
 def parse_value(token: str) -> float:
@@ -67,20 +68,13 @@ def parse_value(token: str) -> float:
     Trailing unit letters after the suffix are ignored ("10ps", "2pF").
     """
     text = token.strip().upper()
-    match = re.match(r"^[+-]?(\d+\.?\d*|\.\d+)(E[+-]?\d+)?", text)
-    if not match or match.start() != 0 or match.group(0) == "":
+    match = _NUMBER.match(text)
+    if match is None:
         raise ValueError(f"not a number: {token!r}")
-    value = float(match.group(0))
-    rest = text[match.end():]
-    if rest:
-        for suffix, factor in _SUFFIXES:
-            if rest.startswith(suffix):
-                value *= factor
-                rest = rest[len(suffix):]
-                break
-        if rest and not rest.isalpha():
-            raise ValueError(f"bad suffix on number: {token!r}")
-    return value
+    number, suffix, rest = match.groups()
+    if rest and not rest.isalpha():
+        raise ValueError(f"bad suffix on number: {token!r}")
+    return float(number) * _SUFFIXES[suffix] if suffix else float(number)
 
 
 def quantize_time(t: float) -> float:
@@ -178,9 +172,13 @@ class Pwl(Waveform):
     def __post_init__(self):
         if len(self.points) < 1:
             raise ValueError("PWL needs at least one point")
-        times = [p[0] for p in self.points]
+        times = self._times
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("PWL times must be strictly increasing")
+
+    @cached_property
+    def _times(self) -> list[float]:
+        return [p[0] for p in self.points]
 
     def value(self, t):
         pts = self.points
@@ -188,8 +186,7 @@ class Pwl(Waveform):
             return pts[0][1]
         if t >= pts[-1][0]:
             return pts[-1][1]
-        times = [p[0] for p in pts]
-        i = bisect.bisect_right(times, t) - 1
+        i = bisect.bisect_right(self._times, t) - 1
         t0, v0 = pts[i]
         t1, v1 = pts[i + 1]
         return v0 + (v1 - v0) / (t1 - t0) * (t - t0)
@@ -207,21 +204,34 @@ class Pwl(Waveform):
 # Parsing
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
+    """One parsed element; Netlist.elements lists them in netlist order."""
+
     kind: str  # one of R C L I V
     name: str
     pos: str
     neg: str
-    value: float | None = None
-    waveform: Waveform | None = None
+    value: float | None  # None for sources
+    waveform: Waveform | None  # None for R, C and L
 
 
 @dataclass
 class Netlist:
-    elements: list[Element]
+    """Parsed elements as columns, one list per Element field."""
+
+    kinds: list[str]
+    names: list[str]
+    pos: list[str]
+    neg: list[str]
+    values: list[float | None]
+    waveforms: list[Waveform | None]
     t_start: float | None = None
     t_stop: float | None = None
+
+    @property
+    def elements(self) -> list[Element]:
+        return list(map(Element, self.kinds, self.names, self.pos, self.neg,
+                        self.values, self.waveforms))
 
 
 def _parse_source_spec(spec: str) -> Waveform:
@@ -248,15 +258,15 @@ def _parse_source_spec(spec: str) -> Waveform:
 
 def parse_netlist(text: str) -> Netlist:
     """Parse netlist text into elements plus the analysis directive."""
-    elements: list[Element] = []
+    fields: list = []  # six Element fields per element, in netlist order
     seen_names: set[str] = set()
     t_start = t_stop = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";", 1)[0].strip()
-        if not line or line.startswith("*"):
+        if not line or line[0] == "*":
             continue
         try:
-            if line.startswith("."):
+            if line[0] == ".":
                 tokens = line.split()
                 card = tokens[0].upper()
                 if card == ".END":
@@ -274,29 +284,28 @@ def parse_netlist(text: str) -> Netlist:
             if len(tokens) < 4:
                 raise ValueError("element line needs name, two nodes and a value")
             name, pos, neg, rest = tokens
-            kind = name[0].upper()
             key = name.upper()
+            kind = key[0]
             if key in seen_names:
                 raise ValueError(f"duplicate element name {name!r}")
             seen_names.add(key)
-            if pos.upper() == neg.upper():
+            p, q = pos.upper(), neg.upper()
+            if p == q:
                 raise ValueError(f"element {name!r} shorts node {pos!r} to itself")
-            pos, neg = pos.upper(), neg.upper()
             if kind in "RCL":
-                value = parse_value(rest.split()[0])
+                value = parse_value(rest.split(None, 1)[0])
                 if value <= 0:
                     raise ValueError(f"{name!r} must have a positive value")
-                elements.append(Element(kind, key, pos, neg, value=value))
+                fields.extend((kind, key, p, q, value, None))
             elif kind in "IV":
-                wave = _parse_source_spec(rest)
-                elements.append(Element(kind, key, pos, neg, waveform=wave))
+                fields.extend((kind, key, p, q, None, _parse_source_spec(rest)))
             else:
                 raise ValueError(f"unknown element type {name!r}")
         except ValueError as exc:
             raise NetlistError(str(exc), line_no) from exc
-    if not elements:
+    if not fields:
         raise NetlistError("netlist has no elements")
-    return Netlist(elements=elements, t_start=t_start, t_stop=t_stop)
+    return Netlist(*(fields[k::6] for k in range(6)), t_start=t_start, t_stop=t_stop)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +352,36 @@ class CircuitSystem:
         )
 
 
+def _assemble(shape, *stamps) -> numkit.SparseMatrix:
+    """One matrix from stamps, its triplets in netlist order.
+
+    A stamp is (elements, rows, cols, vals): element indices and, for
+    each triplet field, one entry per slot, an array over the elements
+    or a constant. An element's slots follow one another and elements
+    keep netlist order, so duplicates are summed in the order an
+    element-at-a-time loop gives them. Entries at the ground index,
+    which lies outside the matrix, are dropped.
+    """
+
+    def slots(elements, field):
+        return np.column_stack([np.broadcast_to(x, elements.shape) for x in field]).ravel()
+
+    elem = np.concatenate([np.repeat(s[0], len(s[1])) for s in stamps])
+    rows, cols, vals = (
+        np.concatenate([slots(s[0], s[f]) for s in stamps]) for f in (1, 2, 3)
+    )
+    order = np.argsort(elem, kind="stable")
+    keep = order[(rows[order] < shape[0]) & (cols[order] < shape[1])]
+    return numkit.from_scipy(
+        sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    )
+
+
+def _pair(i, j, v):
+    """Two-terminal slots: v at (i, i) and (j, j), -v at (i, j) and (j, i)."""
+    return [i, j, i, j], [i, j, j, i], [v, v, -v, -v]
+
+
 def stamp_mna(netlist: Netlist) -> CircuitSystem:
     """Assemble C, G, B from parsed elements.
 
@@ -354,75 +393,51 @@ def stamp_mna(netlist: Netlist) -> CircuitSystem:
     of B. Nodes with no path to ground through R, L or V get a warning
     (their DC system is singular) but assembly still succeeds.
     """
-    node_index: dict[str, int] = {}
-    for e in netlist.elements:
-        for name in (e.pos, e.neg):
-            if name != "0":
-                node_index.setdefault(name, len(node_index))
-    n_nodes = len(node_index)
-    branches = [e.name for e in netlist.elements if e.kind in "VL"]
-    branch_index = {name: n_nodes + i for i, name in enumerate(branches)}
-    n = n_nodes + len(branches)
-    sources = [e for e in netlist.elements if e.kind in "IV"]
-    src_col = {e.name: k for k, e in enumerate(sources)}
-
-    c_trip: list[tuple[int, int, float]] = []
-    g_trip: list[tuple[int, int, float]] = []
-    b_trip: list[tuple[int, int, float]] = []
-
-    def stamp_pair(trip, i, j, val):
-        if i is not None:
-            trip.append((i, i, val))
-        if j is not None:
-            trip.append((j, j, val))
-        if i is not None and j is not None:
-            trip.append((i, j, -val))
-            trip.append((j, i, -val))
-
-    for e in netlist.elements:
-        p, q = node_index.get(e.pos), node_index.get(e.neg)
-        if e.kind == "R":
-            stamp_pair(g_trip, p, q, 1.0 / e.value)
-        elif e.kind == "C":
-            stamp_pair(c_trip, p, q, e.value)
-        elif e.kind == "I":
-            col = src_col[e.name]
-            # Current flows from pos to neg through the source, so it
-            # leaves the circuit at pos and is injected at neg.
-            if q is not None:
-                b_trip.append((q, col, 1.0))
-            if p is not None:
-                b_trip.append((p, col, -1.0))
-        else:
-            k = branch_index[e.name]
-            for i, sign in ((p, 1.0), (q, -1.0)):
-                if i is not None:
-                    g_trip.append((i, k, sign))
-                    g_trip.append((k, i, sign))
-            if e.kind == "L":
-                # -L in C keeps the node block of G symmetric with the
-                # branch row.
-                c_trip.append((k, k, -e.value))
-            else:
-                b_trip.append((k, src_col[e.name], 1.0))
-
-    # Ground is vertex n_nodes of the graph of elements that conduct at DC.
-    ground = n_nodes
-    ends = np.array(
-        [
-            (node_index.get(e.pos, ground), node_index.get(e.neg, ground))
-            for e in netlist.elements
-            if e.kind in "RLV"
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    graph = sp.coo_matrix(
-        (np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(ground + 1, ground + 1)
+    kind = np.array(netlist.kinds, dtype="U1")
+    value = np.array(netlist.values, dtype=np.float64)  # NaN for sources
+    is_ = {k: kind == k for k in "RCLIV"}
+    res, cap, ind, isrc, vsrc = (np.flatnonzero(is_[k]) for k in "RCLIV")
+    branches = np.flatnonzero(is_["L"] | is_["V"])
+    sources = np.flatnonzero(is_["I"] | is_["V"])
+    first_seen = dict.fromkeys(chain.from_iterable(zip(netlist.pos, netlist.neg)))
+    first_seen.pop("0", None)
+    nodes = list(first_seen)
+    n = len(nodes) + branches.size
+    index = dict(zip(nodes, range(len(nodes))))
+    index["0"] = n  # ground: outside every matrix, vertex n of the DC graph
+    p, q = (
+        np.fromiter(map(index.__getitem__, ends), np.int64, kind.size)
+        for ends in (netlist.pos, netlist.neg)
     )
+    unknown, col = np.zeros(kind.size, np.int64), np.zeros(kind.size, np.int64)
+    unknown[branches] = np.arange(len(nodes), n)  # branch current unknowns
+    col[sources] = np.arange(sources.size)  # columns of B
+
+    pb, qb, kb = p[branches], q[branches], unknown[branches]
+    g_mat = _assemble(
+        (n, n),
+        (res, *_pair(p[res], q[res], 1.0 / value[res])),
+        (branches, [pb, kb, qb, kb], [kb, pb, kb, qb], [1.0, 1.0, -1.0, -1.0]),
+    )
+    c_mat = _assemble(
+        (n, n),
+        (cap, *_pair(p[cap], q[cap], value[cap])),
+        # -L in C keeps the node block of G symmetric with the branch row.
+        (ind, [unknown[ind]], [unknown[ind]], [-value[ind]]),
+    )
+    # Current flows from pos to neg through an I source, so it leaves
+    # the circuit at pos and is injected at neg.
+    b_mat = _assemble(
+        (n, max(1, sources.size)),
+        (isrc, [q[isrc], p[isrc]], [col[isrc], col[isrc]], [1.0, -1.0]),
+        (vsrc, [unknown[vsrc]], [col[vsrc]], [1.0]),
+    )
+
+    # The graph of elements that conduct at DC.
+    dc = np.flatnonzero(is_["R"] | is_["L"] | is_["V"])
+    graph = sp.coo_matrix((np.ones(dc.size), (p[dc], q[dc])), shape=(n + 1, n + 1))
     _, label = connected_components(graph, directed=False)
-    floating = sorted(
-        name for name, i in node_index.items() if label[i] != label[ground]
-    )
+    floating = sorted(nodes[k] for k in np.flatnonzero(label[: len(nodes)] != label[n]))
     if floating:
         # Point the warning at the first caller outside this package.
         frame, level = sys._getframe(1), 2
@@ -433,14 +448,15 @@ def stamp_mna(netlist: Netlist) -> CircuitSystem:
             stacklevel=level,
         )
 
+    names = netlist.names
     return CircuitSystem(
-        c=numkit.csc_from_triplets(c_trip, n, n),
-        g=numkit.csc_from_triplets(g_trip, n, n),
-        b=numkit.csc_from_triplets(b_trip, n, max(1, len(sources))),
-        sources=[e.waveform for e in sources],
-        names=[f"v({name.lower()})" for name in node_index]
-        + [f"i({name.lower()})" for name in branches],
-        source_names=[e.name.lower() for e in sources],
+        c=c_mat,
+        g=g_mat,
+        b=b_mat,
+        sources=[netlist.waveforms[k] for k in sources],
+        names=[f"v({name.lower()})" for name in nodes]
+        + [f"i({names[k].lower()})" for k in branches],
+        source_names=[names[k].lower() for k in sources],
         t_start=netlist.t_start,
         t_stop=netlist.t_stop,
     )

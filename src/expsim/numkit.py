@@ -1,7 +1,7 @@
 """Sparse matrices and LU factorization.
 
 Everything the rest of the package does reduces to three primitives:
-assembling compressed sparse column matrices from coordinate triplets,
+compressed sparse column matrices in one canonical stored form,
 factorizing them once, and back-substituting many times. Substitutions
 are the unit of cost in the speedup model; each factor counts its own
 in ``solve_count``, and a run's cost is what it added to the factors it
@@ -80,32 +80,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-
-def csc_from_triplets(
-    triplets, nrows: int, ncols: int, dtype=np.float64
-) -> SparseMatrix:
-    """Assemble a SparseMatrix from (row, col, value) triplets.
-
-    Duplicates are summed; values equal to zero after summation are
-    dropped from storage.
-    """
-    triplets = list(triplets)
-    if triplets:
-        rows, cols, vals = zip(*triplets)
-    else:
-        rows, cols, vals = (), (), ()
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= nrows:
-            raise ValueError("row index out of range")
-        if cols.min() < 0 or cols.max() >= ncols:
-            raise ValueError("column index out of range")
-    m = sp.coo_matrix(
-        (np.asarray(vals, dtype=dtype), (rows, cols)), shape=(nrows, ncols)
-    )
-    return SparseMatrix(m.tocsc())
 
 
 def from_scipy(m) -> SparseMatrix:

@@ -156,7 +156,8 @@ def active_transitions(
     return np.unique(np.concatenate([np.empty(0), *parts]))
 
 
-def _stepping_points(t0, t1, spots):
+def stepping_points(t0, t1, spots) -> np.ndarray:
+    """The grid a run steps on: t0, t1 and the spots strictly between."""
     spots = np.asarray(spots, dtype=np.float64)
     interior = spots[(spots > t0) & (spots < t1)]
     points = np.unique(np.concatenate([[t0, t1], interior]))
@@ -198,7 +199,7 @@ def factor_matex(
     variant = _METHOD_VARIANT[config.method]
     gamma = config.gamma
     if gamma is None and variant is krylov.Variant.RATIONAL:
-        points = _stepping_points(*resolve_span(system, config), spots)
+        points = stepping_points(*resolve_span(system, config), spots)
         gamma = float(np.median(np.diff(points))) / 10.0
     return krylov.factor_operator(variant, system.c, system.g, gamma)
 
@@ -234,7 +235,7 @@ def solve_transient_matex(
     span = t1 - t0
     own_spots = active_transitions(system, t0, t1)
     spots = own_spots if gts is None else np.union1d(gts, own_spots)
-    points = _stepping_points(t0, t1, spots)
+    points = stepping_points(t0, t1, spots)
     spot_atol = 1e-9 * span
 
     factorizations = 0

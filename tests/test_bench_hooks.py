@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from expsim import decomp, krylov, stepper
+from expsim import decomp, krylov, netlist, stepper
+
+from conftest import LADDER_NETLIST
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -42,19 +44,26 @@ def tracer(bench_run):
     return bench_run.Tracer(bench_run.Bench.layer_targets(bench))
 
 
-def test_every_layer_target_installs(tracer, ladder_system):
+def test_every_layer_target_installs(tracer):
     original = krylov.arnoldi
     try:
         # A missing target raises here, after the earlier ones are
         # wrapped; finally puts those back for the rest of the suite.
         tracer.install()
-        stepper.solve_transient(ladder_system, stepper.SolverConfig(e_tol=1e-8))
+        system = netlist.build_system(LADDER_NETLIST)
+        stepper.solve_transient(system, stepper.SolverConfig(e_tol=1e-8))
     finally:
         tracer.uninstall()
     assert krylov.arnoldi is original
-    traced = {span.name for span in tracer.spans}
+    spans = tracer.spans
+    traced = {span.name for span in spans}
     assert {"krylov.arnoldi", "krylov.VariantOperator.apply",
             "krylov.VariantOperator.ode_apply", "numkit.LuFactors.solve"} <= traced
+    # setup_s, netlist.parse_s and netlist.stamp_s read these spans.
+    (build,) = [k for k, s in enumerate(spans) if s.name == "netlist.build_system"]
+    assert sorted(s.name for s in spans if s.parent == build) == [
+        "netlist.parse_netlist", "netlist.stamp_mna"
+    ]
 
 
 # workers=2 is the call shape of perfbench/run.py on grid10k-groups.
