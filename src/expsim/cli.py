@@ -203,6 +203,8 @@ def _oracle(system, args) -> tuple[stepper.WaveformResult, float]:
 def cmd_compare(args) -> int:
     system = _load_system(args.netlist)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not solvers:
+        raise ValueError("no solver given")
     for s in solvers:
         if s not in stepper.METHODS:
             raise ValueError(f"unknown solver {s!r}")

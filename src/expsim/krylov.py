@@ -225,10 +225,6 @@ class KrylovBasis:
     def m(self) -> int:
         return self.v_basis.shape[1]
 
-    @property
-    def breakdown(self) -> bool:
-        return self.m > 0 and self.h_next == 0.0
-
     @functools.cached_property
     def h_eff(self) -> np.ndarray:
         """Generator of e^{hA} from the projection H of the build operator M:

@@ -48,8 +48,6 @@ def measure_stiffness(system: netlist.CircuitSystem) -> float:
 class MeshNetlist:
     text: str
     n_nodes: int
-    side: int
-    sigma: float
     measured_stiffness: float
 
 
@@ -169,7 +167,5 @@ def generate_mesh_netlist(
     return MeshNetlist(
         text=build(best_sigma),
         n_nodes=n,
-        side=side,
-        sigma=best_sigma,
         measured_stiffness=best_rho,
     )

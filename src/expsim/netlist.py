@@ -40,7 +40,6 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -149,8 +148,11 @@ class Pulse(Waveform):
     def transition_times(self, t_start, t_stop):
         fall_start = self.t_rise + self.t_width
         offsets = (0.0, self.t_rise, fall_start, fall_start + self.t_fall)
+        # Periods ending a quantum or more before t_start snap no corner
+        # into the span; skip them, keeping one more for rounding.
+        lead = t_start - TIME_QUANTUM - self.t_delay - offsets[-1]
+        k = max(0, math.floor(lead / self.t_period) - 1)
         times = []
-        k = 0
         while True:
             base = self.t_delay + k * self.t_period
             if base > t_stop:
@@ -204,34 +206,18 @@ class Pwl(Waveform):
 # Parsing
 
 
-class Element(NamedTuple):
-    """One parsed element; Netlist.elements lists them in netlist order."""
-
-    kind: str  # one of R C L I V
-    name: str
-    pos: str
-    neg: str
-    value: float | None  # None for sources
-    waveform: Waveform | None  # None for R, C and L
-
-
 @dataclass
 class Netlist:
-    """Parsed elements as columns, one list per Element field."""
+    """Parsed elements as columns, one list per field, in netlist order."""
 
-    kinds: list[str]
+    kinds: list[str]  # one of R C L I V
     names: list[str]
     pos: list[str]
     neg: list[str]
-    values: list[float | None]
-    waveforms: list[Waveform | None]
+    values: list[float | None]  # None for sources
+    waveforms: list[Waveform | None]  # None for R, C and L
     t_start: float | None = None
     t_stop: float | None = None
-
-    @property
-    def elements(self) -> list[Element]:
-        return list(map(Element, self.kinds, self.names, self.pos, self.neg,
-                        self.values, self.waveforms))
 
 
 def _parse_source_spec(spec: str) -> Waveform:
@@ -258,7 +244,7 @@ def _parse_source_spec(spec: str) -> Waveform:
 
 def parse_netlist(text: str) -> Netlist:
     """Parse netlist text into elements plus the analysis directive."""
-    fields: list = []  # six Element fields per element, in netlist order
+    fields: list = []  # six Netlist fields per element, in netlist order
     seen_names: set[str] = set()
     t_start = t_stop = None
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -58,10 +58,6 @@ class SparseMatrix:
         return self._m.shape[1]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self._m.shape
-
-    @property
     def nnz(self) -> int:
         return self._m.nnz
 

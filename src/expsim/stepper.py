@@ -19,7 +19,8 @@ stepping point's terms with a dense product. The operating point is
 
 Steps land exactly on the spot times where any driving source changes
 slope. A fresh Krylov basis is grown only at the spots where this run's
-own input changes slope; at the remaining spots the previous basis is
+own input changes slope, one mask over the stepping points computed
+before the first step; at the remaining spots the previous basis is
 reused by evaluating the projected exponential at the horizon measured
 from the basis anchor, with P re-anchored accordingly. That reuse is
 what makes the decomposed runs cheap: a reused step costs no basis
@@ -39,13 +40,20 @@ import numpy as np
 
 from . import krylov, netlist, numkit
 
-METHODS = ("tr", "be", "mexp", "imatex", "rmatex")
+# theta of each fixed-step method: (C/h + theta G) x_{k+1}
+#   = (C/h - (1 - theta) G) x_k + B ((1 - theta) u_k + theta u_{k+1}).
+FIXED_THETA = {"tr": 0.5, "be": 1.0}
 
 _METHOD_VARIANT = {
     "mexp": krylov.Variant.STANDARD,
     "imatex": krylov.Variant.INVERTED,
     "rmatex": krylov.Variant.RATIONAL,
 }
+
+METHODS = (*FIXED_THETA, *_METHOD_VARIANT)
+
+# Spots closer than this share of the span are one spot.
+_SPOT_RTOL = 1e-9
 
 
 @dataclass
@@ -75,7 +83,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method in ("tr", "be") and (self.h is None or self.h <= 0):
+        if self.method in FIXED_THETA and (self.h is None or self.h <= 0):
             raise ValueError(f"{self.method} needs a positive fixed step h")
         if self.e_tol <= 0:
             raise ValueError("e_tol must be positive")
@@ -162,7 +170,7 @@ def stepping_points(t0, t1, spots) -> np.ndarray:
     interior = spots[(spots > t0) & (spots < t1)]
     points = np.unique(np.concatenate([[t0, t1], interior]))
     # Collapse float-noise near-duplicates; keep the endpoints intact.
-    atol = 1e-9 * (t1 - t0)
+    atol = _SPOT_RTOL * (t1 - t0)
     keep = [points[0]]
     for p in points[1:]:
         if p - keep[-1] > atol:
@@ -204,14 +212,6 @@ def factor_matex(
     return krylov.factor_operator(variant, system.c, system.g, gamma)
 
 
-def _is_spot(t: float, spots: np.ndarray, atol: float) -> bool:
-    i = np.searchsorted(spots, t)
-    for j in (i - 1, i):
-        if 0 <= j < spots.size and abs(float(spots[j]) - t) <= atol:
-            return True
-    return False
-
-
 def solve_transient_matex(
     system: netlist.CircuitSystem,
     config: SolverConfig,
@@ -222,8 +222,9 @@ def solve_transient_matex(
 
     The run starts at its operating point -w(t0). It steps on the
     system's own spots plus gts, the other spots the samples must land
-    on. A fresh basis is built at the spots where the system's own
-    sources change slope; at the others the previous basis is reused.
+    on. A fresh basis is built at the points within stepping_points'
+    merge tolerance of a spot where the system's own sources change
+    slope; at the others the previous basis is reused.
     op, made by factor_matex for the same C, G, config and spots, is
     stepped with instead of factoring anew; the run then reports the
     substitution pairs it added to op's tallies and no factorizations.
@@ -236,7 +237,13 @@ def solve_transient_matex(
     own_spots = active_transitions(system, t0, t1)
     spots = own_spots if gts is None else np.union1d(gts, own_spots)
     points = stepping_points(t0, t1, spots)
-    spot_atol = 1e-9 * span
+    # A gts time merged with an own spot moves that spot's point, so the
+    # two nearest own spots are matched within the merge tolerance.
+    ends = np.concatenate([[-np.inf], own_spots, [np.inf]])
+    i = np.searchsorted(own_spots, points)
+    gap = np.minimum(np.abs(ends[i] - points), np.abs(ends[i + 1] - points))
+    fresh_at = gap <= _SPOT_RTOL * span
+    fresh_at[0] = True
 
     factorizations = 0
     if op is None:
@@ -249,12 +256,11 @@ def solve_transient_matex(
     states = np.empty((points.size, system.n))
     states[0] = x
     steps: list[StepRecord] = []
-    basis = None
     a = 0  # index of the basis anchor
     for k in range(points.size - 1):
         t, t_next = float(points[k]), float(points[k + 1])
         h = t_next - t
-        fresh = basis is None or _is_spot(t, own_spots, spot_atol)
+        fresh = fresh_at[k]
         if fresh:
             a = k
             eps = config.e_tol * h / span
@@ -303,17 +309,12 @@ def _fixed_grid(t0, t1, h):
     return np.array([t0 + k * h for k in range(n_steps + 1)])
 
 
-# theta of each fixed-step method: (C/h + theta G) x_{k+1}
-#   = (C/h - (1 - theta) G) x_k + B ((1 - theta) u_k + theta u_{k+1}).
-_THETA = {"tr": 0.5, "be": 1.0}
-
-
 def _solve_fixed(system, config, method):
     t_begin = time.perf_counter()
     t0, t1 = resolve_span(system, config)
     times = _fixed_grid(t0, t1, config.h)
     h = config.h
-    theta = _THETA[method]
+    theta = FIXED_THETA[method]
     g_factors = numkit.lu_factorize(system.g)
     x = netlist.dc_analysis(system, g_factors, t=t0)
 
@@ -376,15 +377,6 @@ def solve_transient(
     return solve_transient_matex(system, config, gts=gts, op=op)
 
 
-def resample_states(result: WaveformResult, times: np.ndarray) -> np.ndarray:
-    """Linear interpolation of a trajectory onto new sample times."""
-    times = np.asarray(times, dtype=np.float64)
-    out = np.empty((times.size, result.n))
-    for j in range(result.n):
-        out[:, j] = np.interp(times, result.times, result.states[:, j])
-    return out
-
-
 def waveform_error(
     result: WaveformResult, reference: WaveformResult
 ) -> float:
@@ -394,7 +386,9 @@ def waveform_error(
     run as result; the deviation is normalized by the reference's peak
     magnitude so quiet nets do not divide by zero.
     """
-    ref = resample_states(reference, result.times)
+    ref = np.empty((result.times.size, reference.n))
+    for j in range(reference.n):
+        ref[:, j] = np.interp(result.times, reference.times, reference.states[:, j])
     scale = float(np.abs(ref).max())
     if scale == 0.0:
         scale = 1.0

@@ -277,6 +277,18 @@ class TestExitCodes:
         assert rc == 2
         assert "fixed step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solvers", ["", ",", " , "])
+    def test_compare_rejects_empty_solvers_before_oracle(
+        self, netlist_file, capsys, monkeypatch, solvers
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the reference ran with no solver to compare")
+
+        monkeypatch.setattr(stepper, "solve_transient_be", no_oracle)
+        rc = cli.main(["compare", netlist_file, "--solvers", solvers])
+        assert rc == 2
+        assert "numerical error: no solver given" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_compare_rejects_workers_before_oracle(
         self, netlist_file, capsys, monkeypatch, workers

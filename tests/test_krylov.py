@@ -63,7 +63,7 @@ class TestExactAtFullDimension:
     def test_scalar_decay(self):
         op = scalar_standard_operator(-1.0)
         basis = krylov.arnoldi(op, np.array([2.0]))
-        assert basis.m == 1 and basis.breakdown
+        assert basis.m == 1 and basis.h_next == 0.0
         got = krylov.expm_action(basis, 1.0)
         np.testing.assert_allclose(got, [2.0 * math.exp(-1.0)], rtol=1e-14)
 
@@ -78,7 +78,7 @@ class TestHappyBreakdown:
         v = np.array([1.0, 0.0, 1.0])  # spans a 2-dimensional invariant space
         basis = krylov.arnoldi(self.op, v, m_max=3)
         assert basis.m == 2
-        assert basis.breakdown and basis.h_next == 0.0
+        assert basis.h_next == 0.0
         assert basis.estimate == 0.0 and basis.estimate_kind == "breakdown"
 
     def test_breakdown_action_is_exact(self):
@@ -310,7 +310,7 @@ class TestOneExponentialPerStep:
     ):
         fam = estimator_family
         basis = full_basis(fam, which, m_max=6)
-        assert not basis.breakdown
+        assert basis.h_next != 0.0
         expected = basis.beta * (
             basis.v_basis
             @ krylov._projected_expm(fam.h * basis.h_eff)[:, 0]
@@ -419,7 +419,7 @@ class TestStiffOrthogonality:
         op = krylov.factor_operator(krylov.Variant(which), system.c, system.g, gamma)
         v = np.random.default_rng(3).standard_normal(system.n)
         basis = krylov.arnoldi(op, v, m_max=30, eps=None)
-        assert basis.m == 30 and not basis.breakdown
+        assert basis.m == 30 and basis.h_next != 0.0
         assert orthonormality_defect(basis) <= 1e-8
         residual, scale = relation_residual(basis)
         assert residual <= 1e-8 * scale

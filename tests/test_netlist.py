@@ -73,6 +73,18 @@ class TestWaveforms:
             got, np.array([1.0, 2.0, 5.0, 7.0, 11.0, 12.0]) * 1e-9
         )
 
+    def test_late_pulse_span_skips_earlier_periods(self, monkeypatch):
+        # A 0.1 ns span a microsecond in covers ten 10 ps periods; the
+        # 10^5 periods before it must not each be quantized.
+        calls = []
+        real = netlist.quantize_time
+        monkeypatch.setattr(
+            netlist, "quantize_time", lambda t: calls.append(t) or real(t)
+        )
+        w = netlist.Pulse(0.0, 1.0, 0.0, 1e-12, 1e-12, 3e-12, 10e-12)
+        assert w.transition_times(1e-6, 1e-6 + 1e-10).size == 40
+        assert len(calls) <= 4 * 16
+
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
             netlist.Pulse(0, 1, 0.0, 0.0, 1.0, 1.0, 10.0)  # zero rise
@@ -110,9 +122,9 @@ class TestParseNetlist:
             ignored after end
             """
         )
-        assert [e.kind for e in nl.elements] == ["R", "C"]
-        assert nl.elements[0].pos == "A" and nl.elements[0].neg == "B"
-        assert [e.value for e in nl.elements] == [10.0, pytest.approx(1e-9)]
+        assert nl.kinds == ["R", "C"]
+        assert nl.pos[0] == "A" and nl.neg[0] == "B"
+        assert nl.values == [10.0, pytest.approx(1e-9)]
         assert nl.t_start == 0.0 and nl.t_stop == pytest.approx(1e-6)
 
     def test_source_specs(self):
@@ -124,7 +136,7 @@ class TestParseNetlist:
             .END
             """
         )
-        w = [e.waveform for e in nl.elements]
+        w = nl.waveforms
         assert isinstance(w[0], netlist.Dc) and w[0].level == pytest.approx(2e-3)
         assert isinstance(w[1], netlist.Dc) and w[1].level == 5.0
         assert isinstance(w[2], netlist.Pulse)

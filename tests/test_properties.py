@@ -105,33 +105,57 @@ def dense_stamp(parsed):
     a as column k and row k of G; L adds -L at C[k, k] and V a 1 at
     B[k, its source]. An I source subtracts a from its column of B.
     """
+    elements = list(zip(parsed.kinds, parsed.names, parsed.pos, parsed.neg, parsed.values))
     nodes = []
-    for e in parsed.elements:
-        nodes += [x for x in (e.pos, e.neg) if x != "0" and x not in nodes]
-    branches = [e.name for e in parsed.elements if e.kind in "LV"]
-    sources = [e.name for e in parsed.elements if e.kind in "IV"]
+    for _, _, pos, neg, _ in elements:
+        nodes += [x for x in (pos, neg) if x != "0" and x not in nodes]
+    branches = [name for kind, name, *_ in elements if kind in "LV"]
+    sources = [name for kind, name, *_ in elements if kind in "IV"]
     n = len(nodes) + len(branches)
     c, g, b = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, len(sources)))
-    for e in parsed.elements:
+    for kind, name, pos, neg, value in elements:
         a = np.zeros(n)
-        for node, sign in ((e.pos, 1.0), (e.neg, -1.0)):
+        for node, sign in ((pos, 1.0), (neg, -1.0)):
             if node != "0":
                 a[nodes.index(node)] = sign
-        if e.kind == "R":
-            g += np.outer(a, a) / e.value
-        elif e.kind == "C":
-            c += np.outer(a, a) * e.value
-        elif e.kind == "I":
-            b[:, sources.index(e.name)] -= a
+        if kind == "R":
+            g += np.outer(a, a) / value
+        elif kind == "C":
+            c += np.outer(a, a) * value
+        elif kind == "I":
+            b[:, sources.index(name)] -= a
         else:
-            k = len(nodes) + branches.index(e.name)
+            k = len(nodes) + branches.index(name)
             g[:, k] += a
             g[k, :] += a
-            if e.kind == "L":
-                c[k, k] -= e.value
+            if kind == "L":
+                c[k, k] -= value
             else:
-                b[k, sources.index(e.name)] = 1.0
+                b[k, sources.index(name)] = 1.0
     return c, g, b
+
+
+@st.composite
+def pulses_and_spans(draw):
+    """A pulse at a drawn time scale and a span that may start periods late."""
+    unit = 10.0 ** draw(st.integers(-15, -6))
+    t_rise, t_fall, t_width = (draw(st.floats(0.01, 1.0)) * unit for _ in range(3))
+    period = (t_rise + t_fall + t_width) * draw(st.floats(1.001, 3.0))
+    delay = draw(st.floats(0.0, 20.0)) * period
+    pulse = netlist.Pulse(0.0, 1.0, delay, t_rise, t_fall, t_width, period)
+    t0 = draw(st.floats(0.0, 50.0)) * period
+    if draw(st.booleans()):  # start on a corner
+        t0 = draw(st.sampled_from(pulse.transition_times(0.0, 50.0 * period).tolist()))
+    return pulse, t0, t0 + draw(st.floats(0.0, 20.0)) * period
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=pulses_and_spans())
+def test_pulse_corners_in_a_span_are_the_clipped_full_sweep(case):
+    pulse, t0, t1 = case
+    full = pulse.transition_times(0.0, t1)
+    want = full[(full >= t0) & (full <= t1)]
+    np.testing.assert_array_equal(pulse.transition_times(t0, t1), want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import expsim as es
-from expsim import numkit, stepper
+from expsim import netlist, numkit, stepper
 from expsim.errors import StructurallySingular
 from conftest import dense_exact
 
@@ -270,6 +270,23 @@ class TestBasisReuse:
         np.testing.assert_array_equal(coarse.times, own.times)
         np.testing.assert_allclose(coarse.states[-1], dense_exact(system), atol=1e-9)
 
+    def test_grid_time_merged_into_own_corner_starts_a_basis(self):
+        # A grid time 2 fs before the drive's corner at 1 us merges with
+        # it, and the merged point keeps the grid time. The run must grow
+        # a fresh basis there rather than reuse the ramp's across the corner.
+        system = es.build_system(
+            DC_RC_NETLIST.replace("DC 1m", "PWL(0 0 1u 1m 2u 0)")
+        )
+        own_spot = netlist.quantize_time(1e-6)
+        gts = np.array([0.0, own_spot - 2e-15, 3e-6, 5e-6])
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
+        result = stepper.solve_transient(system, cfg, gts=gts)
+        assert own_spot not in result.times
+        merged = next(s for s in result.steps if s.t == gts[1])
+        assert not merged.reused
+        exact = dense_exact(system, result.times)
+        np.testing.assert_allclose(result.states, exact, rtol=0, atol=1e-6)
+
     def test_decomposed_grid_matches_masked_run(self, ladder_system):
         # Restrict the drive to the PWL source; stepping on the full
         # grid with reuse must land where its own grid lands.
@@ -329,15 +346,21 @@ class TestFixedStep:
 
 
 class TestPostprocessing:
-    def test_resample_states_interpolates(self):
-        result = stepper.WaveformResult(
+    def test_waveform_error_interpolates_reference(self):
+        ref = stepper.WaveformResult(
             times=np.array([0.0, 1.0, 2.0]),
-            states=np.array([[0.0], [1.0], [2.0]]),
-            names=["v(1)"],
+            states=np.array([[0.0, 4.0], [1.0, 2.0], [2.0, 0.0]]),
+            names=["v(1)", "v(2)"],
             method="be",
         )
-        got = stepper.resample_states(result, np.array([0.5, 1.5]))
-        np.testing.assert_allclose(got, [[0.5], [1.5]])
+        # Between its samples the reference reads [0.5, 3] and [1.5, 1].
+        result = stepper.WaveformResult(
+            times=np.array([0.5, 1.5]),
+            states=np.array([[0.5, 3.0], [1.5, 1.06]]),
+            names=["v(1)", "v(2)"],
+            method="tr",
+        )
+        assert stepper.waveform_error(result, ref) == pytest.approx(2.0)
 
     def test_waveform_error_percent(self):
         ref = stepper.WaveformResult(
