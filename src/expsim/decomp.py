@@ -20,12 +20,17 @@ it, i.e. exactly the reused steps.
 Only the exponential methods gain from this. A fixed-step method
 repeats every step in every group, so run_superposed runs tr and be as
 one group.
+
+A superposed run keeps no group's states: each group's are added into
+the merged waveform as soon as it ends, so memory is the merged
+waveform plus one group's working set whatever the group count, and a
+group's subtask carries its cost accounting only.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,10 +94,10 @@ def build_plan(
 
 @dataclass
 class SuperposedResult:
-    """Merged waveform plus the per-group runs it was summed from."""
+    """Merged waveform plus each group's cost accounting, not its states."""
 
     merged: stepper.WaveformResult
-    subtasks: list[stepper.WaveformResult]
+    subtasks: list[stepper.RunCost]
     plan: TransitionPlan
 
 
@@ -111,9 +116,13 @@ def run_superposed(
     once here and every group steps with it: the merged factorizations
     are that operator's, each subtask reports 0 factorizations and the
     substitution pairs it added. Groups run one after another in the
-    calling thread and the merge sums in group index order. max_groups
-    must be at least 1 for every method. workers must be at least 1 and
-    has no other effect; it is kept for existing callers. The merged
+    calling thread. Each group's states take the running sum as soon
+    as that group ends and the previous sum is dropped, so the call
+    holds the merged waveform plus one group's working set whatever
+    the group count; the merged bytes are those of zeros plus each
+    group's states in group index order. max_groups must be at
+    least 1 for every method. workers must be at least 1 and has no
+    other effect; it is kept for existing callers. The merged
     wall_time is this call's elapsed time; each group's own time stays
     on its subtask.
     """
@@ -129,33 +138,38 @@ def run_superposed(
     )
     op = None if fixed_step else stepper.factor_matex(system, config, plan.gts)
 
-    results = [
-        stepper.solve_transient(system.subsystem(g), config, gts=plan.gts, op=op)
-        for g in plan.groups
-    ]
-
-    first = results[0]
-    for r in results[1:]:
-        if not np.array_equal(r.times, first.times):
+    merged = None
+    subtasks: list[stepper.RunCost] = []
+    for g in plan.groups:
+        run = stepper.solve_transient(system.subsystem(g), config, gts=plan.gts, op=op)
+        # a + b is b + a bit for bit, so each group's own array takes the
+        # running sum in place and the bytes are those of zeros + each
+        # group in index order (-0.0 becomes +0.0 the same way).
+        if merged is None:
+            run.states += 0.0
+        elif np.array_equal(run.times, merged.times):
+            run.states += merged.states
+        else:
             raise AssertionError("subtask sample grids diverged; cannot merge")
+        merged = run
+        subtasks.append(
+            stepper.RunCost(
+                steps=run.steps,
+                substitution_pairs=run.substitution_pairs,
+                factorizations=run.factorizations,
+                wall_time=run.wall_time,
+            )
+        )
 
-    merged_states = np.zeros_like(first.states)
-    for r in results:
-        merged_states += r.states
-
-    merged = stepper.WaveformResult(
-        times=first.times.copy(),
-        states=merged_states,
-        names=list(first.names),
-        method=first.method,
-        steps=[s for r in results for s in r.steps],
-        substitution_pairs=sum(r.substitution_pairs for r in results),
+    merged = replace(
+        merged,
+        steps=[s for r in subtasks for s in r.steps],
+        substitution_pairs=sum(r.substitution_pairs for r in subtasks),
         factorizations=(0 if op is None else len(op.factors()))
-        + sum(r.factorizations for r in results),
+        + sum(r.factorizations for r in subtasks),
         wall_time=time.perf_counter() - t_begin,
-        gamma=first.gamma,
     )
-    return SuperposedResult(merged=merged, subtasks=results, plan=plan)
+    return SuperposedResult(merged=merged, subtasks=subtasks, plan=plan)
 
 
 def speedup_model(

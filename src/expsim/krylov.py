@@ -396,7 +396,7 @@ def arnoldi(
         raise ValueError(f"start vector has shape {v.shape}, expected ({dim},)")
     beta = float(np.linalg.norm(v))
     m_max = min(m_max, dim)
-    big_v = np.zeros((m_max + 1, dim))
+    big_v = np.empty((m_max + 1, dim))  # each row is written before it is read
     big_h = np.zeros((m_max + 1, m_max))
 
     def view(m, h_next, v_next):
@@ -420,7 +420,7 @@ def arnoldi(
 
     if beta == 0.0:
         # Zero start vector: the action is identically zero.
-        return finish(view(0, 0.0, big_v[0]), 0.0, "breakdown")
+        return finish(view(0, 0.0, np.zeros(dim)), 0.0, "breakdown")
     big_v[0] = v / beta
 
     next_check = 1

@@ -107,22 +107,13 @@ class StepRecord:
 
 
 @dataclass
-class WaveformResult:
-    """Sampled trajectory plus the run's cost accounting."""
+class RunCost:
+    """A run's cost accounting: its steps, solves, factors and time."""
 
-    times: np.ndarray  # (T,)
-    states: np.ndarray  # (T, n)
-    names: list[str]
-    method: str
     steps: list[StepRecord] = field(default_factory=list)
     substitution_pairs: int = 0
     factorizations: int = 0
     wall_time: float = 0.0
-    gamma: float | None = None
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
 
     @property
     def m_peak(self) -> int:
@@ -137,6 +128,21 @@ class WaveformResult:
     @property
     def reused_steps(self) -> int:
         return sum(1 for s in self.steps if s.reused)
+
+
+@dataclass(kw_only=True)
+class WaveformResult(RunCost):
+    """Sampled trajectory plus the run's cost accounting."""
+
+    times: np.ndarray  # (T,)
+    states: np.ndarray  # (T, n)
+    names: list[str]
+    method: str
+    gamma: float | None = None
+
+    @property
+    def n(self) -> int:
+        return self.states.shape[1]
 
 
 def resolve_span(system: netlist.CircuitSystem, config: SolverConfig):
