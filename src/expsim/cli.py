@@ -52,23 +52,6 @@ def write_waveform_csv(result: stepper.WaveformResult, fh) -> None:
         fh.write(fmt % (t, *row.tolist()))
 
 
-def read_waveform_csv(fh):
-    """Inverse of write_waveform_csv: (times, states, names)."""
-    header = fh.readline().strip().split(",")
-    if not header or header[0] != "time":
-        raise ValueError("not a waveform CSV: header must start with 'time'")
-    names = header[1:]
-    rows = [
-        [float(tok) for tok in line.strip().split(",")]
-        for line in fh
-        if line.strip()
-    ]
-    data = np.asarray(rows)
-    if data.ndim != 2 or data.shape[1] != len(names) + 1:
-        raise ValueError("malformed waveform CSV")
-    return data[:, 0], data[:, 1:], names
-
-
 @contextlib.contextmanager
 def _open_out(path: str):
     if path == "-":
@@ -175,16 +158,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _oracle(system, args) -> tuple[stepper.WaveformResult, float]:
-    """Backward-Euler reference at step h and its own error in percent.
+def _oracle(system, args, span) -> tuple[stepper.WaveformResult, float]:
+    """Backward-Euler reference over span at h and its own error in percent.
 
     Backward Euler is first order, so its run at 2h deviates from its
     run at h by about the error of the run at h; that deviation is the
     reference's own error.
     """
-    t0, t1 = stepper.resolve_span(
-        system, stepper.SolverConfig(method="rmatex", t_start=args.tstart, t_stop=args.tstop)
-    )
+    t0, t1 = span
     h = args.oracle_h
     if h is None:
         spots = stepper.active_transitions(system, t0, t1)
@@ -209,13 +190,15 @@ def cmd_compare(args) -> int:
         if s not in stepper.METHODS:
             raise ValueError(f"unknown solver {s!r}")
     # Reject a bad configuration before the reference run, which can
-    # take far longer than the solvers compared.
+    # take far longer than the solvers compared; all share one span.
     configs = [_make_config(args, solver) for solver in solvers]
     if args.workers < 1:
         raise ValueError("workers must be at least 1")
     if args.groups < 1:
         raise ValueError("max_groups must be at least 1")
-    oracle, oracle_err = _oracle(system, args)
+    for config in configs:
+        span = stepper.resolve_span(system, config)
+    oracle, oracle_err = _oracle(system, args, span)
     limit = RESOLVED_FACTOR * oracle_err
     rows = []
     for solver, config in zip(solvers, configs):

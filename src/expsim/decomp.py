@@ -94,7 +94,12 @@ def build_plan(
 
 @dataclass
 class SuperposedResult:
-    """Merged waveform plus each group's cost accounting, not its states."""
+    """Merged waveform plus each group's cost accounting, not its states.
+
+    The groups share no data once the operator is factored, so when
+    they run on separate machines, as in the paper, the largest
+    subtask's substitution pairs are the critical path.
+    """
 
     merged: stepper.WaveformResult
     subtasks: list[stepper.RunCost]
@@ -170,38 +175,3 @@ def run_superposed(
         wall_time=time.perf_counter() - t_begin,
     )
     return SuperposedResult(merged=merged, subtasks=subtasks, plan=plan)
-
-
-def speedup_model(
-    n_fixed_steps: int,
-    total_transitions: int,
-    max_group_transitions: int,
-    m: float,
-    t_bs: float = 1.0,
-    t_h: float = 0.0,
-    t_e: float = 0.0,
-    t_serial: float = 0.0,
-) -> float:
-    """Cost-model speedup of the decomposed exponential run over fixed steps.
-
-    With K total local transitions across groups, k the largest count
-    in any one group, m the typical basis dimension, T_bs the cost of
-    one substitution pair, T_H and T_e the per-basis projection and
-    small-exponential costs, T_serial everything else, and N the
-    fixed-step baseline's step count (one pair each):
-
-        versus_fixed  = (N T_bs + T_serial)
-                      / (k m T_bs + K (T_H + T_e) + T_serial)
-
-    k is the critical path when groups run on separate machines, as in
-    the paper; this package runs them one after another in one process.
-    Input terms are left out: a group solves them once per source, two
-    pairs each, however many spots it steps through.
-    """
-    if min(n_fixed_steps, total_transitions, max_group_transitions) < 0:
-        raise ValueError("counts must be nonnegative")
-    cost = max_group_transitions * m * t_bs
-    cost += total_transitions * (t_h + t_e) + t_serial
-    if cost <= 0:
-        raise ValueError("model cost is zero; nothing to compare")
-    return (n_fixed_steps * t_bs + t_serial) / cost

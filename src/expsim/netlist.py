@@ -2,8 +2,8 @@
 
 The accepted text format is a small SPICE-like dialect, one element per
 line, '*' or ';' comment lines and trailing '; ...' comments,
-case-insensitive, with engineering suffixes on numbers
-(f p n u m k meg g t). Supported cards::
+case-insensitive, with engineering suffixes on finite numbers
+(f p n u m k meg g t) and no ',' in names. Supported cards::
 
     R<name> n+ n- <value>
     C<name> n+ n- <value>
@@ -65,6 +65,7 @@ def parse_value(token: str) -> float:
     """Parse a number with an optional engineering suffix.
 
     Trailing unit letters after the suffix are ignored ("10ps", "2pF").
+    A number that overflows to infinity is rejected.
     """
     text = token.strip().upper()
     match = _NUMBER.match(text)
@@ -73,7 +74,10 @@ def parse_value(token: str) -> float:
     number, suffix, rest = match.groups()
     if rest and not rest.isalpha():
         raise ValueError(f"bad suffix on number: {token!r}")
-    return float(number) * _SUFFIXES[suffix] if suffix else float(number)
+    value = float(number) * _SUFFIXES[suffix] if suffix else float(number)
+    if not math.isfinite(value):
+        raise ValueError(f"number out of range: {token!r}")
+    return value
 
 
 def quantize_time(t: float) -> float:
@@ -270,6 +274,10 @@ def parse_netlist(text: str) -> Netlist:
             if len(tokens) < 4:
                 raise ValueError("element line needs name, two nodes and a value")
             name, pos, neg, rest = tokens
+            # Names head the CSV columns, where ',' separates fields.
+            if "," in line and "," in name + pos + neg:
+                bad = next(tok for tok in (name, pos, neg) if "," in tok)
+                raise ValueError(f"name {bad!r} contains ','")
             key = name.upper()
             kind = key[0]
             if key in seen_names:

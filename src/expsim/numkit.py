@@ -2,9 +2,9 @@
 
 Everything the rest of the package does reduces to three primitives:
 compressed sparse column matrices in one canonical stored form,
-factorizing them once, and back-substituting many times. Substitutions
-are the unit of cost in the speedup model; each factor counts its own
-in ``solve_count``, and a run's cost is what it added to the factors it
+factorizing them once, and back-substituting many times. Substitution
+pairs are the unit of cost; each factor counts its own in
+``solve_count``, and a run's cost is what it added to the factors it
 stepped with.
 
 The heavy lifting is delegated to scipy (SuperLU ordered by minimum

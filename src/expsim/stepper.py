@@ -149,7 +149,7 @@ def resolve_span(system: netlist.CircuitSystem, config: SolverConfig):
     """(t_start, t_stop) of the run: config overrides, else .TRAN.
 
     Every solver calls this first, so it also rejects circuits that no
-    source drives.
+    source drives and a tr/be step that does not divide the span.
     """
     if system.num_sources == 0:
         raise ValueError("netlist has no I or V source: nothing drives the circuit")
@@ -159,7 +159,13 @@ def resolve_span(system: netlist.CircuitSystem, config: SolverConfig):
         raise ValueError("no analysis span: netlist lacks .TRAN and config gives none")
     if t1 <= t0:
         raise ValueError("analysis span is empty")
-    return float(t0), float(t1)
+    t0, t1 = float(t0), float(t1)
+    if config.method in FIXED_THETA:
+        span, h = t1 - t0, config.h
+        n_steps = int(round(span / h))
+        if n_steps < 1 or abs(n_steps * h - span) > 1e-6 * h:
+            raise ValueError(f"fixed step {h!r} does not divide the span {span!r} evenly")
+    return t0, t1
 
 
 def active_transitions(
@@ -305,21 +311,11 @@ def solve_transient_matex(
     )
 
 
-def _fixed_grid(t0, t1, h):
-    span = t1 - t0
-    n_steps = int(round(span / h))
-    if n_steps < 1 or abs(n_steps * h - span) > 1e-6 * h:
-        raise ValueError(
-            f"fixed step {h!r} does not divide the span {span!r} evenly"
-        )
-    return np.array([t0 + k * h for k in range(n_steps + 1)])
-
-
 def _solve_fixed(system, config, method):
     t_begin = time.perf_counter()
     t0, t1 = resolve_span(system, config)
-    times = _fixed_grid(t0, t1, config.h)
     h = config.h
+    times = np.array([t0 + k * h for k in range(int(round((t1 - t0) / h)) + 1)])
     theta = FIXED_THETA[method]
     g_factors = numkit.lu_factorize(system.g)
     x = netlist.dc_analysis(system, g_factors, t=t0)

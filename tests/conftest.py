@@ -9,7 +9,8 @@ dense_exact_singular_c first eliminates the unknowns that carry no
 capacitance.
 
 The autouse audit records every basis krylov.arnoldi returns during a
-test and re-verifies its invariants at teardown.
+test and re-verifies its invariants at teardown. read_waveform_csv
+parses what cli.write_waveform_csv writes.
 """
 
 from dataclasses import replace
@@ -21,6 +22,23 @@ import scipy.sparse as sp
 
 import expsim as es
 from expsim import krylov, numkit
+
+
+def read_waveform_csv(fh):
+    """Inverse of cli.write_waveform_csv: (times, states, names)."""
+    header = fh.readline().strip().split(",")
+    if not header or header[0] != "time":
+        raise ValueError("not a waveform CSV: header must start with 'time'")
+    names = header[1:]
+    rows = [
+        [float(tok) for tok in line.strip().split(",")]
+        for line in fh
+        if line.strip()
+    ]
+    data = np.asarray(rows)
+    if data.ndim != 2 or data.shape[1] != len(names) + 1:
+        raise ValueError("malformed waveform CSV")
+    return data[:, 0], data[:, 1:], names
 
 
 def dense_a(system) -> np.ndarray:

@@ -28,6 +28,7 @@ from conftest import (
     dense_exact,
     dense_exact_singular_c,
     ladder_matrices,
+    read_waveform_csv,
     source_corners,
     verify_bases,
 )
@@ -161,10 +162,11 @@ def test_superposition_merge_is_exact():
     )
 
 
-def test_substitution_economy_and_model():
+def test_substitution_economy():
     """Spot-to-spot stepping spends far fewer substitution pairs than a
-    fixed-step run over the same span, and the cost model predicts the
-    measured advantage."""
+    fixed-step run over the same span, and the largest group, the
+    critical path when groups run on separate machines, spends under a
+    third of them."""
     system = es.build_system(economy_netlist())
     span = system.t_stop - system.t_start
     n_fixed = 1000
@@ -178,19 +180,13 @@ def test_substitution_economy_and_model():
     )
     total_pairs = sup.merged.substitution_pairs
     max_pairs = max(r.substitution_pairs for r in sup.subtasks)
-    k_total = sum(g.size for g in sup.plan.group_lts)
-    k_max = max(g.size for g in sup.plan.group_lts)
     measured = n_fixed / max_pairs
-    model = decomp.speedup_model(
-        n_fixed, k_total, k_max, sup.merged.m_average, t_bs=1.0, t_h=2.0
-    )
-    agreement = max(measured / model, model / measured)
-    ok = total_pairs < n_fixed and agreement <= 3.0
+    ok = total_pairs < n_fixed and max_pairs < total_pairs and measured >= 3.0
     _check(
         "substitution economy", ok,
         f"decomposed pairs {total_pairs} < {n_fixed} fixed steps; "
-        f"measured advantage {measured:.2f}x vs model {model:.2f}x, "
-        f"agreement {agreement:.2f}x <= 3x",
+        f"critical path {max_pairs} < {total_pairs} pairs over "
+        f"{sup.plan.num_groups} groups; measured advantage {measured:.2f}x >= 3x",
     )
 
 
@@ -395,7 +391,7 @@ def test_invariant_suites(estimator_family, ladder_system, audited_bases):
     buf = io.StringIO()
     cli.write_waveform_csv(merged_1, buf)
     buf.seek(0)
-    times, states, names = cli.read_waveform_csv(buf)
+    times, states, names = read_waveform_csv(buf)
     csv_exact = (
         names == merged_1.names
         and np.array_equal(times, merged_1.times)

@@ -8,7 +8,7 @@ import pytest
 
 import expsim as es
 from expsim import cli, decomp, stepper
-from conftest import TWO_SOURCE_NETLIST
+from conftest import TWO_SOURCE_NETLIST, read_waveform_csv
 
 CAP_FREE_NODE_NETLIST = """* node 2 carries no capacitance
 I1 0 1 PULSE(0 1e-3 1e-10 1e-10 1e-10 3e-10 1e-9)
@@ -77,7 +77,7 @@ class TestSimulate:
         )
         assert rc == 0
         with open(out) as fh:
-            times, states, names = cli.read_waveform_csv(fh)
+            times, states, names = read_waveform_csv(fh)
 
         system = es.build_system(TWO_SOURCE_NETLIST)
         config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
@@ -150,7 +150,7 @@ class TestSimulate:
         )
         assert rc == 0
         with open(out) as fh:
-            times, states, _ = cli.read_waveform_csv(fh)
+            times, states, _ = read_waveform_csv(fh)
         assert times.size == 201
         assert states.shape == (201, 5)
 
@@ -252,6 +252,14 @@ class TestExitCodes:
         assert rc == 1
         assert "netlist error" in capsys.readouterr().err
 
+    def test_out_of_range_value(self, tmp_path, capsys):
+        # 1e400 overflows float64 to inf.
+        path = tmp_path / "inf.sp"
+        path.write_text("I1 0 1 DC 1m\nC1 1 0 1e400\nR1 1 0 1\n.TRAN 0 1n\n")
+        rc = cli.main(["simulate", str(path)])
+        assert rc == 1
+        assert "netlist error: line 2: number out of range" in capsys.readouterr().err
+
     def test_structurally_singular(self, singular_file, capsys):
         rc = cli.main(["simulate", singular_file, "--solver", "mexp"])
         assert rc == 2
@@ -276,6 +284,18 @@ class TestExitCodes:
         rc = cli.main(["compare", netlist_file, "--solvers", "tr"])
         assert rc == 2
         assert "fixed step" in capsys.readouterr().err
+
+    def test_compare_rejects_uneven_step_before_oracle(
+        self, netlist_file, capsys, monkeypatch
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the reference ran before the step was checked")
+
+        monkeypatch.setattr(stepper, "solve_transient_be", no_oracle)
+        rc = cli.main(["compare", netlist_file, "--solvers", "tr,rmatex",
+                       "--h", "7ps"])
+        assert rc == 2
+        assert "does not divide the span" in capsys.readouterr().err
 
     @pytest.mark.parametrize("solvers", ["", ",", " , "])
     def test_compare_rejects_empty_solvers_before_oracle(
@@ -375,8 +395,8 @@ class TestCsvWriter:
 class TestCsvReader:
     def test_rejects_wrong_header(self):
         with pytest.raises(ValueError, match="header"):
-            cli.read_waveform_csv(io.StringIO("volts,v(1)\n0,1\n"))
+            read_waveform_csv(io.StringIO("volts,v(1)\n0,1\n"))
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError, match="malformed"):
-            cli.read_waveform_csv(io.StringIO("time,v(1),v(2)\n0.0,1.0\n"))
+            read_waveform_csv(io.StringIO("time,v(1),v(2)\n0.0,1.0\n"))

@@ -241,30 +241,3 @@ class TestRunSuperposed:
         # The groups run one after another, so the call's own elapsed
         # time covers every group's.
         assert sup.merged.wall_time >= sum(r.wall_time for r in sup.subtasks)
-
-
-class TestSpeedupModel:
-    def test_hand_computed_ratios(self):
-        est = decomp.speedup_model(
-            n_fixed_steps=1000, total_transitions=20, max_group_transitions=10, m=5
-        )
-        assert est == pytest.approx(20.0)
-
-    def test_overhead_terms(self):
-        est = decomp.speedup_model(
-            n_fixed_steps=1000,
-            total_transitions=20,
-            max_group_transitions=10,
-            m=5,
-            t_h=1.0,
-            t_e=1.0,
-            t_serial=10.0,
-        )
-        # overhead 20*(1+1)+10 = 50, cost 10*5+50 = 100
-        assert est == pytest.approx(1010.0 / 100.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            decomp.speedup_model(-1, 20, 10, 5)
-        with pytest.raises(ValueError):
-            decomp.speedup_model(100, 0, 0, 0.0)

@@ -36,7 +36,9 @@ class TestParseValue:
     def test_values(self, token, expected):
         assert netlist.parse_value(token) == pytest.approx(expected, rel=1e-15)
 
-    @pytest.mark.parametrize("token", ["", "abc", "--3", "1.2.3", "4%"])
+    @pytest.mark.parametrize(
+        "token", ["", "abc", "--3", "1.2.3", "4%", "1e400", "-1e400", "1e300T"]
+    )
     def test_rejects_garbage(self, token):
         with pytest.raises(ValueError):
             netlist.parse_value(token)
@@ -157,6 +159,8 @@ class TestParseNetlist:
             ("I1 0 1 PWL(0 0 1)\n.END\n", 1),
             ("R1 1 0 1\nI1 0 1 PULSE 0 1 0 1 1 1 5\n.END\n", 2),
             ("R1 1 0 1\nI1 0 1 PWL 0 0 1 1\n.END\n", 2),
+            ("R1 1 0 1\nC1 a,b 0 1p\n", 2),  # names head the CSV columns
+            ("R1 1 0 1\nC1,2 1 0 1p\n", 2),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line_no):
@@ -178,6 +182,14 @@ class TestParseNetlist:
         with pytest.raises(NetlistError) as info:
             netlist.parse_netlist(f"I1 0 1 {spec}\n.END\n")
         assert str(info.value) == f"line 1: {message}"
+
+    def test_infinite_stop_time_rejected(self):
+        # An infinite span would keep Pulse.transition_times looping.
+        text = "I1 0 1 PULSE(0 1 0 1n 1n 1n 5n)\nR1 1 0 1\nC1 1 0 1p\n.TRAN 0 1e400\n"
+        with pytest.raises(NetlistError) as info:
+            es.build_system(text)
+        assert info.value.line_no == 4
+        assert "out of range" in str(info.value)
 
     def test_empty_netlist_rejected(self):
         with pytest.raises(NetlistError):
