@@ -20,8 +20,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,12 +46,118 @@ def _value(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+# The vectorized writer takes |x| in [1e-280, 1e280]: decimal exponents
+# k within +-_K_MAX and scale factors 10^(17 - k) within 10^[_P_MIN, _P_MAX],
+# with a margin for log10 misjudging the decade.
+_P_MIN, _P_MAX, _K_MAX = -270, 300, 290
+# Values formatted per block: bounds the writer's working memory.
+_BLOCK_CELLS = 1 << 15
+# Dekker's splitter for float64: 2^27 + 1.
+_SPLIT = 134217729.0
+
+
+def _ascii_words(texts) -> np.ndarray:
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint32)
+
+
+@functools.cache
+def _format_tables():
+    """Read-only tables of the vectorized %.17e formatter.
+
+    10^p as hi + lo from exact rationals, with hi's Dekker halves; the
+    uint32 words of "dddd" for 0-9999, of sign (or NUL), lead digit,
+    "." and second digit for 0-99 unsigned then signed, and of the
+    exponent tail "e+Hd", "d," for each exponent (NUL for an absent
+    hundreds digit or sign; NULs are dropped from the text).
+    """
+    exact = [Fraction(10) ** p for p in range(_P_MIN, _P_MAX + 1)]
+    hi = np.array([float(f) for f in exact])
+    lo = np.array([float(f - Fraction(h)) for f, h in zip(exact, hi.tolist())])
+    c = _SPLIT * hi
+    hi_h = c - (c - hi)
+    exps = range(-_K_MAX, _K_MAX + 1)
+    return (
+        (hi, lo, hi_h, hi - hi_h),
+        _ascii_words(f"{i:04d}" for i in range(10000)),
+        _ascii_words(f"{s}{i // 10}.{i % 10}" for s in ("\0", "-") for i in range(100)),
+        _ascii_words(
+            f"e{'-' if e < 0 else '+'}{abs(e) // 100 or chr(0)}{abs(e) // 10 % 10}"
+            for e in exps
+        ),
+        _ascii_words(f"{abs(e) % 10},\0\0" for e in exps),
+    )
+
+
+def _scaled(ax, k, pow10):
+    """ax * 10^(17 - k) as h + t: h the rounded product, t its remainder
+    to about 1e-13 (Dekker's exact product against 10^p's hi half)."""
+    hi, lo, hi_h, hi_l = (tab[17 - k - _P_MIN] for tab in pow10)
+    c = _SPLIT * ax
+    xh = c - (c - ax)
+    xl = ax - xh
+    h = ax * hi
+    err = ((xh * hi_h - h) + xh * hi_l + xl * hi_h) + xl * hi_l
+    return h, err + ax * lo
+
+
+def _format_block(block: np.ndarray) -> str:
+    """CSV rows of a 2-D float64 block, each value as '%.17e' % value.
+
+    Each value becomes 18 digits D = round(|x| 10^(17 - k)) with
+    k = floor(log10 |x|), laid out in a 28-byte cell of 7 uint32
+    words. A value whose scaled remainder lies within 1e-6 of 1/2, or
+    whose D is not strictly between 10^17 and 10^18 (a power of ten, a
+    carry or a decade misjudged by log10), and a value that is not
+    finite or lies outside [1e-280, 1e280] apart from zero, is
+    formatted by '%' instead, so no rounding is decided on an estimate.
+    """
+    pow10, quads, lead, exp_head, exp_tail = _format_tables()
+    rows, cols = block.shape
+    x = block.ravel()
+    ax = np.abs(x)
+    in_range = (ax >= 1e-280) & (ax <= 1e280)
+    work = np.where(in_range, ax, 1.0)
+    k = np.floor(np.log10(work)).astype(np.int64)
+    h, t = _scaled(work, k, pow10)
+    whole = np.floor(t)
+    frac = t - whole
+    d = h.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    unsure = (np.abs(frac - 0.5) < 1e-6) | (d <= 10**17) | (d >= 10**18)
+    vector = in_range & ~unsure
+    slow = np.flatnonzero(~vector & (ax != 0.0))
+    d[~vector] = 0  # zeros print as 0.00000000000000000e+00, '%' rewrites the rest
+    k[~vector] = 0
+    head, rest = np.divmod(d, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    words = np.empty((x.size, 7), dtype=np.uint32)
+    words[:, 0] = lead[head + 100 * np.signbit(x)]
+    for col, part in ((1, upper), (3, lower)):
+        hi4, lo4 = np.divmod(part, 10**4)
+        words[:, col] = quads[hi4]
+        words[:, col + 1] = quads[lo4]
+    words[:, 5] = exp_head[k + _K_MAX]
+    words[:, 6] = exp_tail[k + _K_MAX]
+    cells = words.view(np.uint8)
+    cells.reshape(rows, cols, 28)[:, -1, 25] = ord("\n")
+    for i in slow.tolist():
+        text = ("%.17e" % float(x[i])).encode("ascii")
+        cells[i, :25] = 0
+        cells[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_waveform_csv(result: stepper.WaveformResult, fh) -> None:
-    """time,<unknown names...>; full-precision scientific notation."""
+    """Write the header time,<names> and one row per sample time.
+
+    Every value, the time first, is exactly the text Python's
+    '%.17e' % value prints, so parsing it restores the float64 bytes.
+    Rows are formatted in blocks of about _BLOCK_CELLS values.
+    """
     fh.write("time," + ",".join(result.names) + "\n")
-    fmt = ",".join(["%.17e"] * (1 + result.n)) + "\n"
-    for t, row in zip(result.times.tolist(), result.states):
-        fh.write(fmt % (t, *row.tolist()))
+    step = max(1, _BLOCK_CELLS // (1 + result.n))
+    for a in range(0, result.times.size, step):
+        block = np.column_stack((result.times[a : a + step], result.states[a : a + step]))
+        fh.write(_format_block(block))
 
 
 @contextlib.contextmanager

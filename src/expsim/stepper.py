@@ -55,6 +55,10 @@ METHODS = (*FIXED_THETA, *_METHOD_VARIANT)
 # Spots closer than this share of the span are one spot.
 _SPOT_RTOL = 1e-9
 
+# A PULSE source may repeat at most this many times over the span; each
+# period adds four input corners, and every corner is a stepping point.
+MAX_PULSE_PERIODS = 10**6
+
 
 @dataclass
 class SolverConfig:
@@ -149,7 +153,9 @@ def resolve_span(system: netlist.CircuitSystem, config: SolverConfig):
     """(t_start, t_stop) of the run: config overrides, else .TRAN.
 
     Every solver calls this first, so it also rejects circuits that no
-    source drives and a tr/be step that does not divide the span.
+    source drives, a PULSE source whose period fits in the span more
+    than MAX_PULSE_PERIODS times, and a tr/be step that does not divide
+    the span.
     """
     if system.num_sources == 0:
         raise ValueError("netlist has no I or V source: nothing drives the circuit")
@@ -160,6 +166,11 @@ def resolve_span(system: netlist.CircuitSystem, config: SolverConfig):
     if t1 <= t0:
         raise ValueError("analysis span is empty")
     t0, t1 = float(t0), float(t1)
+    for name, w in zip(system.source_names, system.sources):
+        if isinstance(w, netlist.Pulse) and (t1 - t0) / w.t_period > MAX_PULSE_PERIODS:
+            raise ValueError(
+                f"source {name}: the span holds more than {MAX_PULSE_PERIODS} pulse periods"
+            )
     if config.method in FIXED_THETA:
         span, h = t1 - t0, config.h
         n_steps = int(round(span / h))

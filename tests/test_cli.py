@@ -2,9 +2,12 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expsim as es
 from expsim import cli, decomp, stepper
@@ -369,6 +372,54 @@ class TestExitCodes:
         assert "magic" in capsys.readouterr().err
 
 
+def oracle_rows(table) -> str:
+    """The rows as the per-value '%.17e' writer printed them."""
+    return "".join(",".join("%.17e" % v for v in row) + "\n" for row in table.tolist())
+
+
+def written_rows(table) -> str:
+    """write_waveform_csv's rows for a (T, 1 + n) table, time first."""
+    result = stepper.WaveformResult(
+        times=table[:, 0],
+        states=table[:, 1:],
+        names=[f"v({j})" for j in range(1, table.shape[1])],
+        method="rmatex",
+    )
+    fh = io.StringIO()
+    with np.errstate(all="raise"):
+        cli.write_waveform_csv(result, fh)
+    header, rows = fh.getvalue().split("\n", 1)
+    assert header == "time," + ",".join(result.names)
+    return rows
+
+
+def tie_values() -> list[float]:
+    """Odd multiples of 2^-k with 19 significant digits: each lies
+    exactly halfway between two 18-digit decimals."""
+    values = []
+    for k in range(1, 70):
+        lo, hi = -(-10**18 // 5**k), min(10**19 // 5**k, 2**53)
+        for m in range(lo | 1, hi, 2 * max(1, (hi - lo) // 16)):
+            values.append(m * 2.0**-k)
+    return values
+
+
+def edge_table() -> np.ndarray:
+    # The powers of ten include the 1e-280 and 1e280 limits of the
+    # vectorized path, so their neighbours sit on both sides of them.
+    powers = [float(f"1e{p}") for p in range(-323, 309)]
+    values = [
+        *powers,
+        *np.nextafter(powers, 0.0),
+        *np.nextafter(powers, np.inf),
+        9.999999999999999e-1,
+        *tie_values(),
+        0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    ]
+    values = np.concatenate([values, np.negative(values)])
+    return np.resize(values, (-(-values.size // 7), 7))
+
+
 class TestCsvWriter:
     def test_matches_per_value_formatting(self):
         # One format string per row writes the text that formatting each
@@ -390,6 +441,96 @@ class TestCsvWriter:
         )
         assert fh.getvalue() == want
         assert "-0.00000000000000000e+00" in want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            min_size=3,
+            max_size=60,
+        )
+    )
+    def test_any_float_prints_as_percent_does(self, values):
+        table = np.array(values[: len(values) // 3 * 3]).reshape(-1, 3)
+        assert written_rows(table) == oracle_rows(table)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        table = bits.view(np.float64).reshape(-1, 125)
+        assert written_rows(table) == oracle_rows(table)
+
+    def test_edge_values(self):
+        # Powers of ten and their neighbours (log10 rounding across a
+        # decade, carries into the next decade, the limits of the
+        # vectorized path) and exact ties that round half to even.
+        table = edge_table()
+        assert written_rows(table) == oracle_rows(table)
+
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf])
+    def test_log10_an_ulp_off_costs_no_bytes(self, monkeypatch, toward):
+        # Another numpy build may round log10 the other way at a power of
+        # ten; the decade then comes out one off and the value goes to '%'.
+        log10 = np.log10
+
+        def log10_off(a):
+            with np.errstate(under="ignore"):  # next to log10(1) = 0
+                return np.nextafter(log10(a), toward)
+
+        monkeypatch.setattr(np, "log10", log10_off)
+        table = edge_table()
+        assert written_rows(table) == oracle_rows(table)
+
+    def test_memory_is_a_few_rows_of_text(self):
+        # Formatting the whole waveform at once would hold a byte matrix
+        # and integer digit arrays of every value: over 100 MB here.
+        rows, n = 200, 20_000
+        result = stepper.WaveformResult(
+            times=np.arange(rows) * 1e-12,
+            states=np.random.default_rng(3).standard_normal((rows, n)),
+            names=[f"v({j})" for j in range(n)],
+            method="rmatex",
+        )
+
+        class Counter:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+        sink = Counter()
+        tracemalloc.start()
+        try:
+            cli.write_waveform_csv(result, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_text = sink.chars / (rows + 1)
+        assert peak <= 16 * row_text
+
+    def test_simulate_writes_the_oracle_bytes(self, stiff_mesh, tmp_path, monkeypatch):
+        # README's 400-node mesh through expsim simulate, end to end.
+        mesh, _ = stiff_mesh
+        netlist_path = tmp_path / "mesh.sp"
+        netlist_path.write_text(mesh.text)
+        runs = []
+        run_superposed = decomp.run_superposed
+
+        def recording(*args, **kwargs):
+            runs.append(run_superposed(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(decomp, "run_superposed", recording)
+        out = tmp_path / "wave.csv"
+        rc = cli.main(
+            ["simulate", str(netlist_path), "--solver", "rmatex", "--etol", "1e-8",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        merged = runs[0].merged
+        table = np.column_stack((merged.times, merged.states))
+        want = "time," + ",".join(merged.names) + "\n" + oracle_rows(table)
+        assert out.read_bytes() == want.encode("ascii")
 
 
 class TestCsvReader:

@@ -75,6 +75,17 @@ class TestSpanAndGrid:
             with pytest.raises(ValueError, match="no I or V source"):
                 es.run_superposed(sys_, cfg)
 
+    def test_pulse_repeating_past_the_cap_is_an_error(self, ladder_system):
+        # Refused before any corner is listed: Pulse.transition_times
+        # appends four corners per period. I1's period is 2e-10.
+        cap = stepper.MAX_PULSE_PERIODS
+        ok = stepper.SolverConfig(t_stop=(cap - 1) * 2e-10)
+        assert stepper.resolve_span(ladder_system, ok) == (0.0, ok.t_stop)
+        for t_stop in ((cap + 1) * 2e-10, 1e300):
+            cfg = stepper.SolverConfig(t_stop=t_stop)
+            with pytest.raises(ValueError, match=f"^source i1: .* more than {cap} pulse"):
+                stepper.resolve_span(ladder_system, cfg)
+
     def test_active_transitions_masking(self, ladder_system):
         # A run sees the transitions of its own system's sources only.
         t0, t1 = 0.0, 4e-10
