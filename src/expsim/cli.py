@@ -275,6 +275,8 @@ def _oracle(system, args, span) -> tuple[stepper.WaveformResult, float]:
     """
     t0, t1 = span
     h = args.oracle_h
+    if h is not None and h <= 0:
+        raise ValueError(f"oracle step {h!r} must be positive")
     if h is None:
         spots = stepper.active_transitions(system, t0, t1)
         pts = stepper.stepping_points(t0, t1, spots)

@@ -31,14 +31,12 @@ voltage source is present, and downstream solvers are expected to cope
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import re
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -80,9 +78,13 @@ def parse_value(token: str) -> float:
     return value
 
 
-def quantize_time(t: float) -> float:
-    """Snap a time to the femtosecond grid used for spot bookkeeping."""
-    return round(t / TIME_QUANTUM) * TIME_QUANTUM
+def quantize_time(t):
+    """Snap a time, or an array of times, to the femtosecond grid.
+
+    Used for spot bookkeeping; the result has the shape of t. Zero is
+    +0.0, also for a time that rounds to zero from below.
+    """
+    return np.rint(t / TIME_QUANTUM) * TIME_QUANTUM + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,8 @@ def quantize_time(t: float) -> float:
 class Waveform:
     """Common interface: a piecewise-linear value and its corner times."""
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        """The value at a time, or at each time of an array: same shape out."""
         raise NotImplementedError
 
     def transition_times(self, t_start: float, t_stop: float) -> np.ndarray:
@@ -105,7 +108,7 @@ class Dc(Waveform):
     level: float
 
     def value(self, t):
-        return self.level
+        return np.full(np.shape(t), self.level, dtype=np.float64)[()]
 
     def transition_times(self, t_start, t_stop):
         return np.empty(0)
@@ -137,36 +140,30 @@ class Pulse(Waveform):
             raise ValueError("pulse delay must be nonnegative")
 
     def value(self, t):
-        if t < self.t_delay:
-            return self.v1
-        tau = math.fmod(t - self.t_delay, self.t_period)
+        t = np.asarray(t, dtype=np.float64)
+        tau = np.fmod(t - self.t_delay, self.t_period)
         fall_start = self.t_rise + self.t_width
-        if tau < self.t_rise:
-            return self.v1 + (self.v2 - self.v1) / self.t_rise * tau
-        if tau < fall_start:
-            return self.v2
-        if tau < fall_start + self.t_fall:
-            return self.v2 + (self.v1 - self.v2) / self.t_fall * (tau - fall_start)
-        return self.v1
+        fall_end = fall_start + self.t_fall
+        rise = self.v1 + (self.v2 - self.v1) / self.t_rise * tau
+        fall = self.v2 + (self.v1 - self.v2) / self.t_fall * (tau - fall_start)
+        return np.select(
+            [t < self.t_delay, tau < self.t_rise, tau < fall_start, tau < fall_end],
+            [self.v1, rise, self.v2, fall],
+            self.v1,
+        )[()]
 
     def transition_times(self, t_start, t_stop):
         fall_start = self.t_rise + self.t_width
-        offsets = (0.0, self.t_rise, fall_start, fall_start + self.t_fall)
+        offsets = np.array([0.0, self.t_rise, fall_start, fall_start + self.t_fall])
         # Periods ending a quantum or more before t_start snap no corner
         # into the span; skip them, keeping one more for rounding.
         lead = t_start - TIME_QUANTUM - self.t_delay - offsets[-1]
-        k = max(0, math.floor(lead / self.t_period) - 1)
-        times = []
-        while True:
-            base = self.t_delay + k * self.t_period
-            if base > t_stop:
-                break
-            for off in offsets:
-                c = quantize_time(base + off)
-                if t_start <= c <= t_stop:
-                    times.append(c)
-            k += 1
-        return np.unique(np.asarray(times)) if times else np.empty(0)
+        k0 = max(0, math.floor(lead / self.t_period) - 1)
+        # One period past the last base at or before t_stop, for rounding.
+        k1 = math.floor((t_stop - self.t_delay) / self.t_period) + 2
+        bases = self.t_delay + np.arange(k0, k1) * self.t_period
+        corners = quantize_time((bases[bases <= t_stop, None] + offsets).ravel())
+        return np.unique(corners[(t_start <= corners) & (corners <= t_stop)])
 
 
 @dataclass(frozen=True)
@@ -178,32 +175,23 @@ class Pwl(Waveform):
     def __post_init__(self):
         if len(self.points) < 1:
             raise ValueError("PWL needs at least one point")
-        times = self._times
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(np.diff([p[0] for p in self.points]) <= 0):
             raise ValueError("PWL times must be strictly increasing")
 
-    @cached_property
-    def _times(self) -> list[float]:
-        return [p[0] for p in self.points]
-
     def value(self, t):
-        pts = self.points
-        if t < pts[0][0]:
-            return pts[0][1]
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        i = bisect.bisect_right(self._times, t) - 1
-        t0, v0 = pts[i]
-        t1, v1 = pts[i + 1]
-        return v0 + (v1 - v0) / (t1 - t0) * (t - t0)
+        t = np.asarray(t, dtype=np.float64)
+        ts, vs = np.array(self.points, dtype=np.float64).T
+        # Segment i runs from point i to point i + 1 (the last point's
+        # slope is unused); clipping keeps the discarded ramps finite.
+        slopes = np.append(np.diff(vs) / np.diff(ts), 0.0)
+        inside = np.clip(t, ts[0], ts[-1])
+        i = np.searchsorted(ts, inside, side="right") - 1
+        ramp = vs[i] + slopes[i] * (inside - ts[i])
+        return np.where(t < ts[0], vs[0], np.where(t >= ts[-1], vs[-1], ramp))[()]
 
     def transition_times(self, t_start, t_stop):
-        times = [
-            quantize_time(p[0])
-            for p in self.points
-            if t_start <= p[0] <= t_stop
-        ]
-        return np.unique(np.asarray(times)) if times else np.empty(0)
+        ts = np.array([p[0] for p in self.points], dtype=np.float64)
+        return np.unique(quantize_time(ts[(t_start <= ts) & (ts <= t_stop)]))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +315,12 @@ class CircuitSystem:
     def num_sources(self) -> int:
         return len(self.sources)
 
-    def eval_sources(self, t: float) -> np.ndarray:
-        """Source values u(t), one per column of B."""
+    def eval_sources(self, t) -> np.ndarray:
+        """Source values u(t), one row per column of B.
+
+        t is a time, giving shape (n_src,), or an array of times, giving
+        (n_src,) + t.shape: a run's whole drive table in one call.
+        """
         return np.array([w.value(t) for w in self.sources], dtype=np.float64)
 
     def subsystem(self, members: list[int]) -> "CircuitSystem":

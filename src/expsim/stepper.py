@@ -33,6 +33,7 @@ reference everything else is measured against.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -155,7 +156,7 @@ def resolve_span(system: netlist.CircuitSystem, config: SolverConfig):
     Every solver calls this first, so it also rejects circuits that no
     source drives, a PULSE source whose period fits in the span more
     than MAX_PULSE_PERIODS times, and a tr/be step that does not divide
-    the span.
+    the span or is too small for its step count to be a number.
     """
     if system.num_sources == 0:
         raise ValueError("netlist has no I or V source: nothing drives the circuit")
@@ -173,6 +174,8 @@ def resolve_span(system: netlist.CircuitSystem, config: SolverConfig):
             )
     if config.method in FIXED_THETA:
         span, h = t1 - t0, config.h
+        if not math.isfinite(span / h):
+            raise ValueError(f"fixed step {h!r} is too small for the span {span!r}")
         n_steps = int(round(span / h))
         if n_steps < 1 or abs(n_steps * h - span) > 1e-6 * h:
             raise ValueError(f"fixed step {h!r} does not divide the span {span!r} evenly")
@@ -209,7 +212,7 @@ def _input_terms(system, g_factors, points: np.ndarray):
     w(t_k) = W u(t_k) and theta(t_k) = Theta u(t_k); two block solves
     cost 2 n_src substitution pairs for every point at once.
     """
-    u = np.column_stack([system.eval_sources(float(t)) for t in points])
+    u = system.eval_sources(points)
     w = -g_factors.solve(system.b.to_dense())
     theta = -g_factors.solve(system.c @ w)
     return u.T @ w.T, u.T @ theta.T
@@ -326,7 +329,7 @@ def _solve_fixed(system, config, method):
     t_begin = time.perf_counter()
     t0, t1 = resolve_span(system, config)
     h = config.h
-    times = np.array([t0 + k * h for k in range(int(round((t1 - t0) / h)) + 1)])
+    times = t0 + h * np.arange(int(round((t1 - t0) / h)) + 1)
     theta = FIXED_THETA[method]
     g_factors = numkit.lu_factorize(system.g)
     x = netlist.dc_analysis(system, g_factors, t=t0)
@@ -336,16 +339,16 @@ def _solve_fixed(system, config, method):
     lhs = numkit.lu_factorize(numkit.from_scipy(c / h + theta * g))
     rhs_matrix = (c / h - (1.0 - theta) * g).tocsc()
 
+    # Column k drives the step from times[k] to times[k + 1]. B u is
+    # applied per step: B times the whole table would be n x T.
+    u = system.eval_sources(times)
+    mix = (1.0 - theta) * u[:, :-1] + theta * u[:, 1:]
     states = np.empty((times.size, system.n))
     states[0] = x
-    u_prev = system.eval_sources(float(times[0]))
     b = system.b
     for k in range(times.size - 1):
-        u_next = system.eval_sources(float(times[k + 1]))
-        drive = b @ ((1.0 - theta) * u_prev + theta * u_next)
-        x = lhs.solve(rhs_matrix @ x + drive)
+        x = lhs.solve(rhs_matrix @ x + b @ mix[:, k])
         states[k + 1] = x
-        u_prev = u_next
 
     return WaveformResult(
         times=times,

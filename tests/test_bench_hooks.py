@@ -83,3 +83,18 @@ def test_group_runs_hang_under_the_superposed_run(tracer, ladder_system, workers
     assert run.plan.num_groups == 2
     assert len(groups) == run.plan.num_groups
     assert all(spans[s.parent].name == "decomp.run_superposed" for s in groups)
+
+
+def test_fixed_step_run_is_traced(tracer, ladder_system):
+    # layers_of reads grid10k-tr's step time from the
+    # stepper.solve_transient_tr span less its direct dc_analysis and
+    # lu_factorize children, and counts eval_sources spans.
+    try:
+        tracer.install()
+        stepper.solve_transient(ladder_system, stepper.SolverConfig(method="tr", h=1e-12))
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    (tr,) = [k for k, s in enumerate(spans) if s.name == "stepper.solve_transient_tr"]
+    assert [s.parent for s in spans if s.name == "netlist.dc_analysis"] == [tr]
+    assert "netlist.CircuitSystem.eval_sources" in {s.name for s in spans}

@@ -300,6 +300,34 @@ class TestExitCodes:
         assert rc == 2
         assert "does not divide the span" in capsys.readouterr().err
 
+    def test_fixed_step_count_past_float_range(self, tmp_path, capsys):
+        # 1e300 / 1e-12 overflows to inf.
+        path = tmp_path / "dc.sp"
+        path.write_text("I1 0 1 DC 1m\nR1 1 0 1k\nC1 1 0 1p\n.TRAN 0 1e300\n")
+        rc = cli.main(["simulate", str(path), "--solver", "tr", "--h", "1p"])
+        assert rc == 2
+        assert "fixed step 1e-12 is too small for the span" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("oracle_h", ["0", "-1p"])
+    def test_compare_rejects_nonpositive_oracle_step(
+        self, netlist_file, capsys, monkeypatch, oracle_h
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the reference ran with a non-positive step")
+
+        monkeypatch.setattr(stepper, "solve_transient_be", no_oracle)
+        rc = cli.main(["compare", netlist_file, "--solvers", "rmatex",
+                       f"--oracle-h={oracle_h}"])
+        assert rc == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_compare_rejects_absurd_oracle_step_count(self, netlist_file, capsys):
+        # About 4e290 steps: refused before any step is taken.
+        rc = cli.main(["compare", netlist_file, "--solvers", "rmatex",
+                       "--oracle-h=1e-300"])
+        assert rc == 2
+        assert "numerical error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("solvers", ["", ",", " , "])
     def test_compare_rejects_empty_solvers_before_oracle(
         self, netlist_file, capsys, monkeypatch, solvers

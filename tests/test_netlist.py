@@ -78,14 +78,14 @@ class TestWaveforms:
     def test_late_pulse_span_skips_earlier_periods(self, monkeypatch):
         # A 0.1 ns span a microsecond in covers ten 10 ps periods; the
         # 10^5 periods before it must not each be quantized.
-        calls = []
+        sizes = []
         real = netlist.quantize_time
         monkeypatch.setattr(
-            netlist, "quantize_time", lambda t: calls.append(t) or real(t)
+            netlist, "quantize_time", lambda t: sizes.append(np.size(t)) or real(t)
         )
         w = netlist.Pulse(0.0, 1.0, 0.0, 1e-12, 1e-12, 3e-12, 10e-12)
         assert w.transition_times(1e-6, 1e-6 + 1e-10).size == 40
-        assert len(calls) <= 4 * 16
+        assert sum(sizes) <= 4 * 16
 
     def test_pulse_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ nodes, so C is singular on some examples and not on others; a voltage
 source always makes it singular (its branch row of C is empty).
 """
 
+import bisect
+import math
 import warnings
 
 import numpy as np
@@ -149,13 +151,116 @@ def pulses_and_spans(draw):
     return pulse, t0, t0 + draw(st.floats(0.0, 20.0)) * period
 
 
+def period_loop_corners(w, t_start, t_stop):
+    """Pulse.transition_times one period and one corner at a time."""
+    fall_start = w.t_rise + w.t_width
+    offsets = (0.0, w.t_rise, fall_start, fall_start + w.t_fall)
+    k = 0
+    times = []
+    while w.t_delay + k * w.t_period <= t_stop:
+        for off in offsets:
+            c = round((w.t_delay + k * w.t_period + off) / netlist.TIME_QUANTUM)
+            c *= netlist.TIME_QUANTUM
+            if t_start <= c <= t_stop:
+                times.append(c)
+        k += 1
+    return np.unique(np.asarray(times, dtype=np.float64))
+
+
+def scalar_pulse(w, t):
+    """Pulse.value for one float time."""
+    if t < w.t_delay:
+        return w.v1
+    tau = math.fmod(t - w.t_delay, w.t_period)
+    fall_start = w.t_rise + w.t_width
+    if tau < w.t_rise:
+        return w.v1 + (w.v2 - w.v1) / w.t_rise * tau
+    if tau < fall_start:
+        return w.v2
+    if tau < fall_start + w.t_fall:
+        return w.v2 + (w.v1 - w.v2) / w.t_fall * (tau - fall_start)
+    return w.v1
+
+
+def scalar_pwl(w, t):
+    """Pwl.value for one float time."""
+    pts = w.points
+    if t < pts[0][0]:
+        return pts[0][1]
+    if t >= pts[-1][0]:
+        return pts[-1][1]
+    i = bisect.bisect_right([p[0] for p in pts], t) - 1
+    t0, v0 = pts[i]
+    t1, v1 = pts[i + 1]
+    return v0 + (v1 - v0) / (t1 - t0) * (t - t0)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=pulses_and_spans())
 def test_pulse_corners_in_a_span_are_the_clipped_full_sweep(case):
     pulse, t0, t1 = case
     full = pulse.transition_times(0.0, t1)
     want = full[(full >= t0) & (full <= t1)]
-    np.testing.assert_array_equal(pulse.transition_times(t0, t1), want)
+    got = pulse.transition_times(t0, t1)
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == period_loop_corners(pulse, t0, t1).tobytes()
+
+
+LEVELS = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def driven_systems(draw):
+    """PULSE, PWL and DC sources with drawn levels, and times to sample.
+
+    The times hold the corners, exact and snapped, the PWL points, times
+    before the delay and the first point and after the last, and times
+    drawn over the span, in no order.
+    """
+    unit = 10.0 ** draw(st.integers(-15, -6))
+    t_rise, t_fall, t_width = (draw(st.floats(0.01, 1.0)) * unit for _ in range(3))
+    period = (t_rise + t_fall + t_width) * draw(st.floats(1.001, 3.0))
+    delay = draw(st.floats(0.0, 3.0)) * period
+    knots = sorted(draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True)))
+    pwl = [(k * period / 4.0, draw(LEVELS)) for k in knots]
+    pwl_text = " ".join(f"{t!r} {v!r}" for t, v in pwl)
+    text = (
+        f"I1 0 1 PULSE({draw(LEVELS)!r} {draw(LEVELS)!r} {delay!r} {t_rise!r} "
+        f"{t_fall!r} {t_width!r} {period!r})\n"
+        f"I2 0 1 PWL({pwl_text})\nI3 0 1 DC {draw(LEVELS)!r}\n"
+        "R1 1 0 1\nC1 1 0 1\n"
+    )
+    system = es.build_system(text)
+    pulse = system.sources[0]
+    t_end = 12.0 * period
+    exact = [delay + k * period + off for k in range(3)
+             for off in (0.0, t_rise, t_rise + t_width, t_rise + t_width + t_fall)]
+    times = [
+        *exact,
+        *pulse.transition_times(0.0, t_end),
+        *(t for t, _ in pwl),
+        -period, 0.0, delay / 2.0, t_end + period,
+        *(draw(st.floats(0.0, 1.0)) * t_end for _ in range(draw(st.integers(0, 8)))),
+    ]
+    return system, np.array(draw(st.permutations(times)), dtype=np.float64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=driven_systems())
+def test_bulk_source_values_are_the_scalar_formulas(case):
+    system, times = case
+    oracles = (scalar_pulse, scalar_pwl, lambda w, t: w.level)
+    want = np.array(
+        [[oracle(w, float(t)) for t in times] for w, oracle in zip(system.sources, oracles)]
+    )
+    for w, row in zip(system.sources, want):
+        assert w.value(times).tobytes() == row.tobytes()
+        assert np.array([w.value(float(t)) for t in times]).tobytes() == row.tobytes()
+    table = system.eval_sources(times)
+    assert table.shape == want.shape
+    assert table.tobytes() == want.tobytes()
+    columns = np.column_stack([system.eval_sources(float(t)) for t in times])
+    assert table.tobytes() == columns.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

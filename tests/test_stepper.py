@@ -346,6 +346,21 @@ class TestFixedStep:
                 scalar_rc_system, stepper.SolverConfig(method="tr", h=0.3)
             )
 
+    @pytest.mark.parametrize("method,calls", [("tr", 2), ("be", 2), ("rmatex", 1)])
+    def test_drive_is_evaluated_once_per_run(self, ladder_system, monkeypatch, method, calls):
+        # The fixed-step runs add the operating point's call to the table's.
+        shapes = []
+        real = netlist.CircuitSystem.eval_sources
+        monkeypatch.setattr(
+            netlist.CircuitSystem, "eval_sources",
+            lambda self, t: shapes.append(np.shape(t)) or real(self, t),
+        )
+        result = stepper.solve_transient(
+            ladder_system, stepper.SolverConfig(method=method, h=1e-12, e_tol=1e-8)
+        )
+        assert len(shapes) == calls
+        assert shapes[-1] == result.times.shape
+
     def test_cost_accounting(self, dc_rc_system):
         cfg = stepper.SolverConfig(method="be", h=5e-7)
         result = stepper.solve_transient(dc_rc_system, cfg)
