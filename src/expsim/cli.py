@@ -12,7 +12,7 @@ Three subcommands:
   stiffness ratio.
 
 Exit codes: 0 success, 1 netlist problems, 2 numerical or configuration
-failures, 3 file I/O.
+failures and runs too large for memory, 3 file I/O.
 """
 
 from __future__ import annotations
@@ -424,6 +424,9 @@ def main(argv=None) -> int:
         return 1
     except (NumericalError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

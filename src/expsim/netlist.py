@@ -48,7 +48,8 @@ from .errors import NetlistError, NoDcOperatingPoint, NumericalError
 
 _PACKAGE_DIR = os.path.dirname(__file__)
 
-# Spot times are snapped to this grid so set operations on them are exact.
+# Spot times are snapped to this grid so set operations on them are exact:
+# two times are one spot exactly when they snap to the same femtosecond.
 TIME_QUANTUM = 1e-15
 
 # A number, at most one engineering suffix, then the rest of the token.

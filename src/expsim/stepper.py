@@ -53,9 +53,6 @@ _METHOD_VARIANT = {
 
 METHODS = (*FIXED_THETA, *_METHOD_VARIANT)
 
-# Spots closer than this share of the span are one spot.
-_SPOT_RTOL = 1e-9
-
 # A PULSE source may repeat at most this many times over the span; each
 # period adds four input corners, and every corner is a stepping point.
 MAX_PULSE_PERIODS = 10**6
@@ -70,7 +67,8 @@ class SolverConfig:
     error budget for the whole span; each step gets the proportional
     share e_tol * h / (t_stop - t_start). gamma defaults to a tenth of
     the median spot gap. t_start / t_stop override the netlist .TRAN
-    directive when given.
+    directive when given. h, e_tol and gamma must be positive, every
+    given value finite and m_max at least krylov.M_MIN.
 
     The imatex/rmatex convergence estimate is chosen automatically:
     the exact residual formula when C can be factorized (one extra
@@ -88,14 +86,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method in FIXED_THETA and (self.h is None or self.h <= 0):
+        if self.method in FIXED_THETA and self.h is None:
             raise ValueError(f"{self.method} needs a positive fixed step h")
-        if self.e_tol <= 0:
-            raise ValueError("e_tol must be positive")
-        if self.m_max < 1:
-            raise ValueError("m_max must be at least 1")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        for name, value in {"h": self.h, "e_tol": self.e_tol, "gamma": self.gamma}.items():
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
+        if not all(t is None or math.isfinite(t) for t in (self.t_start, self.t_stop)):
+            raise ValueError("t_start and t_stop must be finite")
+        if self.m_max < krylov.M_MIN:
+            raise ValueError(f"m_max must be at least {krylov.M_MIN}")
 
 
 @dataclass
@@ -191,18 +190,14 @@ def active_transitions(
 
 
 def stepping_points(t0, t1, spots) -> np.ndarray:
-    """The grid a run steps on: t0, t1 and the spots strictly between."""
-    spots = np.asarray(spots, dtype=np.float64)
-    interior = spots[(spots > t0) & (spots < t1)]
-    points = np.unique(np.concatenate([[t0, t1], interior]))
-    # Collapse float-noise near-duplicates; keep the endpoints intact.
-    atol = _SPOT_RTOL * (t1 - t0)
-    keep = [points[0]]
-    for p in points[1:]:
-        if p - keep[-1] > atol:
-            keep.append(p)
-    keep[-1] = t1
-    return np.asarray(keep)
+    """The grid a run steps on: t0, the spots strictly between, t1.
+
+    Two times are one spot exactly when netlist.quantize_time snaps them
+    to the same femtosecond; t0 and t1 stay exactly as given.
+    """
+    q = netlist.quantize_time(np.asarray(spots, dtype=np.float64))
+    inside = (q > netlist.quantize_time(t0)) & (q < netlist.quantize_time(t1))
+    return np.concatenate([[t0], np.unique(q[inside]), [t1]])
 
 
 def _input_terms(system, g_factors, points: np.ndarray):
@@ -248,9 +243,9 @@ def solve_transient_matex(
 
     The run starts at its operating point -w(t0). It steps on the
     system's own spots plus gts, the other spots the samples must land
-    on. A fresh basis is built at the points within stepping_points'
-    merge tolerance of a spot where the system's own sources change
-    slope; at the others the previous basis is reused.
+    on. A fresh basis is built at t0 and at the points that are the
+    run's own spots, where the system's own sources change slope; at
+    the others the previous basis is reused.
     op, made by factor_matex for the same C, G, config and spots, is
     stepped with instead of factoring anew; the run then reports the
     substitution pairs it added to op's tallies and no factorizations.
@@ -263,12 +258,7 @@ def solve_transient_matex(
     own_spots = active_transitions(system, t0, t1)
     spots = own_spots if gts is None else np.union1d(gts, own_spots)
     points = stepping_points(t0, t1, spots)
-    # A gts time merged with an own spot moves that spot's point, so the
-    # two nearest own spots are matched within the merge tolerance.
-    ends = np.concatenate([[-np.inf], own_spots, [np.inf]])
-    i = np.searchsorted(own_spots, points)
-    gap = np.minimum(np.abs(ends[i] - points), np.abs(ends[i + 1] - points))
-    fresh_at = gap <= _SPOT_RTOL * span
+    fresh_at = np.isin(points, own_spots)
     fresh_at[0] = True
 
     factorizations = 0

@@ -308,6 +308,21 @@ class TestExitCodes:
         assert rc == 2
         assert "fixed step 1e-12 is too small for the span" in capsys.readouterr().err
 
+    def test_unallocatable_run_is_a_one_line_error(self, netlist_file, capsys, monkeypatch):
+        # Stands in for a step count whose arrays do not fit in memory.
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(stepper, "_solve_fixed", too_big)
+        rc = cli.main(["simulate", netlist_file, "--solver", "tr", "--h", "1p"])
+        assert rc == 2
+        assert capsys.readouterr().err == "out of memory: Unable to allocate 298. GiB for an array\n"
+
+    def test_basis_cap_below_the_convergence_gate(self, netlist_file, capsys):
+        rc = cli.main(["simulate", netlist_file, "--mmax", "1"])
+        assert rc == 2
+        assert "numerical error: m_max must be at least 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("oracle_h", ["0", "-1p"])
     def test_compare_rejects_nonpositive_oracle_step(
         self, netlist_file, capsys, monkeypatch, oracle_h

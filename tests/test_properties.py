@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expsim as es
-from expsim import krylov, netlist
+from expsim import krylov, netlist, stepper
 from expsim.errors import NumericalError
 
 VALUES = st.floats(0.5, 2.0)
@@ -272,3 +272,32 @@ def test_stamp_matches_dense_incidence_stamp(text):
     c, g, b = dense_stamp(netlist.parse_netlist(text))
     for got, want in ((system.c, c), (system.g, g), (system.b, b)):
         np.testing.assert_allclose(got.to_dense(), want, rtol=1e-13, atol=0)
+
+
+@st.composite
+def spans_and_spots(draw):
+    t0 = draw(st.floats(-1e-3, 1e-3))
+    t1 = t0 + draw(st.floats(1e-15, 1e-3))
+    fs = netlist.TIME_QUANTUM
+    near_ends = st.builds(
+        lambda end, d: end + d, st.sampled_from([t0, t1]), st.floats(-3 * fs, 3 * fs)
+    )
+    anywhere = st.floats(t0 - (t1 - t0), t1 + (t1 - t0))
+    spots = draw(st.lists(st.one_of(near_ends, anywhere), max_size=20))
+    if spots:
+        # Neighbours an ulp or a few femtoseconds apart snap together or not.
+        for s in draw(st.lists(st.sampled_from(spots), max_size=5)):
+            spots.append(s + draw(st.sampled_from([5e-20, fs / 3, fs, 2 * fs])))
+    return t0, t1, spots
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=spans_and_spots())
+def test_stepping_points_are_the_snapped_spots_between_the_ends(case):
+    t0, t1, spots = case
+    points = stepper.stepping_points(t0, t1, np.array(spots))
+    q = netlist.quantize_time
+    expected = sorted({float(q(s)) for s in spots if q(t0) < q(s) < q(t1)})
+    assert np.all(np.diff(points) > 0)
+    assert points[0] == t0 and points[-1] == t1
+    assert points[1:-1].tolist() == expected

@@ -37,6 +37,11 @@ class TestSolverConfig:
             dict(e_tol=-1e-9),
             dict(m_max=0),
             dict(gamma=-1e-12),
+            dict(e_tol=float("nan")),
+            dict(e_tol=float("inf")),
+            dict(method="tr", h=float("nan")),
+            dict(gamma=float("nan")),
+            dict(m_max=1),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
@@ -281,22 +286,39 @@ class TestBasisReuse:
         np.testing.assert_array_equal(coarse.times, own.times)
         np.testing.assert_allclose(coarse.states[-1], dense_exact(system), atol=1e-9)
 
-    def test_grid_time_merged_into_own_corner_starts_a_basis(self):
-        # A grid time 2 fs before the drive's corner at 1 us merges with
-        # it, and the merged point keeps the grid time. The run must grow
-        # a fresh basis there rather than reuse the ramp's across the corner.
+    def test_grid_time_before_own_corner_is_a_point_of_its_own(self):
+        # A grid time 2 fs before the drive's corner at 1 us snaps to
+        # another femtosecond, so both are stepping points. The step from
+        # the grid time still rides the ramp's basis; the corner, an own
+        # spot, starts a fresh one.
         system = es.build_system(
             DC_RC_NETLIST.replace("DC 1m", "PWL(0 0 1u 1m 2u 0)")
         )
         own_spot = netlist.quantize_time(1e-6)
-        gts = np.array([0.0, own_spot - 2e-15, 3e-6, 5e-6])
+        grid_time = netlist.quantize_time(own_spot - 2e-15)
+        gts = np.array([0.0, grid_time, 3e-6, 5e-6])
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
         result = stepper.solve_transient(system, cfg, gts=gts)
-        assert own_spot not in result.times
-        merged = next(s for s in result.steps if s.t == gts[1])
-        assert not merged.reused
+        steps = {s.t: s for s in result.steps}
+        assert steps[grid_time].reused and steps[grid_time].anchor == 0.0
+        assert not steps[own_spot].reused
         exact = dense_exact(system, result.times)
         np.testing.assert_allclose(result.states, exact, rtol=0, atol=1e-6)
+
+    def test_short_edge_on_a_long_span_is_stepped(self):
+        # A 0.5 ps edge 100 us into a 1 ms span is a spot of its own on
+        # the femtosecond grid, however small a share of the span it is.
+        system = es.build_system(
+            "I1 0 1 PWL(0 0 100u 0 100.0000005u 1m 200u 1m)\n"
+            "R1 1 0 1k\nC1 1 0 10n\n.TRAN 0 1m\n"
+        )
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-9)
+        result = stepper.solve_transient(system, cfg)
+        t_edge = netlist.parse_value("100.0000005u")
+        assert netlist.quantize_time(t_edge) in result.times
+        (i,) = np.flatnonzero(result.times == 2e-4)
+        exact = 1 - np.exp(-(2e-4 - t_edge) / 1e-5)
+        assert abs(result.states[i, 0] - exact) < 1e-6
 
     def test_decomposed_grid_matches_masked_run(self, ladder_system):
         # Restrict the drive to the PWL source; stepping on the full
