@@ -24,7 +24,9 @@ one group.
 A superposed run keeps no group's states: each group's are added into
 the merged waveform as soon as it ends, so memory is the merged
 waveform plus one group's working set whatever the group count, and a
-group's subtask carries its cost accounting only.
+group's subtask carries its cost accounting only. A group's working set
+is its (T, n) states plus n x n_src blocks of input terms; the shared
+factors are held once.
 """
 
 from __future__ import annotations
@@ -123,13 +125,13 @@ def run_superposed(
     substitution pairs it added. Groups run one after another in the
     calling thread. Each group's states take the running sum as soon
     as that group ends and the previous sum is dropped, so the call
-    holds the merged waveform plus one group's working set whatever
-    the group count; the merged bytes are those of zeros plus each
-    group's states in group index order. max_groups must be at
-    least 1 for every method. workers must be at least 1 and has no
-    other effect; it is kept for existing callers. The merged
-    wall_time is this call's elapsed time; each group's own time stays
-    on its subtask.
+    holds the merged waveform plus one group's working set, its states
+    and n x n_src input-term blocks, whatever the group count; the
+    merged bytes are those of zeros plus each group's states in group
+    index order. max_groups must be at least 1 for every method.
+    workers must be at least 1 and has no other effect; it is kept for
+    existing callers. The merged wall_time is this call's elapsed time;
+    each group's own time stays on its subtask.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")

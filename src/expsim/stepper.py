@@ -13,9 +13,12 @@ where F and P collect the particular solution of the affine drive:
     P(t, h)  = w(t+h)    + (theta(t+h) - theta(t)) / h
 
 w and theta are linear in the drive, so a run solves them once per
-source, 2 n_src substitution pairs for n_src sources, and forms every
-stepping point's terms with a dense product. The operating point is
--w(t0).
+source, 2 n_src substitution pairs for n_src sources, and keeps them as
+two n x n_src blocks beside the sampled drive. Each step forms only the
+rows it reads, w and theta at its two ends, with a dense product; the
+fresh step's theta row is kept for the steps that reuse its basis. So a
+run holds its states and factors and no other (T, n) array. The
+operating point is -w(t0).
 
 Steps land exactly on the spot times where any driving source changes
 slope. A fresh Krylov basis is grown only at the spots where this run's
@@ -201,16 +204,20 @@ def stepping_points(t0, t1, spots) -> np.ndarray:
 
 
 def _input_terms(system, g_factors, points: np.ndarray):
-    """Rows w(t_k) and theta(t_k) at the stepping points, two (T, n) arrays.
+    """The drive u (n_src, T) at the stepping points, W and Theta (n, n_src).
 
     W = -G^-1 B and Theta = -G^-1 C W hold one column per source, so
     w(t_k) = W u(t_k) and theta(t_k) = Theta u(t_k); two block solves
-    cost 2 n_src substitution pairs for every point at once.
+    cost 2 n_src substitution pairs for every point at once. The step
+    from point k forms the rows it reads, u.T[k:k+2] @ W.T and
+    u.T[k:k+2] @ Theta.T, and no (T, n) table is made. Two rows even
+    where one would do: a one-row product runs another BLAS kernel
+    (gemv), whose sums need not round as a full product's rows do.
     """
     u = system.eval_sources(points)
     w = -g_factors.solve(system.b.to_dense())
     theta = -g_factors.solve(system.c @ w)
-    return u.T @ w.T, u.T @ theta.T
+    return u, w, theta
 
 
 def factor_matex(
@@ -267,27 +274,27 @@ def solve_transient_matex(
         factorizations = len(op.factors())
     pairs_before = sum(f.solve_count for f in op.factors())
 
-    w, theta = _input_terms(system, op.g_factors, points)
-    x = -w[0]
+    u, w_cols, theta_cols = _input_terms(system, op.g_factors, points)
+    x = -(u.T[:2] @ w_cols.T)[0]
     states = np.empty((points.size, system.n))
     states[0] = x
     steps: list[StepRecord] = []
-    a = 0  # index of the basis anchor
     for k in range(points.size - 1):
         t, t_next = float(points[k]), float(points[k + 1])
         h = t_next - t
         fresh = fresh_at[k]
+        # w and theta at points k and k + 1
+        w, theta = u.T[k : k + 2] @ w_cols.T, u.T[k : k + 2] @ theta_cols.T
         if fresh:
-            a = k
+            t_a, theta_a = t, theta[0]  # the basis anchor
             eps = config.e_tol * h / span
-            v = x + (w[k] + (theta[k + 1] - theta[k]) / h)
+            v = x + (w[0] + (theta[1] - theta[0]) / h)
             basis = krylov.arnoldi(op, v, m_max=config.m_max, h=h, eps=eps)
             est, kind = basis.estimate, basis.estimate_kind
-        t_a = float(points[a])
         h_a = t_next - t_a
         if not fresh:
             est, kind = krylov.step_error_estimate(basis, h_a)
-        p = w[k + 1] + (theta[k + 1] - theta[a]) / h_a
+        p = w[1] + (theta[1] - theta_a) / h_a
         x = krylov.expm_action(basis, h_a) - p
         states[k + 1] = x
         steps.append(
@@ -323,6 +330,8 @@ def _solve_fixed(system, config, method):
     theta = FIXED_THETA[method]
     g_factors = numkit.lu_factorize(system.g)
     x = netlist.dc_analysis(system, g_factors, t=t0)
+    dc_pairs = g_factors.solve_count
+    del g_factors  # the steps hold their own factor only
 
     c = system.c.scipy
     g = system.g.scipy
@@ -345,7 +354,7 @@ def _solve_fixed(system, config, method):
         states=states,
         names=list(system.names),
         method=method,
-        substitution_pairs=g_factors.solve_count + lhs.solve_count,
+        substitution_pairs=dc_pairs + lhs.solve_count,
         factorizations=2,
         wall_time=time.perf_counter() - t_begin,
     )

@@ -106,10 +106,17 @@ class TestSpanAndGrid:
         assert both.size == pulse_only.size + pwl_only.size
 
 
+def term_rows(terms, k):
+    """w and theta at points k and k+1, formed as a step forms them."""
+    u, w_cols, theta_cols = terms
+    return u.T[k : k + 2] @ w_cols.T, u.T[k : k + 2] @ theta_cols.T
+
+
 def input_terms(system, t, h):
     """F and P for the window [t, t+h] from fresh input terms."""
     points = np.array([t, t + h])
-    w, theta = stepper._input_terms(system, numkit.lu_factorize(system.g), points)
+    terms = stepper._input_terms(system, numkit.lu_factorize(system.g), points)
+    w, theta = term_rows(terms, 0)
     return w[0] + (theta[1] - theta[0]) / h, w[1] + (theta[1] - theta[0]) / h
 
 
@@ -153,30 +160,37 @@ class TestInputTerms:
 
     def test_input_pairs_paid_once_when_built(self, ladder_system):
         # Two sources, three points: one W and one Theta column per
-        # source, and every point's rows come with them.
+        # source, and every point's rows come from them without a solve.
         g_factors = numkit.lu_factorize(ladder_system.g)
         points = np.array([0.0, 1e-11, 2e-11])
-        w, theta = stepper._input_terms(ladder_system, g_factors, points)
-        assert w.shape == theta.shape == (3, ladder_system.n)
+        u, w_cols, theta_cols = stepper._input_terms(ladder_system, g_factors, points)
+        assert u.shape == (2, 3)
+        assert w_cols.shape == theta_cols.shape == (ladder_system.n, 2)
         assert g_factors.solve_count == 2 * ladder_system.num_sources == 4
+        for k in range(points.size - 1):
+            w, theta = term_rows((u, w_cols, theta_cols), k)
+            assert w.shape == theta.shape == (2, ladder_system.n)
 
     def test_matches_per_time_solves(self, mixed_system):
         points = np.linspace(0.0, 4e-10, 17)
         g_factors = numkit.lu_factorize(mixed_system.g)
-        w, theta = stepper._input_terms(mixed_system, g_factors, points)
+        terms = stepper._input_terms(mixed_system, g_factors, points)
         assert g_factors.solve_count == 2 * 6
-        for k, t in enumerate(points):
-            for got, want in zip(
-                (w[k], theta[k]), per_time_w_theta(mixed_system, g_factors, t)
-            ):
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for k in range(points.size - 1):
+            w, theta = term_rows(terms, k)
+            for row, t in enumerate(points[k : k + 2]):
+                for got, want in zip(
+                    (w[row], theta[row]), per_time_w_theta(mixed_system, g_factors, t)
+                ):
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_many_dc_sources_start_and_stay_at_operating_point(self):
         system = es.build_system(MANY_DC_NETLIST)
         assert system.num_sources == 10
         g_factors = numkit.lu_factorize(system.g)
-        w, theta = stepper._input_terms(system, g_factors, np.array([0.0, 1e-9]))
+        terms = stepper._input_terms(system, g_factors, np.array([0.0, 1e-9]))
         assert g_factors.solve_count == 2 * 10
+        w, theta = term_rows(terms, 0)
         want_w, want_theta = per_time_w_theta(system, g_factors, 1e-9)
         np.testing.assert_allclose(w[1], want_w, rtol=1e-13)
         np.testing.assert_allclose(theta[1], want_theta, rtol=1e-13)
