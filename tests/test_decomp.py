@@ -215,7 +215,6 @@ class TestRunSuperposed:
         # before the audit and reset after it, so the audit's own
         # temporaries are not counted either.
         record = krylov.arnoldi
-        peak = 0
 
         def audit_now(*args, **kwargs):
             nonlocal peak
