@@ -30,9 +30,9 @@ import numpy as np
 from . import decomp, krylov, meshgen, netlist, stepper
 from .errors import NetlistError, NumericalError
 
-# Version of the --diag JSON layout; bumped whenever a key is removed or
-# changes meaning.
-DIAG_SCHEMA = 2
+# Version of the --diag JSON layout; bumped whenever a key is added,
+# removed or changes meaning.
+DIAG_SCHEMA = 3
 
 # compare resolves a solver's error only when it is at least this many
 # times the reference's own error.
@@ -225,6 +225,14 @@ def _make_config(args, solver: str) -> stepper.SolverConfig:
     )
 
 
+def _pairs_by_factor(cost: stepper.RunCost) -> dict[str, int]:
+    return {
+        "g_pairs": cost.g_pairs,
+        "c_pairs": cost.c_pairs,
+        "shift_pairs": cost.shift_pairs,
+    }
+
+
 def cmd_simulate(args) -> int:
     system = _load_system(args.netlist)
     config = _make_config(args, args.solver)
@@ -242,6 +250,7 @@ def cmd_simulate(args) -> int:
             "gamma": merged.gamma,
             "groups": run.plan.num_groups,
             "substitution_pairs": merged.substitution_pairs,
+            **_pairs_by_factor(merged),
             "factorizations": merged.factorizations,
             "wall_time": merged.wall_time,
             "m_average": merged.m_average,
@@ -252,6 +261,7 @@ def cmd_simulate(args) -> int:
                     "group": g,
                     "sources": run.plan.groups[g],
                     "substitution_pairs": r.substitution_pairs,
+                    **_pairs_by_factor(r),
                     "m_peak": r.m_peak,
                     "local_transitions": int(run.plan.group_lts[g].size),
                     "reused_steps": r.reused_steps,

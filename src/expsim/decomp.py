@@ -162,7 +162,9 @@ def run_superposed(
         subtasks.append(
             stepper.RunCost(
                 steps=run.steps,
-                substitution_pairs=run.substitution_pairs,
+                g_pairs=run.g_pairs,
+                c_pairs=run.c_pairs,
+                shift_pairs=run.shift_pairs,
                 factorizations=run.factorizations,
                 wall_time=run.wall_time,
             )
@@ -171,7 +173,9 @@ def run_superposed(
     merged = replace(
         merged,
         steps=[s for r in subtasks for s in r.steps],
-        substitution_pairs=sum(r.substitution_pairs for r in subtasks),
+        g_pairs=sum(r.g_pairs for r in subtasks),
+        c_pairs=sum(r.c_pairs for r in subtasks),
+        shift_pairs=sum(r.shift_pairs for r in subtasks),
         factorizations=(0 if op is None else len(op.factors()))
         + sum(r.factorizations for r in subtasks),
         wall_time=time.perf_counter() - t_begin,

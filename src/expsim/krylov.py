@@ -18,6 +18,13 @@ Every basis produced here satisfies, up to rounding,
     M V_m = V_m H_m + h_next * v_next * e_m^T
 
 with M the variant's build operator and H_m the raw Hessenberg matrix.
+
+The inverted and rational variants judge convergence by exact residual
+formulas whose scale is ||C^-1 y|| for a vector y formed from v_next.
+A convergence probe first bounds that scale from below without a
+solve; when the bound already puts the estimate above the tolerance,
+the probe is rejected for free. So a basis pays one C solve, at the
+probe it is accepted at, not one per probe.
 """
 
 from __future__ import annotations
@@ -46,6 +53,12 @@ M_MIN = 2
 
 # Halvings of the step the error-estimate quadrature resolves.
 ESTIMATE_LEVELS = 6
+
+# A probe rejects on the solve-free floor of the residual scale only
+# after shrinking it by this factor. For a diagonal C the floor and the
+# solved scale agree up to rounding, some 1e-16 relative; the margin is
+# far above that, so rounding never turns an accept into a reject.
+FLOOR_MARGIN = 1.0 - 1e-9
 
 
 class Variant(enum.Enum):
@@ -121,7 +134,8 @@ class VariantOperator:
     c_factors are None exactly when C cannot be factorized; the standard
     variant needs them, and the inverted and rational variants use them
     for the exact residual formulas (one extra apply of A, i.e. a C
-    solve), falling back to the empirical surrogate without them.
+    solve, per accepted basis; scale_floor rejects the other probes
+    without one), falling back to the empirical surrogate without them.
     shift_factors exist for the rational variant only. Made by
     factor_operator. The factors' solve_count tallies are plain
     counters for one thread: a run sharing the operator reads its pairs
@@ -152,6 +166,30 @@ class VariantOperator:
     def ode_apply(self, v: np.ndarray) -> np.ndarray:
         """A v with A = -C^-1 G, for the exact residual formulas."""
         return -self.c_factors.solve(self.g @ v)
+
+    @functools.cached_property
+    def _floor_terms(self):
+        """C^T and 1 / diag(C)^2, 0 where the diagonal is 0: scale_floor's."""
+        d2 = self.c.scipy.diagonal() ** 2
+        inverse = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 != 0.0)
+        return self.c.scipy.T, inverse
+
+    def scale_floor(self, v: np.ndarray) -> float:
+        """A lower bound on ||C^-1 y|| without a solve, y = G v + C v / gamma
+        (rational) or G v (inverted): KrylovBasis.residual_scale for v_next.
+
+        For any u, u^T y = (C^T u)^T C^-1 y, so by Cauchy-Schwarz
+        ||C^-1 y|| >= |u^T y| / ||C^T u||. u = y / diag(C)^2, 0 where the
+        diagonal is 0, makes the bound exact for a diagonal C. Costs a
+        matvec with G, with C^T and, for the rational variant, with C.
+        """
+        y = self.g @ v
+        if self.variant is Variant.RATIONAL:
+            y += (self.c @ v) / self.gamma
+        c_transposed, inverse = self._floor_terms
+        u = y * inverse
+        norm = float(np.linalg.norm(c_transposed @ u))
+        return abs(float(u @ y)) / norm if norm > 0.0 else 0.0
 
     def factors(self) -> list[numkit.LuFactors]:
         """Every factorization, in the order factor_operator made them."""
@@ -257,7 +295,11 @@ class KrylovBasis:
         """||A v_next|| (inverted) or ||(I - gamma A) v_next|| / gamma
         (rational), the exact residual formulas' scale, at one C solve.
 
-        None for the standard variant and when C has no factors.
+        None for the standard variant and when C has no factors. A
+        convergence probe derives it only once the solve-free
+        VariantOperator.scale_floor cannot reject the basis, so a basis
+        pays this solve at the probe it is accepted at; steps that reuse
+        the basis read the kept value.
         """
         op = self.operator
         if op.variant is Variant.STANDARD or op.c_factors is None:
@@ -287,14 +329,15 @@ def expm_action(basis: KrylovBasis, h: float) -> np.ndarray:
 
 
 def _residual_rate(
-    basis: KrylovBasis, first_columns: np.ndarray
+    basis: KrylovBasis, first_columns: np.ndarray, scale: float | None
 ) -> tuple[np.ndarray, str]:
-    """||r_m(s)|| for each column e^{s H_eff} e1 of first_columns.
+    """(||r_m(s)|| for each column e^{s H_eff} e1 of first_columns, kind).
 
     first_columns is (m, k), one column per time s, and the k rates
-    come back as one array. The inverted and rational variants use their
-    exact expressions, scaled by basis.residual_scale. Without that
-    scale the rate is the Arnoldi overflow term
+    come back as one array. Given a scale, the inverted and rational
+    variants' exact expressions are scaled by it (basis.residual_scale,
+    or a lower bound on it for a lower bound on the rates). Without one
+    the rate is the Arnoldi overflow term
     |beta * h_next * e_m^T e^{s H_eff} e1|: exact for the standard
     variant, and for the others, whose C is singular, an empirical
     surrogate that is reliable only once the basis is past the onset of
@@ -307,7 +350,6 @@ def _residual_rate(
     m = basis.m
     op = basis.operator
     last = first_columns[m - 1]
-    scale = basis.residual_scale
     if scale is None:
         kind = "exact" if op.variant is Variant.STANDARD else "empirical"
         return basis.beta * np.abs(basis.h_next * last), kind
@@ -321,7 +363,20 @@ def _residual_rate(
     return basis.beta * abs(basis.h_next) * scale * tail, "exact"
 
 
-def step_error_estimate(basis: KrylovBasis, h: float) -> tuple[float, str]:
+def _integrate(rates: np.ndarray, width: float) -> float:
+    """step_error_estimate's quadrature of rates at the nodes width,
+    2 width, ..., 2^L width; a sum that is not finite reads inf."""
+    rates = rates.tolist()
+    est = rates[0] * width
+    for j in range(ESTIMATE_LEVELS):
+        est += max(rates[j], rates[j + 1]) * width
+        width *= 2.0
+    return est if math.isfinite(est) else float("inf")
+
+
+def step_error_estimate(
+    basis: KrylovBasis, h: float, eps: float | None = None
+) -> tuple[float, str]:
     """(bound on the step error of expm_action(basis, h), estimate kind).
 
     The true error is the residual propagated through the (contractive)
@@ -335,12 +390,21 @@ def step_error_estimate(basis: KrylovBasis, h: float) -> tuple[float, str]:
     Quadrature runs over geometric panels with nodes h/2^L, ..., h/2, h
     (L = ESTIMATE_LEVELS), each panel bounded by its larger endpoint
     rate. All nodes come from one small matrix exponential squared up
-    level by level, and all rates from one _residual_rate call on the
-    levels' first columns. The last of them, e^{h H_eff} e1, stays on
-    the basis for expm_action at the same h.
+    level by level, and all rates from _residual_rate on the levels'
+    first columns. The last of them, e^{h H_eff} e1, stays on the basis
+    for expm_action at the same h.
+
+    eps, when given, is the tolerance a convergence probe tests the
+    estimate against. The exact formulas' rates are linear in the
+    residual scale, so the scale's solve-free floor
+    (VariantOperator.scale_floor, shrunk by FLOOR_MARGIN) gives a lower
+    bound on the estimate from the same first columns. When that bound
+    is above eps it is returned in place of the estimate, which is
+    larger still, and basis.residual_scale is not derived: no C solve.
     """
     if basis.m == 0 or basis.h_next == 0.0:
         return 0.0, "breakdown"
+    op = basis.operator
     width = h / 2.0**ESTIMATE_LEVELS
     with np.errstate(over="ignore", invalid="ignore"):
         e_s = _projected_expm(width * basis.h_eff)
@@ -349,16 +413,16 @@ def step_error_estimate(basis: KrylovBasis, h: float) -> tuple[float, str]:
         for level in range(1, ESTIMATE_LEVELS + 1):
             e_s = e_s @ e_s
             first_columns[:, level] = e_s[:, 0]
-        rates, kind = _residual_rate(basis, first_columns)
         basis._action_column = (h, e_s[:, 0])
-        rates = rates.tolist()
-        est = rates[0] * width
-        for j in range(ESTIMATE_LEVELS):
-            est += max(rates[j], rates[j + 1]) * width
-            width *= 2.0
-    if not np.isfinite(est):
-        est = float("inf")
-    return est, kind
+        exact = op.variant is not Variant.STANDARD and op.c_factors is not None
+        if eps is not None and exact:
+            floor = op.scale_floor(basis.v_next) * FLOOR_MARGIN
+            rates, kind = _residual_rate(basis, first_columns, floor)
+            est = _integrate(rates, width)
+            if est > eps:
+                return est, kind
+        rates, kind = _residual_rate(basis, first_columns, basis.residual_scale)
+    return _integrate(rates, width), kind
 
 
 def arnoldi(
@@ -382,9 +446,12 @@ def arnoldi(
 
     The estimate is evaluated every iteration up to m = 32 and on a
     sparse geometric schedule beyond, so large standard-variant builds
-    are not dominated by dense exponentials of the projection.
+    are not dominated by dense exponentials of the projection. Probes
+    below m_max pass eps on, so the exact residual formulas spend
+    their C solve only where the solve-free floor cannot reject.
 
-    Raises NoConvergence if m_max dimensions do not reach eps.
+    Raises NoConvergence if m_max dimensions do not reach eps; the
+    estimate it reports is the exact one at m_max.
     """
     if eps is not None and h is None:
         raise ValueError("convergence checks need the step horizon h")
@@ -446,7 +513,9 @@ def arnoldi(
                 next_check = max(m + 1, int(np.ceil(m * 1.2)))
             probe = view(m, h_sub, big_v[m])
             try:
-                last_est, kind = step_error_estimate(probe, h)
+                last_est, kind = step_error_estimate(
+                    probe, h, None if m == m_max else eps
+                )
             except BasisDegenerate:
                 # Early projections of the inverse-based variants can be
                 # momentarily singular; keep growing.

@@ -75,7 +75,8 @@ class SolverConfig:
 
     The imatex/rmatex convergence estimate is chosen automatically:
     the exact residual formula when C can be factorized (one extra
-    factorization per run), the empirical surrogate when C is singular.
+    factorization per run, and one C solve per accepted basis), the
+    empirical surrogate when C is singular.
     """
 
     method: str = "rmatex"
@@ -115,12 +116,23 @@ class StepRecord:
 
 @dataclass
 class RunCost:
-    """A run's cost accounting: its steps, solves, factors and time."""
+    """A run's cost accounting: its steps, solves, factors and time.
+
+    Substitution pairs are booked by the factor that made them: G;
+    C; and the shift, C + gamma G for rmatex or the step matrix
+    C/h + theta G for tr/be.
+    """
 
     steps: list[StepRecord] = field(default_factory=list)
-    substitution_pairs: int = 0
+    g_pairs: int = 0
+    c_pairs: int = 0
+    shift_pairs: int = 0
     factorizations: int = 0
     wall_time: float = 0.0
+
+    @property
+    def substitution_pairs(self) -> int:
+        return self.g_pairs + self.c_pairs + self.shift_pairs
 
     @property
     def m_peak(self) -> int:
@@ -240,6 +252,12 @@ def factor_matex(
     return krylov.factor_operator(variant, system.c, system.g, gamma)
 
 
+def _solve_counts(op: krylov.VariantOperator) -> list[int]:
+    """The solve_count of op's G, C and shift factors, 0 for one it lacks."""
+    factors = (op.g_factors, op.c_factors, op.shift_factors)
+    return [0 if f is None else f.solve_count for f in factors]
+
+
 def solve_transient_matex(
     system: netlist.CircuitSystem,
     config: SolverConfig,
@@ -272,7 +290,7 @@ def solve_transient_matex(
     if op is None:
         op = factor_matex(system, config, spots)
         factorizations = len(op.factors())
-    pairs_before = sum(f.solve_count for f in op.factors())
+    pairs_before = _solve_counts(op)
 
     u, w_cols, theta_cols = _input_terms(system, op.g_factors, points)
     x = -(u.T[:2] @ w_cols.T)[0]
@@ -309,13 +327,18 @@ def solve_transient_matex(
             )
         )
 
+    g_pairs, c_pairs, shift_pairs = (
+        after - before for after, before in zip(_solve_counts(op), pairs_before)
+    )
     return WaveformResult(
         times=points,
         states=states,
         names=list(system.names),
         method=config.method,
         steps=steps,
-        substitution_pairs=sum(f.solve_count for f in op.factors()) - pairs_before,
+        g_pairs=g_pairs,
+        c_pairs=c_pairs,
+        shift_pairs=shift_pairs,
         factorizations=factorizations,
         wall_time=time.perf_counter() - t_begin,
         gamma=op.gamma,
@@ -354,7 +377,8 @@ def _solve_fixed(system, config, method):
         states=states,
         names=list(system.names),
         method=method,
-        substitution_pairs=dc_pairs + lhs.solve_count,
+        g_pairs=dc_pairs,
+        shift_pairs=lhs.solve_count,
         factorizations=2,
         wall_time=time.perf_counter() - t_begin,
     )

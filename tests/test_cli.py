@@ -107,7 +107,7 @@ class TestSimulate:
         assert rc == 0
         diag = json.loads(diag_path.read_text())
         assert diag["method"] == "rmatex"
-        assert diag["schema"] == 2
+        assert diag["schema"] == 3
         assert "workers" not in diag
         assert "input_path" not in diag
         assert diag["e_tol"] == 1e-8

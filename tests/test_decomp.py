@@ -252,9 +252,10 @@ class TestRunSuperposed:
     def test_merged_accounting_sums_subtasks(self, mixed_system):
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
         sup = decomp.run_superposed(mixed_system, cfg)
-        assert sup.merged.substitution_pairs == sum(
-            r.substitution_pairs for r in sup.subtasks
-        )
+        for pairs in ("g_pairs", "c_pairs", "shift_pairs", "substitution_pairs"):
+            assert getattr(sup.merged, pairs) == sum(
+                getattr(r, pairs) for r in sup.subtasks
+            )
         # The groups step with one set of factors of the whole circuit:
         # the merged run counts them once, each subtask counts none.
         one_group = decomp.run_superposed(mixed_system, cfg, max_groups=1)

@@ -154,7 +154,7 @@ def residual_rate(basis, s):
     """(||r_m(s)||, kind) from the per-variant shortcut formula."""
     with np.errstate(over="ignore", invalid="ignore"):
         e_s = krylov._projected_expm(s * basis.h_eff)
-        rates, kind = krylov._residual_rate(basis, e_s[:, :1])
+        rates, kind = krylov._residual_rate(basis, e_s[:, :1], basis.residual_scale)
         return float(rates[0]), kind
 
 
@@ -330,8 +330,8 @@ class TestOneExponentialPerStep:
         estimates = []
         estimate = krylov.step_error_estimate
 
-        def counted_estimate(basis, h):
-            est, kind = estimate(basis, h)
+        def counted_estimate(basis, h, eps=None):
+            est, kind = estimate(basis, h, eps)
             if basis.m > 0:  # a zero start vector's basis evaluates nothing
                 estimates.append(kind)
             return est, kind

@@ -27,8 +27,11 @@ CAPS = st.floats(0.1, 10.0)
 
 
 @st.composite
-def dc_path_netlists(draw):
-    k = draw(st.integers(1, 4))
+def dc_path_netlists(draw, nonsingular_c=False):
+    """With nonsingular_c, every node gets a grounded cap, a floating cap
+    joins two of the k >= 2 nodes and no V source is added: C is
+    nonsingular and not diagonal."""
+    k = draw(st.integers(2 if nonsingular_c else 1, 4))
     i_pos, i_neg = draw(st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True))
     lines = [f"I1 {i_pos} {i_neg} PWL(0 0 0.1 1 1 1)"]
     for i in range(1, k + 1):
@@ -38,16 +41,17 @@ def dc_path_netlists(draw):
     for j in range(draw(st.integers(0, 2))):
         a, b = draw(st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True))
         lines.append(f"RX{j} {a} {b} {draw(VALUES)!r}")
-    for i in range(1, k + 1):
-        if draw(st.integers(0, 3)):  # three nodes in four get a grounded cap
+    for i in range(1, k + 1):  # else three nodes in four get a grounded cap
+        if nonsingular_c or draw(st.integers(0, 3)):
             lines.append(f"CG{i} {i} 0 {draw(CAPS)!r}")
     if k > 1:
-        for j in range(draw(st.integers(0, 2))):
+        for j in range(draw(st.integers(int(nonsingular_c), 2))):
             a, b = draw(
                 st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True)
             )
             lines.append(f"CF{j} {a} {b} {draw(CAPS)!r}")
-    if draw(st.integers(0, 2)) == 0:  # one netlist in three has a V source
+    # else one netlist in three has a V source
+    if not nonsingular_c and draw(st.integers(0, 2)) == 0:
         lines.append(f"V1 {k + 1} 0 DC 1")
         lines.append(f"RV1 {k + 1} {draw(st.integers(1, k))} {draw(VALUES)!r}")
     lines += [".TRAN 0 1", ".END"]
@@ -98,6 +102,38 @@ def test_factor_operator_matches_dense(text, gamma, seed):
         pairs = sum(f.solve_count for f in op.factors())
         op.apply(v)
         assert sum(f.solve_count for f in op.factors()) == pairs + 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    text=dc_path_netlists(nonsingular_c=True),
+    diagonal=st.booleans(),
+    gamma=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scale_floor_bounds_residual_scale(text, diagonal, gamma, seed):
+    # Without its floating caps the circuit's C is diagonal (node caps
+    # and branch inductances), and the floor is the scale itself.
+    if diagonal:
+        text = "".join(
+            line for line in text.splitlines(True) if not line.startswith("CF")
+        )
+    system = es.build_system(text)
+    cd = system.c.to_dense()
+    assert np.array_equal(cd, np.diag(np.diag(cd))) == diagonal
+    v = np.random.default_rng(seed).standard_normal(system.n)
+    for variant in (krylov.Variant.INVERTED, krylov.Variant.RATIONAL):
+        op = krylov.factor_operator(variant, system.c, system.g, gamma)
+        basis = krylov.KrylovBasis(
+            op, np.empty((system.n, 0)), np.empty((0, 0)), 1.0, v, 1.0
+        )
+        exact = basis.residual_scale
+        floor = op.scale_floor(v)
+        assert floor * krylov.FLOOR_MARGIN <= exact
+        if diagonal:
+            assert floor == pytest.approx(exact, rel=1e-12, abs=0.0)
+        else:
+            assert floor <= exact * (1.0 + 1e-12)
 
 
 def dense_stamp(parsed):

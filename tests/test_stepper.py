@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import expsim as es
-from expsim import netlist, numkit, stepper
-from expsim.errors import StructurallySingular
+from expsim import krylov, netlist, numkit, stepper
+from expsim.errors import NoConvergence, StructurallySingular
 from conftest import dense_exact
 
 EXP_METHODS = ("mexp", "imatex", "rmatex")
@@ -269,6 +269,50 @@ class TestMatexSolvers:
                 ladder_system, stepper.SolverConfig(method="tr", h=1e-11)
             )
 
+    @pytest.mark.parametrize("method", ["rmatex", "imatex"])
+    def test_one_c_solve_per_exactly_accepted_basis(self, method):
+        # The convergence probes reject on a solve-free floor of the
+        # residual scale; only the probe a basis is accepted at solves
+        # with C. On a grid with grounded caps only, C is diagonal and
+        # the floor is the scale itself.
+        mesh = es.generate_mesh_netlist(100, 1e9, seed=7)
+        system = es.build_system(mesh.text)
+        result = stepper.solve_transient(
+            system, stepper.SolverConfig(method=method, e_tol=1e-8)
+        )
+        exact = [
+            s for s in result.steps if not s.reused and s.estimate_kind == "exact"
+        ]
+        assert len(exact) > 10
+        assert result.c_pairs == len(exact)
+        assert result.substitution_pairs == (
+            result.g_pairs + result.c_pairs + result.shift_pairs
+        )
+
+    def test_no_convergence_reports_the_exact_estimate(self, monkeypatch):
+        # Probes below m_max may stop at the solve-free floor of the
+        # estimate; the one NoConvergence reports is the exact one at
+        # m_max, a basis of the failing start vector grown unconditionally.
+        system = es.build_system(es.generate_mesh_netlist(100, 1e9, seed=7).text)
+        calls = []
+        build = krylov.arnoldi
+
+        def recording(op, v, **kwargs):
+            calls.append((op, v.copy(), kwargs))
+            return build(op, v, **kwargs)
+
+        monkeypatch.setattr(krylov, "arnoldi", recording)
+        config = stepper.SolverConfig(method="rmatex", e_tol=1e-14, m_max=3)
+        with pytest.raises(NoConvergence) as info:
+            stepper.solve_transient(system, config)
+        op, v, kwargs = calls[-1]
+        full = build(op, v, m_max=3)
+        exact, kind = krylov.step_error_estimate(full, kwargs["h"])
+        floor, _ = krylov.step_error_estimate(full, kwargs["h"], kwargs["eps"])
+        assert kind == "exact" and info.value.m == 3
+        assert info.value.estimate == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert kwargs["eps"] < floor < exact * (1.0 - 1e-10)
+
 
 class TestBasisReuse:
     def test_reuse_is_exact_for_constant_drive(self):
@@ -404,6 +448,7 @@ class TestFixedStep:
         assert result.times.size == n_steps + 1
         # one pair per step plus the operating-point solve
         assert result.substitution_pairs == n_steps + 1
+        assert (result.g_pairs, result.c_pairs, result.shift_pairs) == (1, 0, n_steps)
         assert result.factorizations == 2
 
 

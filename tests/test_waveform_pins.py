@@ -9,6 +9,12 @@ are zeros plus each group's states in group index order. mexp is pinned
 only where it has a nonsingular C and completes: it has a singular C
 in "rlc-v", "singular-c" and "two-source", and misses its budget on
 "mesh" at m_max.
+
+Beside the bytes, each case pins the substitution pairs the run spent
+on each factor: G, C and the rational shift. A convergence probe pays
+a C solve only when its solve-free floor cannot reject the basis, so C
+pairs count the bases accepted on the exact estimate, and mexp's C
+pairs are its operator applies.
 """
 
 import functools
@@ -219,11 +225,51 @@ PINS = {
     ),
 }
 
+# (netlist, method, grouping) -> (G, C, shift) substitution pairs, e_tol
+# 1e-8.
+PAIRS = {
+    ('ladder', 'rmatex', 'one'): (4, 0, 40),
+    ('ladder', 'rmatex', 'default'): (4, 1, 42),
+    ('ladder', 'imatex', 'one'): (44, 0, 0),
+    ('ladder', 'imatex', 'default'): (46, 1, 0),
+    ('ladder', 'mexp', 'one'): (4, 40, 0),
+    ('ladder', 'mexp', 'default'): (4, 42, 0),
+    ('mixed', 'rmatex', 'one'): (12, 0, 78),
+    ('mixed', 'rmatex', 'default'): (12, 1, 110),
+    ('mixed', 'imatex', 'one'): (90, 0, 0),
+    ('mixed', 'imatex', 'default'): (122, 1, 0),
+    ('mixed', 'mexp', 'one'): (12, 78, 0),
+    ('mixed', 'mexp', 'default'): (12, 110, 0),
+    ('rlc-v', 'rmatex', 'one'): (6, 0, 28),
+    ('rlc-v', 'rmatex', 'default'): (6, 0, 32),
+    ('rlc-v', 'imatex', 'one'): (34, 0, 0),
+    ('rlc-v', 'imatex', 'default'): (38, 0, 0),
+    ('rlc-i', 'rmatex', 'one'): (4, 0, 72),
+    ('rlc-i', 'rmatex', 'default'): (4, 0, 78),
+    ('rlc-i', 'imatex', 'one'): (76, 0, 0),
+    ('rlc-i', 'imatex', 'default'): (82, 0, 0),
+    ('rlc-i', 'mexp', 'one'): (4, 72, 0),
+    ('rlc-i', 'mexp', 'default'): (4, 78, 0),
+    ('singular-c', 'rmatex', 'one'): (2, 0, 8),
+    ('singular-c', 'rmatex', 'default'): (2, 0, 8),
+    ('singular-c', 'imatex', 'one'): (10, 0, 0),
+    ('singular-c', 'imatex', 'default'): (10, 0, 0),
+    ('two-source', 'rmatex', 'one'): (4, 0, 20),
+    ('two-source', 'rmatex', 'default'): (4, 0, 22),
+    ('two-source', 'imatex', 'one'): (24, 0, 0),
+    ('two-source', 'imatex', 'default'): (26, 0, 0),
+    ('mesh', 'rmatex', 'one'): (24, 21, 108),
+    ('mesh', 'rmatex', 'default'): (24, 25, 120),
+    ('mesh', 'imatex', 'one'): (150, 21, 0),
+    ('mesh', 'imatex', 'default'): (146, 25, 0),
+}
+
 
 def digest(a) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()[:24]
 
 
+@functools.cache
 def run(name, method, grouping):
     system = es.build_system(netlist_text(name))
     cfg = stepper.SolverConfig(method=method, e_tol=1e-8)
@@ -236,3 +282,9 @@ def run(name, method, grouping):
 def test_waveform_bytes_are_pinned(case):
     result = run(*case)
     assert (digest(result.times), digest(result.states)) == PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(PAIRS), ids="-".join)
+def test_pairs_by_factor_are_pinned(case):
+    result = run(*case)
+    assert (result.g_pairs, result.c_pairs, result.shift_pairs) == PAIRS[case]
