@@ -225,11 +225,14 @@ def _make_config(args, solver: str) -> stepper.SolverConfig:
     )
 
 
-def _pairs_by_factor(cost: stepper.RunCost) -> dict[str, int]:
+def _cost_block(cost: stepper.RunCost) -> dict[str, int]:
+    """A run's substitution pairs, in total and by factor, and its m_peak."""
     return {
+        "substitution_pairs": cost.substitution_pairs,
         "g_pairs": cost.g_pairs,
         "c_pairs": cost.c_pairs,
         "shift_pairs": cost.shift_pairs,
+        "m_peak": cost.m_peak,
     }
 
 
@@ -249,20 +252,16 @@ def cmd_simulate(args) -> int:
             "e_tol": config.e_tol,
             "gamma": merged.gamma,
             "groups": run.plan.num_groups,
-            "substitution_pairs": merged.substitution_pairs,
-            **_pairs_by_factor(merged),
+            **_cost_block(merged),
             "factorizations": merged.factorizations,
             "wall_time": merged.wall_time,
             "m_average": merged.m_average,
-            "m_peak": merged.m_peak,
             "samples": int(merged.times.size),
             "subtasks": [
                 {
                     "group": g,
                     "sources": run.plan.groups[g],
-                    "substitution_pairs": r.substitution_pairs,
-                    **_pairs_by_factor(r),
-                    "m_peak": r.m_peak,
+                    **_cost_block(r),
                     "local_transitions": int(run.plan.group_lts[g].size),
                     "reused_steps": r.reused_steps,
                 }
@@ -291,7 +290,10 @@ def _oracle(system, args, span) -> tuple[stepper.WaveformResult, float]:
         spots = stepper.active_transitions(system, t0, t1)
         pts = stepper.stepping_points(t0, t1, spots)
         h = float(np.diff(pts).min()) / 100.0
-    steps = 2 * max(1, int(round((t1 - t0) / (2 * h))))
+    half_count = (t1 - t0) / (2 * h)
+    if not np.isfinite(half_count):
+        raise ValueError(f"oracle step {h!r} is too small for the span {t1 - t0!r}")
+    steps = 2 * max(1, int(round(half_count)))
     fine, coarse = (
         stepper.solve_transient_be(
             system, stepper.SolverConfig(method="be", h=(t1 - t0) / k, t_start=t0, t_stop=t1)
@@ -332,8 +334,7 @@ def cmd_compare(args) -> int:
                 {
                     "solver": solver,
                     "m_average": round(merged.m_average, 3),
-                    "m_peak": merged.m_peak,
-                    "substitution_pairs": merged.substitution_pairs,
+                    **_cost_block(merged),
                     "factorizations": merged.factorizations,
                     "error_pct": float(err),
                     "resolved": bool(err >= limit),

@@ -159,25 +159,8 @@ def run_superposed(
         else:
             raise AssertionError("subtask sample grids diverged; cannot merge")
         merged = run
-        subtasks.append(
-            stepper.RunCost(
-                steps=run.steps,
-                g_pairs=run.g_pairs,
-                c_pairs=run.c_pairs,
-                shift_pairs=run.shift_pairs,
-                factorizations=run.factorizations,
-                wall_time=run.wall_time,
-            )
-        )
+        subtasks.append(stepper.RunCost() + run)
 
-    merged = replace(
-        merged,
-        steps=[s for r in subtasks for s in r.steps],
-        g_pairs=sum(r.g_pairs for r in subtasks),
-        c_pairs=sum(r.c_pairs for r in subtasks),
-        shift_pairs=sum(r.shift_pairs for r in subtasks),
-        factorizations=(0 if op is None else len(op.factors()))
-        + sum(r.factorizations for r in subtasks),
-        wall_time=time.perf_counter() - t_begin,
-    )
-    return SuperposedResult(merged=merged, subtasks=subtasks, plan=plan)
+    shared = stepper.RunCost(factorizations=0 if op is None else len(op.factors()))
+    cost = vars(sum(subtasks, shared)) | {"wall_time": time.perf_counter() - t_begin}
+    return SuperposedResult(merged=replace(merged, **cost), subtasks=subtasks, plan=plan)

@@ -70,11 +70,13 @@ def generate_mesh_netlist(
 
     The capacitor spread sigma is fitted with a log-domain secant
     against measured ratios (at most a handful of dense eigensolves).
-    Raises ValueError for targets below 1 or meshes too large to
-    calibrate densely.
+    Raises ValueError for targets below 1, a t_stop that is not
+    positive and finite, or meshes too large to calibrate densely.
     """
     if stiffness_target < 1.0:
         raise ValueError("stiffness target below 1 is infeasible")
+    if not 0 < t_stop < math.inf:
+        raise ValueError(f"t_stop must be positive and finite, not {t_stop!r}")
     side = max(2, int(round(math.sqrt(n_nodes))))
     n = side * side
     if n > CALIBRATION_CAP:

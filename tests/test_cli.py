@@ -70,6 +70,14 @@ class TestGenmesh:
         assert ".TRAN" in captured.out
         assert "stiffness" in captured.err
 
+    @pytest.mark.parametrize("tstop", ["0", "-1ns"])
+    def test_rejects_non_positive_stop_up_front(self, capsys, tstop):
+        rc = cli.main(["genmesh", "--n", "20", "--stiffness", "1e3", f"--tstop={tstop}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "t_stop must be positive and finite" in err
+        assert "netlist error" not in err
+
 
 class TestSimulate:
     def test_csv_round_trips_exactly(self, netlist_file, tmp_path):
@@ -178,6 +186,10 @@ class TestCompare:
         for row in data["rows"]:
             assert 0.0 <= row["error_pct"] < 20.0
             assert row["substitution_pairs"] > 0
+            assert (
+                row["g_pairs"] + row["c_pairs"] + row["shift_pairs"]
+                == row["substitution_pairs"]
+            )
 
     def test_default_reference_step(self, netlist_file, tmp_path):
         # Without --oracle-h the reference steps at the smallest corner
@@ -336,10 +348,12 @@ class TestExitCodes:
         assert rc == 2
         assert "must be positive" in capsys.readouterr().err
 
-    def test_compare_rejects_absurd_oracle_step_count(self, netlist_file, capsys):
-        # About 4e290 steps: refused before any step is taken.
+    @pytest.mark.parametrize("oracle_h", ["1e-300", "1e-320"])
+    def test_compare_rejects_absurd_oracle_step_count(self, netlist_file, capsys, oracle_h):
+        # About 4e290 steps, or a count that overflows to inf: refused
+        # before any step is taken.
         rc = cli.main(["compare", netlist_file, "--solvers", "rmatex",
-                       "--oracle-h=1e-300"])
+                       f"--oracle-h={oracle_h}"])
         assert rc == 2
         assert "numerical error" in capsys.readouterr().err
 

@@ -262,7 +262,10 @@ class TestRunSuperposed:
         assert sup.plan.num_groups > 1
         assert sup.merged.factorizations == one_group.merged.factorizations == 3
         assert all(r.factorizations == 0 for r in sup.subtasks)
-        assert len(sup.merged.steps) == sum(len(r.steps) for r in sup.subtasks)
+        assert sup.merged.steps == [s for r in sup.subtasks for s in r.steps]
+        # A subtask is its run's cost only: it holds no states.
+        assert all(type(r) is stepper.RunCost for r in sup.subtasks)
+        assert not any(hasattr(r, "states") for r in sup.subtasks)
         # The groups run one after another, so the call's own elapsed
         # time covers every group's.
         assert sup.merged.wall_time >= sum(r.wall_time for r in sup.subtasks)

@@ -491,3 +491,25 @@ class TestPostprocessing:
         assert result.m_peak == max(fresh)
         assert result.m_average == pytest.approx(np.mean(fresh))
         assert result.n == ladder_system.n
+
+    def test_costs_add_field_by_field(self, ladder_system):
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        run = stepper.solve_transient(ladder_system, cfg)
+        cost = stepper.RunCost() + run
+        # The zero leaves every count and the steps as they were, and
+        # the sum is a plain cost: the run's states stay behind.
+        assert type(cost) is stepper.RunCost
+        assert cost.steps == run.steps
+        assert (cost.g_pairs, cost.c_pairs, cost.shift_pairs) == (
+            run.g_pairs, run.c_pairs, run.shift_pairs
+        )
+        assert (cost.factorizations, cost.wall_time) == (run.factorizations, run.wall_time)
+        twice = cost + run
+        assert twice.steps == run.steps + run.steps
+        assert twice.substitution_pairs == 2 * run.substitution_pairs
+        assert twice.factorizations == 2 * run.factorizations
+        assert twice.wall_time == 2 * run.wall_time
+        assert twice.reused_steps == 2 * run.reused_steps
+        assert sum([cost, cost], stepper.RunCost(factorizations=3)).factorizations == (
+            3 + 2 * run.factorizations
+        )
