@@ -175,12 +175,6 @@ def _load_system(path: str) -> netlist.CircuitSystem:
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--solver",
-        choices=stepper.METHODS,
-        default="rmatex",
-        help="integration method (default rmatex)",
-    )
     p.add_argument("--h", type=_value, help="fixed step for tr/be, e.g. 10ps")
     e_tol = stepper.SolverConfig.e_tol
     p.add_argument(
@@ -189,7 +183,6 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
         default=e_tol,
         help=f"absolute error budget over the span (default {e_tol:g})",
     )
-    p.add_argument("--gamma", type=_value, help="rational shift (default: median gap / 10)")
     p.add_argument(
         "--mmax",
         type=int,
@@ -203,12 +196,6 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
         help="max source groups for superposition; exponential methods only "
         f"(default {decomp.MAX_GROUPS_DEFAULT})",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="at least 1; groups run in one thread, kept for existing callers",
-    )
     p.add_argument("--tstart", type=_value, help="override the netlist start time")
     p.add_argument("--tstop", type=_value, help="override the netlist stop time")
 
@@ -219,7 +206,6 @@ def _make_config(args, solver: str) -> stepper.SolverConfig:
         h=args.h,
         e_tol=args.etol,
         m_max=args.mmax,
-        gamma=args.gamma,
         t_start=args.tstart,
         t_stop=args.tstop,
     )
@@ -314,8 +300,6 @@ def cmd_compare(args) -> int:
     # Reject a bad configuration before the reference run, which can
     # take far longer than the solvers compared; all share one span.
     configs = [_make_config(args, solver) for solver in solvers]
-    if args.workers < 1:
-        raise ValueError("workers must be at least 1")
     if args.groups < 1:
         raise ValueError("max_groups must be at least 1")
     for config in configs:
@@ -325,10 +309,7 @@ def cmd_compare(args) -> int:
     rows = []
     for solver, config in zip(solvers, configs):
         try:
-            run = decomp.run_superposed(
-                system, config, workers=args.workers, max_groups=args.groups
-            )
-            merged = run.merged
+            merged = decomp.run_superposed(system, config, max_groups=args.groups).merged
             err = stepper.waveform_error(merged, oracle)
             rows.append(
                 {
@@ -395,17 +376,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one solver, write waveform CSV")
     p_sim.add_argument("netlist", help="netlist file path")
+    p_sim.add_argument(
+        "--solver",
+        choices=stepper.METHODS,
+        default="rmatex",
+        help="integration method (default rmatex)",
+    )
     _add_solver_args(p_sim)
+    p_sim.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="at least 1 and no other effect; accepted because perfbench/run.py passes it",
+    )
     p_sim.add_argument("--out", default="-", help="CSV output path (default stdout)")
     p_sim.add_argument("--diag", help="JSON diagnostics output path")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", help="run several solvers, tabulate cost and error")
+    # No abbreviations: --solver would otherwise be read as --solvers.
+    p_cmp = sub.add_parser(
+        "compare", help="run several solvers, tabulate cost and error", allow_abbrev=False
+    )
     p_cmp.add_argument("netlist", help="netlist file path")
     p_cmp.add_argument(
         "--solvers",
         default="tr,rmatex",
-        help="comma-separated list (default tr,rmatex)",
+        help="comma-separated methods, in place of simulate's --solver (default tr,rmatex)",
     )
     _add_solver_args(p_cmp)
     p_cmp.add_argument("--oracle-h", type=_value, dest="oracle_h",

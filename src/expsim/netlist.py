@@ -169,15 +169,27 @@ class Pulse(Waveform):
 
 @dataclass(frozen=True)
 class Pwl(Waveform):
-    """Breakpoint list; constant extrapolation outside the given span."""
+    """Breakpoint list; constant extrapolation outside the given span.
+
+    The times are snapped to the femtosecond grid when the Pwl is made,
+    so each breakpoint is exactly the stepping point it makes.
+    """
 
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if len(self.points) < 1:
             raise ValueError("PWL needs at least one point")
-        if np.any(np.diff([p[0] for p in self.points]) <= 0):
+        ts = np.array([p[0] for p in self.points], dtype=np.float64)
+        if np.any(np.diff(ts) <= 0):
             raise ValueError("PWL times must be strictly increasing")
+        snapped = quantize_time(ts)
+        clash = np.flatnonzero(np.diff(snapped) <= 0)
+        if clash.size:
+            (a, _), (b, _) = self.points[clash[0] : clash[0] + 2]
+            raise ValueError(f"PWL times {a!r} and {b!r} snap to the same femtosecond")
+        points = tuple(zip(snapped.tolist(), (v for _, v in self.points)))
+        object.__setattr__(self, "points", points)  # the dataclass is frozen
 
     def value(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -192,7 +204,7 @@ class Pwl(Waveform):
 
     def transition_times(self, t_start, t_stop):
         ts = np.array([p[0] for p in self.points], dtype=np.float64)
-        return np.unique(quantize_time(ts[(t_start <= ts) & (ts <= t_stop)]))
+        return ts[(t_start <= ts) & (ts <= t_stop)]
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,9 @@ class SolverConfig:
     h is the fixed step of the tr/be baselines and is ignored by the
     exponential methods, which step spot to spot. e_tol is the absolute
     error budget for the whole span; each step gets the proportional
-    share e_tol * h / (t_stop - t_start). gamma defaults to a tenth of
-    the median spot gap. t_start / t_stop override the netlist .TRAN
-    directive when given. h, e_tol and gamma must be positive, every
-    given value finite and m_max at least krylov.M_MIN.
+    share e_tol * h / (t_stop - t_start). t_start / t_stop override
+    the netlist .TRAN directive when given. h and e_tol must be
+    positive, every given value finite and m_max at least krylov.M_MIN.
 
     The imatex/rmatex convergence estimate is chosen automatically:
     the exact residual formula when C can be factorized (one extra
@@ -84,7 +83,6 @@ class SolverConfig:
     h: float | None = None
     e_tol: float = 1e-6
     m_max: int = krylov.DEFAULT_M_MAX
-    gamma: float | None = None
     t_start: float | None = None
     t_stop: float | None = None
 
@@ -93,7 +91,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method in FIXED_THETA and self.h is None:
             raise ValueError(f"{self.method} needs a positive fixed step h")
-        for name, value in {"h": self.h, "e_tol": self.e_tol, "gamma": self.gamma}.items():
+        for name, value in {"h": self.h, "e_tol": self.e_tol}.items():
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, not {value!r}")
         if not all(t is None or math.isfinite(t) for t in (self.t_start, self.t_stop)):
@@ -244,16 +242,17 @@ def factor_matex(
 ) -> krylov.VariantOperator:
     """Factor the operator of an exponential run: G, C and the variant's own.
 
-    spots are the spot times the run steps on; the default gamma is a
-    tenth of the median gap of the stepping points they make in the
-    run's span. Subsystems keep C and G, so the operator of the whole
-    circuit serves every source group that steps on the same spots.
+    spots are the spot times the run steps on. rmatex alone takes a
+    shift: gamma is a tenth of the median gap of the stepping points
+    they make in the run's span; imatex and mexp get none. Subsystems
+    keep C and G, so the operator of the whole circuit serves every
+    source group that steps on the same spots.
     """
     if config.method not in _METHOD_VARIANT:
         raise ValueError(f"not an exponential method: {config.method!r}")
     variant = _METHOD_VARIANT[config.method]
-    gamma = config.gamma
-    if gamma is None and variant is krylov.Variant.RATIONAL:
+    gamma = None
+    if variant is krylov.Variant.RATIONAL:
         points = stepping_points(*resolve_span(system, config), spots)
         gamma = float(np.median(np.diff(points))) / 10.0
     return krylov.factor_operator(variant, system.c, system.g, gamma)

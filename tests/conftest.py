@@ -8,12 +8,13 @@ meaningful. It requires a nonsingular C (dense A must exist);
 dense_exact_singular_c first eliminates the unknowns that carry no
 capacitance.
 
-The autouse audit records every basis krylov.arnoldi returns during a
-test and re-verifies its invariants at teardown. read_waveform_csv
+The autouse audit verifies the invariants of every basis krylov.arnoldi
+returns during a test as it is returned. read_waveform_csv
 parses what cli.write_waveform_csv writes.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,22 +223,29 @@ def verify_bases(bases, ortho_tol=1e-8, rel_tol=1e-8) -> int:
 def audited_bases(monkeypatch):
     """Verify orthonormality and the Arnoldi relation on every basis.
 
-    krylov.arnoldi is replaced by a recorder for the whole suite, so any
-    run anywhere that emits a basis gets both invariants re-checked on
-    teardown. Yields the list of recorded nonempty bases.
+    krylov.arnoldi is replaced for the whole suite, so any run anywhere
+    that emits a nonempty basis gets both invariants checked as the
+    basis is returned, and no basis is kept. The check applies the
+    operator; every factor's solve_count is put back after it, so no
+    run's pairs include the audit. Yields a namespace whose count is
+    the number of bases audited.
     """
-    bases = []
+    audit = SimpleNamespace(count=0)
     build = krylov.arnoldi
 
-    def recording_arnoldi(*args, **kwargs):
+    def auditing_arnoldi(*args, **kwargs):
         basis = build(*args, **kwargs)
         if basis.m > 0:
-            bases.append(basis)
+            factors = basis.operator.factors()
+            counts = [f.solve_count for f in factors]
+            verify_bases([basis])
+            for f, count in zip(factors, counts):
+                f.solve_count = count
+            audit.count += 1
         return basis
 
-    monkeypatch.setattr(krylov, "arnoldi", recording_arnoldi)
-    yield bases
-    verify_bases(bases)
+    monkeypatch.setattr(krylov, "arnoldi", auditing_arnoldi)
+    yield audit
 
 
 LADDER_NETLIST = """* driven ladder, current sources only

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expsim as es
-from expsim import cli, decomp, stepper
+from expsim import cli, decomp, meshgen, stepper
 from conftest import TWO_SOURCE_NETLIST, read_waveform_csv
 
 CAP_FREE_NODE_NETLIST = """* node 2 carries no capacitance
@@ -69,6 +70,22 @@ class TestGenmesh:
         captured = capsys.readouterr()
         assert ".TRAN" in captured.out
         assert "stiffness" in captured.err
+
+    def test_secant_step_lands_within_half_a_decade(self, monkeypatch):
+        # From sigma = 1 a unit-slope step falls short of 1e9; the secant
+        # through both measurements makes the third.
+        measured = []
+        measure = meshgen.measure_stiffness
+
+        def spy(system):
+            measured.append(measure(system))
+            return measured[-1]
+
+        monkeypatch.setattr(meshgen, "measure_stiffness", spy)
+        mesh = meshgen.generate_mesh_netlist(400, 1e9, seed=1)
+        assert len(measured) == 3
+        assert mesh.measured_stiffness == measured[-1]
+        assert abs(math.log10(mesh.measured_stiffness / 1e9)) <= 0.5
 
     @pytest.mark.parametrize("tstop", ["0", "-1ns"])
     def test_rejects_non_positive_stop_up_front(self, capsys, tstop):
@@ -369,18 +386,20 @@ class TestExitCodes:
         assert rc == 2
         assert "numerical error: no solver given" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_compare_rejects_workers_before_oracle(
-        self, netlist_file, capsys, monkeypatch, workers
-    ):
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("the reference ran before the workers were checked")
-
-        monkeypatch.setattr(stepper, "solve_transient_be", no_oracle)
-        rc = cli.main(["compare", netlist_file, "--solvers", "rmatex",
-                       "--workers", workers])
-        assert rc == 2
-        assert "numerical error: workers must be at least 1" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--solver", "mexp"],
+            ["compare", "--workers", "2"],
+            ["compare", "--gamma", "1p"],
+            ["simulate", "--gamma", "1p"],
+        ],
+    )
+    def test_removed_options_are_unknown(self, netlist_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], netlist_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, netlist_file, capsys, workers):

@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expsim import decomp, krylov, netlist, stepper
-from conftest import verify_bases
+from expsim import decomp, netlist, stepper
 
 
 class TestExtractLts:
@@ -192,7 +191,7 @@ class TestRunSuperposed:
             # the merge turns those into +0.0 as zeros + states does.
             assert np.signbit(s[s == 0.0]).any()
 
-    def test_groups_are_merged_as_they_end(self, audited_bases, monkeypatch):
+    def test_groups_are_merged_as_they_end(self):
         # Eight groups on 1,000 nodes, peaks in units of the merged
         # states. A run holds its states; a superposed run holds the
         # merged sum besides one group's working set. Measured: 1.8 in
@@ -209,30 +208,12 @@ class TestRunSuperposed:
         system = netlist.build_system("\n".join(["* line", *lines, ".TRAN 0 0.5n"]))
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-6)
 
-        # The suite's audit keeps every basis until teardown, which would
-        # put them all in the peaks. Here each basis is audited as soon
-        # as it is built and then left to the run; the peak is read
-        # before the audit and reset after it, so the audit's own
-        # temporaries are not counted either.
-        record = krylov.arnoldi
-
-        def audit_now(*args, **kwargs):
-            nonlocal peak
-            basis = record(*args, **kwargs)
-            peak = max(peak, tracemalloc.get_traced_memory()[1])
-            verify_bases(audited_bases)
-            audited_bases.clear()
-            tracemalloc.reset_peak()
-            return basis
-
-        monkeypatch.setattr(krylov, "arnoldi", audit_now)
         peaks = {}
         for max_groups in (1, 8):
-            peak = 0
             tracemalloc.start()
             try:
                 sup = decomp.run_superposed(system, cfg, max_groups=max_groups)
-                peaks[max_groups] = max(peak, tracemalloc.get_traced_memory()[1])
+                peaks[max_groups] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert sup.plan.num_groups == 8

@@ -176,6 +176,12 @@ class TestParseNetlist:
             ("PWL 0 0 1 1", "malformed PWL(...)"),
             ("PULSE(0 1 0)", "PULSE takes 7 values, got 3"),
             ("PWL(0 0 1)", "PWL takes an even number of values"),
+            (
+                "PWL(0 0 1n 0 1.0000000000001n 1)",
+                "PWL times 1e-09 and 1.0000000000001e-09 snap to the same femtosecond",
+            ),
+            ("PULSE(0 1 0 1n 1n -1n 10n)", "pulse width must be nonnegative"),
+            ("PULSE(0 1 -1n 1n 1n 1n 10n)", "pulse delay must be nonnegative"),
         ],
     )
     def test_source_spec_messages(self, spec, message):

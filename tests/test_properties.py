@@ -249,16 +249,19 @@ LEVELS = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
 def driven_systems(draw):
     """PULSE, PWL and DC sources with drawn levels, and times to sample.
 
-    The times hold the corners, exact and snapped, the PWL points, times
-    before the delay and the first point and after the last, and times
-    drawn over the span, in no order.
+    The times hold the corners, exact and snapped, the PWL points,
+    drawn and snapped, times before the delay and the first point and
+    after the last, and times drawn over the span, in no order.
     """
     unit = 10.0 ** draw(st.integers(-15, -6))
     t_rise, t_fall, t_width = (draw(st.floats(0.01, 1.0)) * unit for _ in range(3))
     period = (t_rise + t_fall + t_width) * draw(st.floats(1.001, 3.0))
     delay = draw(st.floats(0.0, 3.0)) * period
     knots = sorted(draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True)))
-    pwl = [(k * period / 4.0, draw(LEVELS)) for k in knots]
+    # PWL times snap to the femtosecond grid, where two that meet are
+    # refused; more than 1 fs apart, no two snap to the same spot.
+    knot_gap = max(period / 4.0, 2 * netlist.TIME_QUANTUM)
+    pwl = [(k * knot_gap, draw(LEVELS)) for k in knots]
     pwl_text = " ".join(f"{t!r} {v!r}" for t, v in pwl)
     text = (
         f"I1 0 1 PULSE({draw(LEVELS)!r} {draw(LEVELS)!r} {delay!r} {t_rise!r} "
@@ -275,6 +278,7 @@ def driven_systems(draw):
         *exact,
         *pulse.transition_times(0.0, t_end),
         *(t for t, _ in pwl),
+        *(t for t, _ in system.sources[1].points),
         -period, 0.0, delay / 2.0, t_end + period,
         *(draw(st.floats(0.0, 1.0)) * t_end for _ in range(draw(st.integers(0, 8)))),
     ]

@@ -30,18 +30,16 @@ class TestSolverConfig:
         [
             dict(method="euler"),
             dict(method="be"),
-            dict(gamma=0.0),
             dict(method="tr"),
             dict(method="be", h=0.0),
             dict(e_tol=0.0),
             dict(e_tol=-1e-9),
             dict(m_max=0),
-            dict(gamma=-1e-12),
             dict(e_tol=float("nan")),
             dict(e_tol=float("inf")),
             dict(method="tr", h=float("nan")),
-            dict(gamma=float("nan")),
             dict(m_max=1),
+            dict(t_start=float("inf")),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
@@ -66,6 +64,11 @@ class TestSpanAndGrid:
         sys_ = es.build_system("R1 1 0 1\nC1 1 0 1\nI1 0 1 DC 1\n.END\n")
         with pytest.raises(ValueError):
             stepper.resolve_span(sys_, stepper.SolverConfig())
+
+    def test_config_span_that_ends_before_it_starts_is_an_error(self, ladder_system):
+        cfg = stepper.SolverConfig(t_start=2e-10, t_stop=1e-10)
+        with pytest.raises(ValueError, match="analysis span is empty"):
+            stepper.resolve_span(ladder_system, cfg)
 
     def test_sourceless_circuit_is_an_error(self):
         sys_ = es.build_system("R1 a 0 1k\nC1 a 0 1p\n.TRAN 0 1n\n")
@@ -216,6 +219,23 @@ class TestMatexSolvers:
         result = stepper.solve_transient(ladder_system, cfg)
         assert sum(s.estimate for s in result.steps) <= 100.0 * cfg.e_tol
 
+    def test_factor_matex_refuses_fixed_step_methods(self, ladder_system):
+        cfg = stepper.SolverConfig(method="tr", h=1e-11)
+        with pytest.raises(ValueError, match="not an exponential method"):
+            stepper.factor_matex(ladder_system, cfg, np.empty(0))
+
+    def test_pwl_drive_is_read_at_its_own_breakpoint(self):
+        # "100u" parses one ulp below 1e-4, the stepping point the corner
+        # makes; the ramp from 0 starts there, so v(100 us) is exactly 0.
+        sys_ = es.build_system(
+            "I1 0 1 PWL(0 0 100u 0 100.0000005u 1m 200u 1m)\n"
+            "R1 1 0 1k\nC1 1 0 10n\n.TRAN 0 1m\n"
+        )
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        result = stepper.solve_transient(sys_, cfg)
+        (k,) = np.flatnonzero(result.times == 1e-4)
+        assert abs(result.states[k, 0]) <= 1e-15
+
     def test_undecomposed_run_never_reuses(self, ladder_system):
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
         result = stepper.solve_transient(ladder_system, cfg)
@@ -246,8 +266,9 @@ class TestMatexSolvers:
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
         result = stepper.solve_transient(ladder_system, cfg)
         assert result.gamma == pytest.approx(2e-12, rel=1e-6)
-        explicit = stepper.SolverConfig(method="rmatex", e_tol=1e-8, gamma=5e-12)
-        assert stepper.solve_transient(ladder_system, explicit).gamma == 5e-12
+        for method in ("imatex", "mexp"):  # no shift, so none reported
+            cfg = stepper.SolverConfig(method=method, e_tol=1e-8)
+            assert stepper.solve_transient(ladder_system, cfg).gamma is None
 
     @pytest.mark.parametrize("method", ["rmatex", "tr"])
     def test_operating_point_at_overridden_start(self, method):
@@ -483,6 +504,19 @@ class TestPostprocessing:
             method="tr",
         )
         assert stepper.waveform_error(coarse, ref) == pytest.approx(1.0)
+
+    def test_waveform_error_against_a_zero_reference_is_absolute(self):
+        # No peak to normalize by: the scale falls back to 1.
+        ref = stepper.WaveformResult(
+            times=np.array([0.0, 1.0]), states=np.zeros((2, 1)), names=["v(1)"], method="be"
+        )
+        result = stepper.WaveformResult(
+            times=np.array([0.0, 1.0]),
+            states=np.array([[0.0], [0.25]]),
+            names=["v(1)"],
+            method="tr",
+        )
+        assert stepper.waveform_error(result, ref) == 25.0
 
     def test_result_properties(self, ladder_system):
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
