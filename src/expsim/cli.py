@@ -32,7 +32,7 @@ from .errors import NetlistError, NumericalError
 
 # Version of the --diag JSON layout; bumped whenever a key is added,
 # removed or changes meaning.
-DIAG_SCHEMA = 3
+DIAG_SCHEMA = 4
 
 # compare resolves a solver's error only when it is at least this many
 # times the reference's own error.
@@ -212,12 +212,14 @@ def _make_config(args, solver: str) -> stepper.SolverConfig:
 
 
 def _cost_block(cost: stepper.RunCost) -> dict[str, int]:
-    """A run's substitution pairs, in total and by factor, and its m_peak."""
+    """A run's substitution pairs, in total and by factor, its drive
+    rank and its m_peak."""
     return {
         "substitution_pairs": cost.substitution_pairs,
         "g_pairs": cost.g_pairs,
         "c_pairs": cost.c_pairs,
         "shift_pairs": cost.shift_pairs,
+        "drive_rank": cost.drive_rank,
         "m_peak": cost.m_peak,
     }
 

@@ -25,8 +25,9 @@ A superposed run keeps no group's states: each group's are added into
 the merged waveform as soon as it ends, so memory is the merged
 waveform plus one group's working set whatever the group count, and a
 group's subtask carries its cost accounting only. A group's working set
-is its (T, n) states plus n x n_src blocks of input terms; the shared
-factors are held once.
+is its (T, n) states plus n x r blocks of input terms, r the group's
+drive rank, its count of distinct waveforms; the shared factors are held
+once.
 """
 
 from __future__ import annotations
@@ -126,9 +127,10 @@ def run_superposed(
     calling thread. Each group's states take the running sum as soon
     as that group ends and the previous sum is dropped, so the call
     holds the merged waveform plus one group's working set, its states
-    and n x n_src input-term blocks, whatever the group count; the
-    merged bytes are those of zeros plus each group's states in group
-    index order. max_groups must be at least 1 for every method.
+    and n x r input-term blocks (r its drive rank), whatever the group
+    count; the merged bytes are those of zeros plus each group's states
+    in group index order. The merged drive_rank, like every count, is
+    the groups' sum. max_groups must be at least 1 for every method.
     workers must be at least 1 and has no other effect; it is kept for
     existing callers. The merged wall_time is this call's elapsed time;
     each group's own time stays on its subtask.

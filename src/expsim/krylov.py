@@ -136,10 +136,10 @@ class VariantOperator:
     for the exact residual formulas (one extra apply of A, i.e. a C
     solve, per accepted basis; scale_floor rejects the other probes
     without one), falling back to the empirical surrogate without them.
-    shift_factors exist for the rational variant only. Made by
-    factor_operator. The factors' solve_count tallies are plain
-    counters for one thread: a run sharing the operator reads its pairs
-    as how much their sum grew.
+    shift_factors, and shift, the matrix C + gamma G they factor, exist
+    for the rational variant only. Made by factor_operator. The factors'
+    solve_count tallies are plain counters for one thread: a run sharing
+    the operator reads its pairs as how much their sum grew.
     """
 
     variant: Variant
@@ -149,6 +149,7 @@ class VariantOperator:
     c_factors: numkit.LuFactors | None = None
     shift_factors: numkit.LuFactors | None = None
     gamma: float | None = None
+    shift: numkit.SparseMatrix | None = None
 
     @property
     def dim(self) -> int:
@@ -175,17 +176,19 @@ class VariantOperator:
         return self.c.scipy.T, inverse
 
     def scale_floor(self, v: np.ndarray) -> float:
-        """A lower bound on ||C^-1 y|| without a solve, y = G v + C v / gamma
-        (rational) or G v (inverted): KrylovBasis.residual_scale for v_next.
+        """A lower bound on ||C^-1 y|| without a solve, y = (C + gamma G) v
+        / gamma (rational) or G v (inverted): KrylovBasis.residual_scale
+        for v_next.
 
         For any u, u^T y = (C^T u)^T C^-1 y, so by Cauchy-Schwarz
         ||C^-1 y|| >= |u^T y| / ||C^T u||. u = y / diag(C)^2, 0 where the
         diagonal is 0, makes the bound exact for a diagonal C. Costs a
-        matvec with G, with C^T and, for the rational variant, with C.
+        matvec with C^T and one with the shift matrix (rational) or G.
         """
-        y = self.g @ v
         if self.variant is Variant.RATIONAL:
-            y += (self.c @ v) / self.gamma
+            y = (self.shift @ v) / self.gamma
+        else:
+            y = self.g @ v
         c_transposed, inverse = self._floor_terms
         u = y * inverse
         norm = float(np.linalg.norm(c_transposed @ u))
@@ -227,11 +230,13 @@ def factor_operator(
                 "rmatex) step with a singular C"
             ) from exc
         c_factors = None
-    shift_factors = None
+    shift = shift_factors = None
     if variant is Variant.RATIONAL:
         shift = numkit.from_scipy(c.scipy + gamma * g.scipy)
         shift_factors = numkit.lu_factorize(shift)
-    return VariantOperator(variant, c, g, g_factors, c_factors, shift_factors, gamma)
+    return VariantOperator(
+        variant, c, g, g_factors, c_factors, shift_factors, gamma, shift
+    )
 
 
 @dataclass

@@ -36,6 +36,7 @@ import os
 import re
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -103,6 +104,11 @@ class Waveform:
         """Times in [t_start, t_stop] where the slope changes."""
         raise NotImplementedError
 
+    def split(self) -> tuple[tuple[float, Waveform], ...]:
+        """(amplitude, shape) terms whose amplitude-weighted sum is the
+        waveform; the last shape is the one that changes, if any."""
+        return ((1.0, self),)
+
 
 @dataclass(frozen=True)
 class Dc(Waveform):
@@ -113,6 +119,13 @@ class Dc(Waveform):
 
     def transition_times(self, t_start, t_stop):
         return np.empty(0)
+
+    def split(self):
+        return ((self.level, CONSTANT),)
+
+
+# The shape every constant level is a multiple of.
+CONSTANT = Dc(1.0)
 
 
 @dataclass(frozen=True)
@@ -165,6 +178,12 @@ class Pulse(Waveform):
         bases = self.t_delay + np.arange(k0, k1) * self.t_period
         corners = quantize_time((bases[bases <= t_stop, None] + offsets).ravel())
         return np.unique(corners[(t_start <= corners) & (corners <= t_stop)])
+
+    def split(self):
+        """v1 times CONSTANT, v1 = 0 dropped, plus v2 - v1 times the unit
+        pulse of this timing (0 to 1)."""
+        unit = ((self.v2 - self.v1, replace(self, v1=0.0, v2=1.0)),)
+        return ((self.v1, CONSTANT), *unit) if self.v1 else unit
 
 
 @dataclass(frozen=True)
@@ -335,6 +354,46 @@ class CircuitSystem:
         (n_src,) + t.shape: a run's whole drive table in one call.
         """
         return np.array([w.value(t) for w in self.sources], dtype=np.float64)
+
+    def at_drive_rank(self) -> "CircuitSystem":
+        """The same circuit driven by its r distinct waveforms, r <= n_src.
+
+        u(t) = S phi(t) for r shapes phi, so B u = (B S) phi: the result
+        has B S as its B, the shapes as its sources, and each named
+        after the first source it carries. A source whose changing
+        shape (the last of Waveform.split), such as a PULSE timing, is
+        another source's too is split: v2 - v1 goes into that shape's
+        column and v1, unless 0, into the CONSTANT column. When any
+        split source has such an offset, or two sources are DC, every DC
+        level joins the CONSTANT column too. Every other source keeps
+        its waveform as its own column with entry 1; where no two
+        sources merge, the result is this system itself.
+        """
+        splits = [w.split() for w in self.sources]
+        uses = Counter(terms[-1][1] for terms in splits)
+        merged = [uses[terms[-1][1]] > 1 for terms in splits]
+        # A split source with two terms has a v1 offset for CONSTANT.
+        if any(m and len(terms) > 1 for m, terms in zip(merged, splits)):
+            merged = [m or isinstance(w, Dc) for m, w in zip(merged, self.sources)]
+        if not any(merged):
+            return self
+        columns: dict[Waveform, int] = {}  # shape -> its column
+        names, rows, cols, values = [], [], [], []
+        for i, (w, m, terms) in enumerate(zip(self.sources, merged, splits)):
+            for amplitude, shape in terms if m else ((1.0, w),):
+                if shape not in columns:
+                    columns[shape] = len(columns)
+                    names.append(self.source_names[i])
+                rows.append(i)
+                cols.append(columns[shape])
+                values.append(amplitude)
+        s = sp.csr_matrix((values, (rows, cols)), shape=(self.num_sources, len(columns)))
+        return replace(
+            self,
+            b=numkit.from_scipy(self.b.scipy @ s),
+            sources=list(columns),
+            source_names=names,
+        )
 
     def subsystem(self, members: list[int]) -> "CircuitSystem":
         """The same circuit driven by the member sources alone.

@@ -13,12 +13,15 @@ where F and P collect the particular solution of the affine drive:
     P(t, h)  = w(t+h)    + (theta(t+h) - theta(t)) / h
 
 w and theta are linear in the drive, so a run solves them once per
-source, 2 n_src substitution pairs for n_src sources, and keeps them as
-two n x n_src blocks beside the sampled drive. Each step forms only the
+distinct waveform, not per source: the drive is u(t) = S phi(t) with r
+shapes phi (netlist.CircuitSystem.at_drive_rank), one per PULSE timing
+that sources share, one for the constant levels and one per other
+source. That costs 2 r substitution pairs, r the drive rank, and keeps
+two n x r blocks beside the sampled shapes. Each step forms only the
 rows it reads, w and theta at its two ends, with a dense product; the
 fresh step's theta row is kept for the steps that reuse its basis. So a
-run holds its states and factors and no other (T, n) array. The
-operating point is -w(t0).
+run holds its states and factors and no other (T, n) or n x n_src
+array. The operating point is -w(t0).
 
 Steps land exactly on the spot times where any driving source changes
 slope. A fresh Krylov basis is grown only at the spots where this run's
@@ -119,7 +122,9 @@ class RunCost:
 
     Substitution pairs are booked by the factor that made them: G;
     C; and the shift, C + gamma G for rmatex or the step matrix
-    C/h + theta G for tr/be. Costs add: a + b sums every count and
+    C/h + theta G for tr/be. drive_rank is the number of distinct
+    waveforms an exponential run solved input terms for, 2 G pairs
+    each; tr/be report 0. Costs add: a + b sums every count and
     time and concatenates the steps, RunCost() is the zero, and
     RunCost() + run is a WaveformResult's cost without its states.
     """
@@ -128,6 +133,7 @@ class RunCost:
     g_pairs: int = 0
     c_pairs: int = 0
     shift_pairs: int = 0
+    drive_rank: int = 0
     factorizations: int = 0
     wall_time: float = 0.0
 
@@ -221,20 +227,22 @@ def stepping_points(t0, t1, spots) -> np.ndarray:
 
 
 def _input_terms(system, g_factors, points: np.ndarray):
-    """The drive u (n_src, T) at the stepping points, W and Theta (n, n_src).
+    """The drive's r shapes phi (r, T) at the stepping points, W and Theta (n, r).
 
-    W = -G^-1 B and Theta = -G^-1 C W hold one column per source, so
-    w(t_k) = W u(t_k) and theta(t_k) = Theta u(t_k); two block solves
-    cost 2 n_src substitution pairs for every point at once. The step
-    from point k forms the rows it reads, u.T[k:k+2] @ W.T and
-    u.T[k:k+2] @ Theta.T, and no (T, n) table is made. Two rows even
+    With the drive at its rank, u = S phi (CircuitSystem.at_drive_rank),
+    W = -G^-1 (B S) and Theta = -G^-1 C W hold one column per shape, so
+    w(t_k) = W phi(t_k) and theta(t_k) = Theta phi(t_k); two block
+    solves cost 2 r substitution pairs for every point at once. The
+    step from point k forms the rows it reads, phi.T[k:k+2] @ W.T and
+    phi.T[k:k+2] @ Theta.T, and no (T, n) table is made. Two rows even
     where one would do: a one-row product runs another BLAS kernel
     (gemv), whose sums need not round as a full product's rows do.
     """
-    u = system.eval_sources(points)
-    w = -g_factors.solve(system.b.to_dense())
+    drive = system.at_drive_rank()
+    phi = drive.eval_sources(points)
+    w = -g_factors.solve(drive.b.to_dense())
     theta = -g_factors.solve(system.c @ w)
-    return u, w, theta
+    return phi, w, theta
 
 
 def factor_matex(
@@ -298,8 +306,8 @@ def solve_transient_matex(
         factorizations = len(op.factors())
     pairs_before = _solve_counts(op)
 
-    u, w_cols, theta_cols = _input_terms(system, op.g_factors, points)
-    x = -(u.T[:2] @ w_cols.T)[0]
+    phi, w_cols, theta_cols = _input_terms(system, op.g_factors, points)
+    x = -(phi.T[:2] @ w_cols.T)[0]
     states = np.empty((points.size, system.n))
     states[0] = x
     steps: list[StepRecord] = []
@@ -308,7 +316,7 @@ def solve_transient_matex(
         h = t_next - t
         fresh = fresh_at[k]
         # w and theta at points k and k + 1
-        w, theta = u.T[k : k + 2] @ w_cols.T, u.T[k : k + 2] @ theta_cols.T
+        w, theta = phi.T[k : k + 2] @ w_cols.T, phi.T[k : k + 2] @ theta_cols.T
         if fresh:
             t_a, theta_a = t, theta[0]  # the basis anchor
             eps = config.e_tol * h / span
@@ -345,6 +353,7 @@ def solve_transient_matex(
         g_pairs=g_pairs,
         c_pairs=c_pairs,
         shift_pairs=shift_pairs,
+        drive_rank=w_cols.shape[1],
         factorizations=factorizations,
         wall_time=time.perf_counter() - t_begin,
         gamma=op.gamma,

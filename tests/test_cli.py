@@ -132,7 +132,7 @@ class TestSimulate:
         assert rc == 0
         diag = json.loads(diag_path.read_text())
         assert diag["method"] == "rmatex"
-        assert diag["schema"] == 3
+        assert diag["schema"] == 4
         assert "workers" not in diag
         assert "input_path" not in diag
         assert diag["e_tol"] == 1e-8
@@ -147,6 +147,9 @@ class TestSimulate:
         for sub in diag["subtasks"]:
             assert {"substitution_pairs", "m_peak", "local_transitions",
                     "reused_steps"} <= sub.keys()
+            # one source per group; rmatex's G pairs are the input terms
+            assert sub["drive_rank"] == 1 and sub["g_pairs"] == 2
+        assert diag["drive_rank"] == 2 and diag["g_pairs"] == 2 * diag["drive_rank"]
         for step in diag["steps"]:
             assert {"t", "h", "m", "estimate", "reused", "estimate_kind",
                     "anchor"} <= step.keys()

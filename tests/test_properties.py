@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import expsim as es
 from expsim import krylov, netlist, stepper
 from expsim.errors import NumericalError
+from conftest import dense_exact
 
 VALUES = st.floats(0.5, 2.0)
 CAPS = st.floats(0.1, 10.0)
@@ -341,3 +342,60 @@ def test_stepping_points_are_the_snapped_spots_between_the_ends(case):
     assert np.all(np.diff(points) > 0)
     assert points[0] == t0 and points[-1] == t1
     assert points[1:-1].tolist() == expected
+
+
+TIMINGS = st.tuples(
+    st.floats(0.0, 2.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.0, 1.0)
+).map(lambda t: (*t, (t[1] + t[2] + t[3]) * 1.5))
+OFFSETS = st.sampled_from([0.0]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def shared_timing_netlists(draw):
+    """An RC ladder driven by PULSE sources that share a few timings, with
+    drawn levels, beside DC and PWL sources; and the drive rank r that
+    the shared timings leave.
+
+    Every node has a grounded cap, so C is nonsingular. Each PWL has its
+    own breakpoints, so no two are the same waveform.
+    """
+    k = draw(st.integers(2, 5))
+    lines = [
+        f"R{i} {i} {i - 1} {draw(VALUES)!r}\nC{i} {i} 0 {draw(CAPS)!r}" for i in range(1, k + 1)
+    ]
+    timings = draw(st.lists(TIMINGS, min_size=1, max_size=3, unique=True))
+    pulses = [
+        (draw(OFFSETS), draw(st.floats(-2.0, 2.0)), draw(st.sampled_from(timings)))
+        for _ in range(draw(st.integers(2, 8)))
+    ]
+    for j, (v1, v2, timing) in enumerate(pulses):
+        args = " ".join(repr(x) for x in (v1, v2, *timing))
+        lines.append(f"IP{j} 0 {draw(st.integers(1, k))} PULSE({args})")
+    n_dc = draw(st.integers(0, 2))
+    for j in range(n_dc):
+        lines.append(f"ID{j} 0 {draw(st.integers(1, k))} DC {draw(st.floats(-2.0, 2.0))!r}")
+    n_pwl = draw(st.integers(0, 2))
+    for j in range(n_pwl):
+        level = draw(st.floats(-2.0, 2.0))
+        lines.append(f"IW{j} 0 {draw(st.integers(1, k))} PWL(0 0 {0.5 + j!r} {level!r})")
+    lines += [".TRAN 0 4", ".END"]
+
+    shared = {t for t in timings if sum(p[2] == t for p in pulses) > 1}
+    lone = sum(p[2] not in shared for p in pulses)
+    offsets = any(p[2] in shared and p[0] != 0.0 for p in pulses)
+    constant = 1 if offsets or n_dc > 1 else n_dc
+    return "\n".join(lines) + "\n", len(shared) + lone + n_pwl + constant
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=shared_timing_netlists())
+def test_runs_at_the_drive_rank_match_the_dense_exact_solution(case):
+    # The bound of the one-source ladder runs against the same oracle.
+    text, rank = case
+    system = es.build_system(text)
+    run = stepper.solve_transient(system, stepper.SolverConfig(method="rmatex", e_tol=1e-8))
+    exact = dense_exact(system, run.times)
+    assert run.drive_rank == rank and run.g_pairs == 2 * rank
+    assert np.linalg.norm(run.states - exact, axis=1).max() < 1e-8 * max(
+        1.0, np.linalg.norm(exact, axis=1).max()
+    )

@@ -1,5 +1,7 @@
 """Transient solvers: stepping grid, input terms, costs, accuracy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,7 +180,8 @@ class TestInputTerms:
         points = np.linspace(0.0, 4e-10, 17)
         g_factors = numkit.lu_factorize(mixed_system.g)
         terms = stepper._input_terms(mixed_system, g_factors, points)
-        assert g_factors.solve_count == 2 * 6
+        # I1 and I2 share a PULSE timing: five distinct waveforms.
+        assert g_factors.solve_count == 2 * 5
         for k in range(points.size - 1):
             w, theta = term_rows(terms, k)
             for row, t in enumerate(points[k : k + 2]):
@@ -192,7 +195,7 @@ class TestInputTerms:
         assert system.num_sources == 10
         g_factors = numkit.lu_factorize(system.g)
         terms = stepper._input_terms(system, g_factors, np.array([0.0, 1e-9]))
-        assert g_factors.solve_count == 2 * 10
+        assert g_factors.solve_count == 2  # one constant column
         w, theta = term_rows(terms, 0)
         want_w, want_theta = per_time_w_theta(system, g_factors, 1e-9)
         np.testing.assert_allclose(w[1], want_w, rtol=1e-13)
@@ -201,6 +204,38 @@ class TestInputTerms:
         run = stepper.solve_transient(system, stepper.SolverConfig(e_tol=1e-8))
         np.testing.assert_allclose(run.states[0], -want_w, rtol=1e-13)
         np.testing.assert_allclose(run.states[-1], run.states[0], rtol=1e-12)
+
+    TIMINGS = (
+        "1e-11 1e-11 1e-11 3e-11 2e-10",
+        "2e-11 1e-11 2e-11 2e-11 2e-10",
+        "4e-11 2e-11 1e-11 1e-11 2e-10",
+        "5e-11 1e-11 1e-11 5e-11 2e-10",
+    )
+
+    def many_source_run(self, n_src, n=400):
+        """An n-node grounded ladder, n_src sources over the four timings:
+        the run's (result, tracemalloc peak bytes)."""
+        lines = [f"R{i} {i} {i - 1} 1\nRG{i} {i} 0 2\nC{i} {i} 0 1p" for i in range(1, n + 1)]
+        lines += [
+            f"I{j} 0 {1 + 7 * j % n} PULSE(0 {1 + j % 5}m {self.TIMINGS[j % 4]})"
+            for j in range(n_src)
+        ]
+        system = es.build_system("\n".join(lines) + "\n.TRAN 0 4e-10\n")
+        tracemalloc.start()
+        try:
+            run = stepper.solve_transient(system, stepper.SolverConfig(e_tol=1e-8))
+            return run, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_many_sources_cost_their_distinct_waveforms(self):
+        # 200 sources in 4 timings: 4 columns, 8 G pairs, and no block
+        # of one column per source. Per source, one n-vector would be
+        # 3.2 kB; 180 more sources add less than 25 % of the peak.
+        few, few_peak = self.many_source_run(20)
+        many, many_peak = self.many_source_run(200)
+        assert (few.drive_rank, few.g_pairs) == (many.drive_rank, many.g_pairs) == (4, 8)
+        assert many_peak < 1.25 * few_peak
 
 
 class TestMatexSolvers:

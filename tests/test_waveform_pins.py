@@ -2,7 +2,10 @@
 
 Each digest is the sha256 of `times.tobytes()` and of
 `states.tobytes()` of one run, recorded before the input terms were
-formed per step instead of as two (T, n) tables. A run in one group is
+formed per step instead of as two (T, n) tables. "mixed" and "mesh",
+whose sources share PULSE timings, were re-pinned when the input terms
+went from one column per source to one per distinct waveform; the other
+circuits merge no two sources and kept their bytes. A run in one group is
 `stepper.solve_transient` itself; the default grouping is
 `decomp.run_superposed` at its default `max_groups`, whose merged states
 are zeros plus each group's states in group index order. mexp is pinned
@@ -15,6 +18,10 @@ on each factor: G, C and the rational shift. A convergence probe pays
 a C solve only when its solve-free floor cannot reject the basis, so C
 pairs count the bases accepted on the exact estimate, and mexp's C
 pairs are its operator applies.
+
+`python tests/test_waveform_pins.py`, with expsim importable, prints
+the PINS and PAIRS of the current code as literals to paste over the
+ones below, so a re-pin is a reviewable diff.
 """
 
 import functools
@@ -113,27 +120,27 @@ PINS = {
     ),
     ('mixed', 'rmatex', 'one'): (
         '11fe0417e2548ea56b64034e',
-        '18f06199c910ae1461418b5f',
+        '11f31294e313257395b14218',
     ),
     ('mixed', 'rmatex', 'default'): (
         '11fe0417e2548ea56b64034e',
-        '730f85c487dc6e5edc268404',
+        '271cfe1b85c96c19feec5efe',
     ),
     ('mixed', 'imatex', 'one'): (
         '11fe0417e2548ea56b64034e',
-        'e45419b6a4f9dae8aca20f42',
+        '9a4975aacaa9a1f4f4cad521',
     ),
     ('mixed', 'imatex', 'default'): (
         '11fe0417e2548ea56b64034e',
-        'c9522b02f88d5d17c1c5f0c7',
+        '30f657b51f38cff24693013a',
     ),
     ('mixed', 'mexp', 'one'): (
         '11fe0417e2548ea56b64034e',
-        'cbfbac318c2d1e6bd10e717a',
+        '18cc1c97c0497a61628e9a10',
     ),
     ('mixed', 'mexp', 'default'): (
         '11fe0417e2548ea56b64034e',
-        'b14700905a27c2966e3c7e13',
+        '55abda236b93be66bcba7184',
     ),
     ('rlc-v', 'rmatex', 'one'): (
         'f34f435ae62c206b353af7e1',
@@ -209,19 +216,19 @@ PINS = {
     ),
     ('mesh', 'rmatex', 'one'): (
         'f79c958b95b574ebb67dc1c2',
-        '456efe727f9d1d5b07d52974',
+        '64dd401885f3bcf2a6eca34b',
     ),
     ('mesh', 'rmatex', 'default'): (
         'f79c958b95b574ebb67dc1c2',
-        'd5ec045eb2df893307451c76',
+        '2992c616de1a5621ccca5529',
     ),
     ('mesh', 'imatex', 'one'): (
         'f79c958b95b574ebb67dc1c2',
-        'a82a542f15d196be060d2e58',
+        'ccb7df859a92dcc79ecdfae7',
     ),
     ('mesh', 'imatex', 'default'): (
         'f79c958b95b574ebb67dc1c2',
-        '9d30205a8cab779484a34964',
+        '978d92431d130b91705d8ce1',
     ),
 }
 
@@ -234,12 +241,12 @@ PAIRS = {
     ('ladder', 'imatex', 'default'): (46, 1, 0),
     ('ladder', 'mexp', 'one'): (4, 40, 0),
     ('ladder', 'mexp', 'default'): (4, 42, 0),
-    ('mixed', 'rmatex', 'one'): (12, 0, 78),
-    ('mixed', 'rmatex', 'default'): (12, 1, 110),
-    ('mixed', 'imatex', 'one'): (90, 0, 0),
-    ('mixed', 'imatex', 'default'): (122, 1, 0),
-    ('mixed', 'mexp', 'one'): (12, 78, 0),
-    ('mixed', 'mexp', 'default'): (12, 110, 0),
+    ('mixed', 'rmatex', 'one'): (10, 0, 78),
+    ('mixed', 'rmatex', 'default'): (10, 1, 110),
+    ('mixed', 'imatex', 'one'): (88, 0, 0),
+    ('mixed', 'imatex', 'default'): (120, 1, 0),
+    ('mixed', 'mexp', 'one'): (10, 78, 0),
+    ('mixed', 'mexp', 'default'): (10, 110, 0),
     ('rlc-v', 'rmatex', 'one'): (6, 0, 28),
     ('rlc-v', 'rmatex', 'default'): (6, 0, 32),
     ('rlc-v', 'imatex', 'one'): (34, 0, 0),
@@ -258,10 +265,10 @@ PAIRS = {
     ('two-source', 'rmatex', 'default'): (4, 0, 22),
     ('two-source', 'imatex', 'one'): (24, 0, 0),
     ('two-source', 'imatex', 'default'): (26, 0, 0),
-    ('mesh', 'rmatex', 'one'): (24, 21, 108),
-    ('mesh', 'rmatex', 'default'): (24, 25, 120),
-    ('mesh', 'imatex', 'one'): (150, 21, 0),
-    ('mesh', 'imatex', 'default'): (146, 25, 0),
+    ('mesh', 'rmatex', 'one'): (6, 21, 108),
+    ('mesh', 'rmatex', 'default'): (6, 25, 120),
+    ('mesh', 'imatex', 'one'): (132, 21, 0),
+    ('mesh', 'imatex', 'default'): (128, 25, 0),
 }
 
 
@@ -288,3 +295,17 @@ def test_waveform_bytes_are_pinned(case):
 def test_pairs_by_factor_are_pinned(case):
     result = run(*case)
     assert (result.g_pairs, result.c_pairs, result.shift_pairs) == PAIRS[case]
+
+
+if __name__ == "__main__":
+    print("PINS = {")
+    for case in PINS:
+        result = run(*case)
+        print(f"    {case!r}: (")
+        print(f"        {digest(result.times)!r},\n        {digest(result.states)!r},\n    ),")
+    print("}\n")
+    print("PAIRS = {")
+    for case in PAIRS:
+        result = run(*case)
+        print(f"    {case!r}: {(result.g_pairs, result.c_pairs, result.shift_pairs)!r},")
+    print("}")
