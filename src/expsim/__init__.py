@@ -11,16 +11,7 @@ submodules (netlist, numkit, krylov, stepper, decomp, meshgen, cli).
 """
 
 from .decomp import run_superposed
-from .errors import (
-    BasisDegenerate,
-    CircuitError,
-    NetlistError,
-    NoConvergence,
-    NoDcOperatingPoint,
-    NumericalError,
-    NumericallySingular,
-    StructurallySingular,
-)
+from .errors import CircuitError, NetlistError, NoConvergence, NumericalError
 from .meshgen import generate_mesh_netlist
 from .netlist import build_system, dc_analysis
 from .stepper import SolverConfig, WaveformResult, solve_transient
@@ -28,15 +19,11 @@ from .stepper import SolverConfig, WaveformResult, solve_transient
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisDegenerate",
     "CircuitError",
     "NetlistError",
     "NoConvergence",
-    "NoDcOperatingPoint",
     "NumericalError",
-    "NumericallySingular",
     "SolverConfig",
-    "StructurallySingular",
     "WaveformResult",
     "build_system",
     "dc_analysis",

@@ -257,7 +257,7 @@ def cmd_simulate(args) -> int:
             ],
             "steps": [dataclasses.asdict(s) for s in merged.steps],
         }
-        with open(args.diag, "w") as fh:
+        with _open_out(args.diag) as fh:
             json.dump(diag, fh, indent=2)
             fh.write("\n")
     return 0
@@ -345,7 +345,7 @@ def cmd_compare(args) -> int:
     if args.report:
         oracle_h = float(np.diff(oracle.times)[0])
         report = {"oracle_h": oracle_h, "oracle_error_pct": oracle_err, "rows": rows}
-        with open(args.report, "w") as fh:
+        with _open_out(args.report) as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     return 0
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="at least 1 and no other effect; accepted because perfbench/run.py passes it",
     )
     p_sim.add_argument("--out", default="-", help="CSV output path (default stdout)")
-    p_sim.add_argument("--diag", help="JSON diagnostics output path")
+    p_sim.add_argument("--diag", help="JSON diagnostics output path (- for stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
     # No abbreviations: --solver would otherwise be read as --solvers.
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p_cmp)
     p_cmp.add_argument("--oracle-h", type=_value, dest="oracle_h",
                        help="reference step (default: min spot gap / 100)")
-    p_cmp.add_argument("--report", help="JSON report output path")
+    p_cmp.add_argument("--report", help="JSON report output path (- for stdout)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_gen = sub.add_parser("genmesh", help="emit a calibrated RC mesh netlist")

@@ -1,9 +1,12 @@
 """Exception taxonomy shared across the package.
 
-Two families matter to callers: input problems (bad netlist text, bad
-argument combinations) and numerical failures (singular factorizations,
-Krylov non-convergence). The command line maps the first family to exit
-code 1 and the second to exit code 2.
+Two families matter to callers: input problems (NetlistError: bad
+netlist text) and numerical failures (NumericalError: singular
+factorizations, a propagator action that is not finite). The command
+line maps the first family to exit code 1 and the second to exit code
+2. NoConvergence, a NumericalError, is the one numerical failure a
+caller can act on: it carries the basis dimension m the Arnoldi build
+stopped at and the estimate it reached there.
 """
 
 
@@ -22,19 +25,7 @@ class NetlistError(CircuitError):
 
 
 class NumericalError(CircuitError):
-    """Base class for runtime numerical failures."""
-
-
-class StructurallySingular(NumericalError):
-    """A matrix has an empty row or column; no pivoting can save it."""
-
-
-class NumericallySingular(NumericalError):
-    """Factorization hit a pivot below the singularity threshold."""
-
-
-class NoDcOperatingPoint(NumericalError):
-    """The conductance system has no unique solution at t = 0."""
+    """A runtime numerical failure."""
 
 
 class NoConvergence(NumericalError):
@@ -44,7 +35,3 @@ class NoConvergence(NumericalError):
         super().__init__(message)
         self.m = m
         self.estimate = estimate
-
-
-class BasisDegenerate(NumericalError):
-    """The projected generator cannot be transformed for this variant."""

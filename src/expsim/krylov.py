@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .errors import BasisDegenerate, NoConvergence, NumericalError
+from .errors import NoConvergence, NumericalError
 
 # Relative tolerance declaring the subspace exact (happy breakdown).
 BREAKDOWN_RTOL = 1e-12
@@ -213,7 +213,7 @@ def factor_operator(
 
     A C that cannot be factorized leaves c_factors None, except for the
     standard variant, which cannot step without C^-1: its failure is
-    re-raised with the same exception class. gamma is kept on the
+    re-raised as a NumericalError that says so. gamma is kept on the
     operator for every variant and must be positive for the rational
     one.
     """
@@ -224,7 +224,7 @@ def factor_operator(
         c_factors = numkit.lu_factorize(c)
     except NumericalError as exc:
         if variant is Variant.STANDARD:
-            raise type(exc)(
+            raise NumericalError(
                 f"C cannot be factorized ({exc}); the standard variant (mexp) "
                 "needs C^-1, the inverted and rational variants (imatex, "
                 "rmatex) step with a singular C"
@@ -276,21 +276,16 @@ class KrylovBasis:
             inverted:  H^-1         (M = A^-1)
             rational:  (I - H^-1) / gamma   (M = (I - gamma A)^-1)
 
-        Raises BasisDegenerate if H cannot be inverted.
+        An H that cannot be inverted gives all nan: like an overflowed
+        inverse, it makes a convergence probe's estimate inf.
         """
         op = self.operator
         if op.variant is Variant.STANDARD:
             return self.hessenberg.copy()
         try:
             h_inv = np.linalg.inv(self.hessenberg)
-        except np.linalg.LinAlgError as exc:
-            raise BasisDegenerate(
-                f"projected {op.variant.value} operator is singular at m={self.m}"
-            ) from exc
-        if not np.all(np.isfinite(h_inv)):
-            raise BasisDegenerate(
-                f"projected {op.variant.value} operator inverse overflowed"
-            )
+        except np.linalg.LinAlgError:
+            return np.full((self.m, self.m), np.nan)
         if op.variant is Variant.INVERTED:
             return h_inv
         return (np.eye(self.m) - h_inv) / op.gamma
@@ -321,7 +316,9 @@ def expm_action(basis: KrylovBasis, h: float) -> np.ndarray:
     Valid for any nonnegative h, not just the one the basis converged
     at; reused-basis steps exploit exactly that. After
     step_error_estimate(basis, h) the column e^{h H_eff} e1 is already
-    on the basis and no exponential is evaluated here.
+    on the basis and no exponential is evaluated here. Raises
+    NumericalError when that column is not finite: a projection that
+    cannot be inverted, or an exponential that overflows at h.
     """
     if basis.m == 0:
         return np.zeros(basis.operator.dim)
@@ -329,7 +326,10 @@ def expm_action(basis: KrylovBasis, h: float) -> np.ndarray:
     if cached is not None and cached[0] == h:
         column = cached[1]
     else:
-        column = _projected_expm(h * basis.h_eff)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            column = _projected_expm(h * basis.h_eff)[:, 0]
+    if not np.isfinite(column).all():
+        raise NumericalError(f"projected action at m={basis.m} is not finite at h={h!r}")
     return basis.beta * (basis.v_basis @ column)
 
 
@@ -453,7 +453,8 @@ def arnoldi(
     sparse geometric schedule beyond, so large standard-variant builds
     are not dominated by dense exponentials of the projection. Probes
     below m_max pass eps on, so the exact residual formulas spend
-    their C solve only where the solve-free floor cannot reject.
+    their C solve only where the solve-free floor cannot reject. A
+    probe whose projection cannot be inverted estimates inf; the basis grows.
 
     Raises NoConvergence if m_max dimensions do not reach eps; the
     estimate it reports is the exact one at m_max.
@@ -517,14 +518,9 @@ def arnoldi(
             if m >= next_check:
                 next_check = max(m + 1, int(np.ceil(m * 1.2)))
             probe = view(m, h_sub, big_v[m])
-            try:
-                last_est, kind = step_error_estimate(
-                    probe, h, None if m == m_max else eps
-                )
-            except BasisDegenerate:
-                # Early projections of the inverse-based variants can be
-                # momentarily singular; keep growing.
-                continue
+            last_est, kind = step_error_estimate(
+                probe, h, None if m == m_max else eps
+            )
             if last_est <= eps:
                 return finish(probe, last_est, kind)
 

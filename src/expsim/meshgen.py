@@ -70,9 +70,13 @@ def generate_mesh_netlist(
 
     The capacitor spread sigma is fitted with a log-domain secant
     against measured ratios (at most a handful of dense eigensolves).
-    Raises ValueError for targets below 1, a t_stop that is not
-    positive and finite, or meshes too large to calibrate densely.
+    Raises ValueError for fewer than one node or source, targets below
+    1, a t_stop that is not positive and finite, or meshes too large to
+    calibrate densely, and NumericalError for a target so stiff that
+    the float64 eigensolve cannot measure it.
     """
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be at least 1, not {n_nodes}")
     if stiffness_target < 1.0:
         raise ValueError("stiffness target below 1 is infeasible")
     if not 0 < t_stop < math.inf:
@@ -137,7 +141,13 @@ def generate_mesh_netlist(
         return "\n".join(lines) + "\n"
 
     def measured(sigma: float) -> float:
-        return measure_stiffness(netlist.build_system(build(sigma)))
+        try:
+            return measure_stiffness(netlist.build_system(build(sigma)))
+        except NumericalError as exc:
+            raise NumericalError(
+                f"stiffness target {stiffness_target:g} is beyond what dense "
+                f"float64 calibration can measure ({exc})"
+            ) from exc
 
     target = stiffness_target
     sigma = 1.0

@@ -45,7 +45,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import numkit
-from .errors import NetlistError, NoDcOperatingPoint, NumericalError
+from .errors import NetlistError, NumericalError
 
 _PACKAGE_DIR = os.path.dirname(__file__)
 
@@ -535,7 +535,8 @@ def dc_analysis(
     t defaults to the netlist's t_start (or 0); solvers pass the start
     of their resolved span. Capacitors are open and inductors short at
     DC, which is exactly what the assembled G expresses. Pass pre-built
-    factors of G to reuse them.
+    factors of G to reuse them. A G that cannot be factorized raises
+    NumericalError, its message prefixed "no DC operating point: ".
     """
     if t is None:
         t = system.t_start if system.t_start is not None else 0.0
@@ -544,7 +545,7 @@ def dc_analysis(
         try:
             g_factors = numkit.lu_factorize(system.g)
         except NumericalError as exc:
-            raise NoDcOperatingPoint(
-                f"conductance system is singular: {exc}"
+            raise NumericalError(
+                f"no DC operating point: conductance system is singular: {exc}"
             ) from exc
     return g_factors.solve(rhs)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NumericallySingular, StructurallySingular
+from .errors import NumericalError
 
 # Relative pivot threshold below which a factorization is declared singular.
 SINGULAR_RTOL = 1e-14
@@ -112,10 +112,9 @@ def lu_factorize(a: SparseMatrix) -> LuFactors:
 
     The ordering is minimum degree on the pattern of A + A^T, applied
     symmetrically: MNA patterns are symmetric, and COLAMD, which orders
-    A^T A, gives them nearly twice the fill. Raises
-    StructurallySingular when a row or column is empty,
-    NumericallySingular when SuperLU fails or any pivot magnitude falls
-    below SINGULAR_RTOL * max|A|.
+    A^T A, gives them nearly twice the fill. Raises NumericalError when
+    a row or column is empty, when SuperLU fails, or when any pivot
+    magnitude falls below SINGULAR_RTOL * max|A|.
     """
     if a.nrows != a.ncols:
         raise ValueError("can only factorize square matrices")
@@ -124,9 +123,7 @@ def lu_factorize(a: SparseMatrix) -> LuFactors:
     row_counts = np.diff(sp.csr_matrix(m).indptr)
     col_counts = np.diff(m.indptr)
     if (row_counts == 0).any() or (col_counts == 0).any():
-        raise StructurallySingular(
-            f"matrix has an empty row or column (n={a.nrows})"
-        )
+        raise NumericalError(f"matrix has an empty row or column (n={a.nrows})")
     try:
         fac = spla.splu(
             m,
@@ -135,12 +132,12 @@ def lu_factorize(a: SparseMatrix) -> LuFactors:
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
-        raise NumericallySingular(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     u_diag = fac.U.diagonal()
     threshold = SINGULAR_RTOL * a.max_abs()
     small = np.abs(u_diag).min() if u_diag.size else 0.0
     if small <= threshold:
-        raise NumericallySingular(
+        raise NumericalError(
             f"pivot {small:.3e} below threshold {threshold:.3e}"
         )
     return LuFactors(n=a.nrows, _splu=fac)

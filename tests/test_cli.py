@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import expsim as es
 from expsim import cli, decomp, meshgen, stepper
+from expsim.errors import NumericalError
 from conftest import TWO_SOURCE_NETLIST, read_waveform_csv
 
 CAP_FREE_NODE_NETLIST = """* node 2 carries no capacitance
@@ -33,6 +35,16 @@ C3 3 0 1e-12
 .TRAN 0 1e-9
 .END
 """
+
+
+def _exit(*argv):
+    """The command line as its entry point runs it: the code leaves as SystemExit."""
+    return lambda: sys.exit(cli.main(list(argv)))
+
+
+def _measure_coupled_c():
+    system = es.build_system("R1 1 0 1\nR2 2 0 1\nC1 1 2 1p\nC2 2 0 1p\n.END\n")
+    meshgen.measure_stiffness(system)
 
 
 @pytest.fixture()
@@ -95,6 +107,41 @@ class TestGenmesh:
         assert "t_stop must be positive and finite" in err
         assert "netlist error" not in err
 
+    @pytest.mark.parametrize("run,message", [
+        pytest.param(_exit("genmesh", "--n", "-5", "--stiffness", "1e3"),
+                     "n_nodes must be at least 1, not -5", id="n-negative"),
+        pytest.param(_exit("genmesh", "--n", "0", "--stiffness", "1e3"),
+                     "n_nodes must be at least 1, not 0", id="n-zero"),
+        pytest.param(_exit("genmesh", "--n", "3000", "--stiffness", "1e3"),
+                     "3025 nodes exceed the dense calibration cap 2600", id="n-above-cap"),
+        pytest.param(_exit("genmesh", "--n", "20", "--stiffness", "0.5"),
+                     "stiffness target below 1", id="target-below-1"),
+        pytest.param(_exit("genmesh", "--n", "400", "--stiffness", "1e16", "--seed", "7"),
+                     "stiffness target 1e+16 is beyond what dense float64 calibration",
+                     id="target-1e16"),
+        pytest.param(_exit("genmesh", "--n", "20", "--stiffness", "1e300"),
+                     "stiffness target 1e+300 is beyond what dense float64 calibration",
+                     id="target-1e300"),
+        pytest.param(_exit("genmesh", "--n", "20", "--stiffness", "1e3", "--nsrc", "0"),
+                     "need at least one source", id="no-sources"),
+        pytest.param(_exit("simulate", "x.sp", "--etol", "abc"),
+                     "argument --etol: not a number: 'abc'", id="value-not-a-number"),
+        pytest.param(_measure_coupled_c, "stiffness needs a diagonal positive C",
+                     id="measure-non-diagonal-c"),
+    ])
+    def test_refusals_name_what_they_refuse(self, capsys, run, message):
+        # Command lines exit 2 with the message on stderr; the library
+        # call raises it.
+        with pytest.raises((SystemExit, NumericalError)) as info:
+            run()
+        if isinstance(info.value, SystemExit):
+            assert info.value.code == 2
+            text = capsys.readouterr().err
+        else:
+            text = str(info.value)
+        assert message in text
+        assert "netlist error" not in text
+
 
 class TestSimulate:
     def test_csv_round_trips_exactly(self, netlist_file, tmp_path):
@@ -154,6 +201,17 @@ class TestSimulate:
             assert {"t", "h", "m", "estimate", "reused", "estimate_kind",
                     "anchor"} <= step.keys()
 
+    def test_diag_dash_is_stdout(self, netlist_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(
+            ["simulate", netlist_file, "--etol", "1e-8", "--out", "wave.csv",
+             "--diag", "-"]
+        )
+        assert rc == 0
+        assert not (tmp_path / "-").exists()
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["schema"] == 4 and diag["method"] == "rmatex"
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path, workers):
         # --workers is still accepted; whatever its value, the reported
@@ -210,6 +268,20 @@ class TestCompare:
                 row["g_pairs"] + row["c_pairs"] + row["shift_pairs"]
                 == row["substitution_pairs"]
             )
+
+    def test_report_dash_is_stdout(self, netlist_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(
+            ["compare", netlist_file, "--solvers", "tr", "--h", "2e-12",
+             "--oracle-h", "1e-12", "--report", "-"]
+        )
+        assert rc == 0
+        assert not (tmp_path / "-").exists()
+        out = capsys.readouterr().out
+        # The table comes first; the report is the rest.
+        data = json.loads(out[out.index("\n{") + 1 :])
+        assert [r["solver"] for r in data["rows"]] == ["tr"]
+        assert data["oracle_h"] == pytest.approx(1e-12)
 
     def test_default_reference_step(self, netlist_file, tmp_path):
         # Without --oracle-h the reference steps at the smallest corner

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 import expsim as es
 from expsim import krylov, numkit
-from expsim.errors import BasisDegenerate, NoConvergence
+from expsim.errors import NoConvergence, NumericalError
 from conftest import orthonormality_defect, relation_residual
 
 VARIANTS = ("standard", "inverted", "rational")
@@ -201,10 +201,7 @@ class TestPosteriorError:
         checked = 0
         for m in range(2, 11):
             trunc = full_basis(fam, which, m_max=m)
-            try:
-                est, _ = residual_rate(trunc, fam.h)
-            except BasisDegenerate:
-                continue
+            est, _ = residual_rate(trunc, fam.h)
             true = np.linalg.norm(krylov.expm_action(trunc, fam.h) - exact)
             if true < floor or est == 0.0:
                 continue
@@ -219,10 +216,7 @@ class TestPosteriorError:
         fam = estimator_family
         seq = []
         for m in range(2, 12):
-            try:
-                est, _ = residual_rate(full_basis(fam, which, m_max=m), fam.h)
-            except BasisDegenerate:
-                continue
+            est, _ = residual_rate(full_basis(fam, which, m_max=m), fam.h)
             if est > 0.0:
                 seq.append(est)
         assert len(seq) >= 6
@@ -249,10 +243,7 @@ class TestStepErrorEstimate:
         checked = 0
         for m in range(2, 11):
             trunc = full_basis(fam, which, m_max=m)
-            try:
-                est, _ = krylov.step_error_estimate(trunc, fam.h)
-            except BasisDegenerate:
-                continue
+            est, _ = krylov.step_error_estimate(trunc, fam.h)
             true = np.linalg.norm(krylov.expm_action(trunc, fam.h) - exact)
             if true < floor or est == 0.0:
                 continue
@@ -368,10 +359,9 @@ class TestOperatorValidation:
 
 
 class TestDegenerateProjection:
-    @pytest.mark.parametrize(
-        "entry,message", [(0.0, "singular at m=1"), (1e-320, "inverse overflowed")]
-    )
-    def test_h_eff_raises(self, estimator_family, entry, message):
+    @pytest.mark.parametrize("entry", [0.0, 1e-320])
+    def test_estimate_reads_inf_and_action_raises(self, estimator_family, entry):
+        # 0 cannot be inverted; 1e-320 inverts to inf.
         op = estimator_family.operators["inverted"]
         basis = krylov.KrylovBasis(
             operator=op,
@@ -381,8 +371,35 @@ class TestDegenerateProjection:
             v_next=np.zeros(op.dim),
             beta=1.0,
         )
-        with pytest.raises(BasisDegenerate, match=message):
-            basis.h_eff
+        est, _ = krylov.step_error_estimate(basis, estimator_family.h)
+        assert est == math.inf
+        with pytest.raises(NumericalError, match="not finite"):
+            krylov.expm_action(basis, estimator_family.h)
+
+    def test_arnoldi_grows_past_a_singular_probe(self, monkeypatch):
+        # -G^-1 C is the cyclic shift P: from e1 the basis is e1, e2, e3,
+        # the m = 2 projection [[0, 0], [1, 0]] is singular, and m = 3
+        # ends in a happy breakdown.
+        shift = np.roll(np.eye(3), 1, axis=0)
+        c = numkit.from_scipy(sp.identity(3, format="csc"))
+        g = numkit.from_scipy(sp.csc_matrix(-shift.T))
+        op = krylov.factor_operator(krylov.Variant.INVERTED, c, g)
+        probes = []
+        estimate = krylov.step_error_estimate
+
+        def spy(basis, h, eps=None):
+            probes.append((basis.m, estimate(basis, h, eps)[0]))
+            return probes[-1][1], "spied"
+
+        monkeypatch.setattr(krylov, "step_error_estimate", spy)
+        e1 = np.array([1.0, 0.0, 0.0])
+        basis = krylov.arnoldi(op, e1, m_max=3, h=1.0, eps=1e-300)
+        assert probes == [(2, math.inf)]
+        assert basis.m == 3 and basis.estimate_kind == "breakdown"
+        np.testing.assert_allclose(
+            krylov.expm_action(basis, 1.0), scipy.linalg.expm(shift.T) @ e1,
+            rtol=1e-13, atol=1e-15,
+        )
 
 
 class TestBasisInvariants:

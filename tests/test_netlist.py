@@ -7,7 +7,7 @@ import pytest
 
 import expsim as es
 from expsim import netlist, numkit
-from expsim.errors import NetlistError, NoDcOperatingPoint, StructurallySingular
+from expsim.errors import NetlistError, NumericalError
 
 
 class TestParseValue:
@@ -230,7 +230,7 @@ class TestStampMna:
         assert sys_.names == ["v(1)", "v(2)", "i(v1)"]
         g = np.array([[1.0, -1.0, 1.0], [-1.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
         np.testing.assert_allclose(sys_.g.to_dense(), g)
-        with pytest.raises(StructurallySingular):
+        with pytest.raises(NumericalError, match="empty row or column"):
             numkit.lu_factorize(sys_.c)  # the branch row of C is empty
         np.testing.assert_allclose(sys_.b.to_dense()[:, 0], [0.0, 0.0, 1.0])
 
@@ -360,7 +360,7 @@ class TestDcAnalysis:
     def test_singular_conductance_reported(self):
         with pytest.warns(UserWarning):
             sys_ = es.build_system("C1 1 0 1\nI1 0 1 DC 1\n.END\n")
-        with pytest.raises(NoDcOperatingPoint):
+        with pytest.raises(NumericalError, match="^no DC operating point: "):
             es.dc_analysis(sys_)
 
     def test_voltage_divider(self):
