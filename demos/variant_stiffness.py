@@ -1,10 +1,9 @@
 """How stiffness drives the Krylov dimension of each operator variant.
 
 Generates RC meshes with increasingly separated time constants and runs
-the three exponential integrators at the same error budget. The
-standard operator needs a basis large enough to resolve the fastest
-mode even when the output barely moves; the inverted and rational
-operators see the spectrum reciprocated, so their dimension stays flat
+both exponential integrators at the same error budget. The inverted
+and rational operators see the spectrum reciprocated, so the slow modes
+that carry the response converge first and their dimension stays flat
 as the mesh gets stiffer.
 
 Run from the repository root:  python3 demos/variant_stiffness.py
@@ -14,32 +13,26 @@ import expsim as es
 from expsim import stepper
 
 TARGETS = (1e6, 1e8, 1e9)
-METHODS = ("mexp", "imatex", "rmatex")
+METHODS = ("imatex", "rmatex")
 
 
 def main():
-    print("stiffness     method   m_peak   m_avg    pairs   err_vs_be%")
+    print("stiffness     method   m_peak   m_avg    pairs")
     for target in TARGETS:
         mesh = es.generate_mesh_netlist(n_nodes=400, stiffness_target=target, seed=7)
         system = es.build_system(mesh.text)
-        span = system.t_stop - system.t_start
-        ref = stepper.solve_transient_be(
-            system, stepper.SolverConfig(method="be", h=span / 20000)
-        )
         for method in METHODS:
             run = stepper.solve_transient_matex(
                 system,
                 stepper.SolverConfig(method=method, e_tol=1e-8, m_max=120),
             )
-            err = stepper.waveform_error(run, ref)
             print(
                 f"{mesh.measured_stiffness:9.2e}   {method:7s} "
                 f"{run.m_peak:6d} {run.m_average:7.2f} "
-                f"{run.substitution_pairs:8d} {err:12.4f}"
+                f"{run.substitution_pairs:8d}"
             )
         print()
-    print("The peak dimension of mexp grows with stiffness; imatex and")
-    print("rmatex hold a one-digit basis at every ratio, at equal error.")
+    print("imatex and rmatex hold a one-digit basis at every ratio.")
 
 
 if __name__ == "__main__":

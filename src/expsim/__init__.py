@@ -2,8 +2,8 @@
 
 Descriptor systems C xdot = -G x + B u(t) assembled from SPICE-like
 netlists, advanced either by classic fixed-step methods (trapezoidal,
-backward Euler) or by adaptive matrix-exponential stepping on standard,
-inverted or rational Krylov subspaces, with superposition-based input
+backward Euler) or by adaptive matrix-exponential stepping on inverted
+or rational Krylov subspaces, with superposition-based input
 decomposition.
 
 The top level re-exports the entry points; everything else lives in the

@@ -298,7 +298,8 @@ def cmd_compare(args) -> int:
         raise ValueError("no solver given")
     for s in solvers:
         if s not in stepper.METHODS:
-            raise ValueError(f"unknown solver {s!r}")
+            choices = ", ".join(stepper.METHODS)
+            raise ValueError(f"unknown solver {s!r} (choose from {choices})")
     # Reject a bad configuration before the reference run, which can
     # take far longer than the solvers compared; all share one span.
     configs = [_make_config(args, solver) for solver in solvers]
@@ -326,18 +327,19 @@ def cmd_compare(args) -> int:
             )
         except NumericalError as exc:
             rows.append({"solver": solver, "failed": str(exc)})
-    print(f"reference error: {oracle_err:.8f} % (backward Euler at 2h against h)")
-    header = (
+    # A report on stdout has it to itself; the table goes to stderr.
+    say = functools.partial(print, file=sys.stderr if args.report == "-" else sys.stdout)
+    say(f"reference error: {oracle_err:.8f} % (backward Euler at 2h against h)")
+    say(
         f"{'solver':8s} {'m_avg':>8s} {'m_peak':>6s} {'pairs':>10s} "
         f"{'factor':>6s} {'err_pct':>14s} {'wall_s':>10s}"
     )
-    print(header)
     for row in rows:
         if "failed" in row:
-            print(f"{row['solver']:8s} failed: {row['failed']}")
+            say(f"{row['solver']:8s} failed: {row['failed']}")
             continue
         err = f"{row['error_pct']:.8f}" if row["resolved"] else f"<{limit:.8f}"
-        print(
+        say(
             f"{row['solver']:8s} {row['m_average']:8.3f} {row['m_peak']:6d} "
             f"{row['substitution_pairs']:10d} {row['factorizations']:6d} "
             f"{err:>14s} {row['wall_time']:10.4f}"
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p_cmp)
     p_cmp.add_argument("--oracle-h", type=_value, dest="oracle_h",
                        help="reference step (default: min spot gap / 100)")
-    p_cmp.add_argument("--report", help="JSON report output path (- for stdout)")
+    p_cmp.add_argument("--report", help="JSON report path (- for stdout, table to stderr)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_gen = sub.add_parser("genmesh", help="emit a calibrated RC mesh netlist")

@@ -1,11 +1,9 @@
 """Krylov projection of the circuit propagator.
 
 The transient solvers advance states with the action of e^{hA} where
-A = -C^-1 G is never formed. Three subspace variants approximate that
+A = -C^-1 G is never formed. Two subspace variants approximate that
 action from a factored solve plus a sparse matvec per iteration:
 
-* standard: basis of K_m(A, v) built from applies of A itself; the
-  basis dimension grows with ||hA||, which stiff circuits make large.
 * inverted: basis of K_m(A^-1, v) with A^-1 = -G^-1 C, one G
   factorization; resolves the slow eigenvalues that dominate the
   response, so stiff problems converge at small m.
@@ -19,12 +17,12 @@ Every basis produced here satisfies, up to rounding,
 
 with M the variant's build operator and H_m the raw Hessenberg matrix.
 
-The inverted and rational variants judge convergence by exact residual
-formulas whose scale is ||C^-1 y|| for a vector y formed from v_next.
-A convergence probe first bounds that scale from below without a
-solve; when the bound already puts the estimate above the tolerance,
-the probe is rejected for free. So a basis pays one C solve, at the
-probe it is accepted at, not one per probe.
+When C can be factorized, both variants judge convergence by exact
+residual formulas whose scale is ||C^-1 y|| for a vector y formed
+from v_next. A convergence probe first bounds that scale from below
+without a solve; when the bound already puts the estimate above the
+tolerance, the probe is rejected for free. So a basis pays one C
+solve, at the probe it is accepted at, not one per probe.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ FLOOR_MARGIN = 1.0 - 1e-9
 
 
 class Variant(enum.Enum):
-    STANDARD = "standard"
     INVERTED = "inverted"
     RATIONAL = "rational"
 
@@ -126,16 +123,14 @@ def _projected_expm(a: np.ndarray) -> np.ndarray:
 class VariantOperator:
     """One exponential run's factorizations and its variant's build operator M.
 
-        standard:  M v = -C^-1 (G v)              solved with c_factors
         inverted:  M v = -G^-1 (C v)              solved with g_factors
         rational:  M v = (C+gamma G)^-1 (C v)     solved with shift_factors
 
     g_factors are always present: they also serve the input terms.
-    c_factors are None exactly when C cannot be factorized; the standard
-    variant needs them, and the inverted and rational variants use them
-    for the exact residual formulas (one extra apply of A, i.e. a C
-    solve, per accepted basis; scale_floor rejects the other probes
-    without one), falling back to the empirical surrogate without them.
+    c_factors are None exactly when C cannot be factorized; the exact
+    residual formulas use them (one extra apply of A, i.e. a C solve,
+    per accepted basis; scale_floor rejects the other probes without
+    one), falling back to the empirical surrogate without them.
     shift_factors, and shift, the matrix C + gamma G they factor, exist
     for the rational variant only. Made by factor_operator. The factors'
     solve_count tallies are plain counters for one thread: a run sharing
@@ -158,8 +153,6 @@ class VariantOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.dim,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        if self.variant is Variant.STANDARD:
-            return -self.c_factors.solve(self.g @ v)
         if self.variant is Variant.INVERTED:
             return -self.g_factors.solve(self.c @ v)
         return self.shift_factors.solve(self.c @ v)
@@ -211,24 +204,16 @@ def factor_operator(
 ) -> VariantOperator:
     """Factorize G, then C, then (rational only) C + gamma G.
 
-    A C that cannot be factorized leaves c_factors None, except for the
-    standard variant, which cannot step without C^-1: its failure is
-    re-raised as a NumericalError that says so. gamma is kept on the
-    operator for every variant and must be positive for the rational
-    one.
+    A C that cannot be factorized leaves c_factors None. gamma is kept
+    on the operator for every variant and must be positive for the
+    rational one.
     """
     if variant is Variant.RATIONAL and not (gamma and gamma > 0):
         raise ValueError("rational variant needs a positive shift")
     g_factors = numkit.lu_factorize(g)
     try:
         c_factors = numkit.lu_factorize(c)
-    except NumericalError as exc:
-        if variant is Variant.STANDARD:
-            raise NumericalError(
-                f"C cannot be factorized ({exc}); the standard variant (mexp) "
-                "needs C^-1, the inverted and rational variants (imatex, "
-                "rmatex) step with a singular C"
-            ) from exc
+    except NumericalError:
         c_factors = None
     shift = shift_factors = None
     if variant is Variant.RATIONAL:
@@ -272,7 +257,6 @@ class KrylovBasis:
     def h_eff(self) -> np.ndarray:
         """Generator of e^{hA} from the projection H of the build operator M:
 
-            standard:  H            (M = A already)
             inverted:  H^-1         (M = A^-1)
             rational:  (I - H^-1) / gamma   (M = (I - gamma A)^-1)
 
@@ -280,8 +264,6 @@ class KrylovBasis:
         inverse, it makes a convergence probe's estimate inf.
         """
         op = self.operator
-        if op.variant is Variant.STANDARD:
-            return self.hessenberg.copy()
         try:
             h_inv = np.linalg.inv(self.hessenberg)
         except np.linalg.LinAlgError:
@@ -295,14 +277,13 @@ class KrylovBasis:
         """||A v_next|| (inverted) or ||(I - gamma A) v_next|| / gamma
         (rational), the exact residual formulas' scale, at one C solve.
 
-        None for the standard variant and when C has no factors. A
-        convergence probe derives it only once the solve-free
-        VariantOperator.scale_floor cannot reject the basis, so a basis
-        pays this solve at the probe it is accepted at; steps that reuse
-        the basis read the kept value.
+        None when C has no factors. A convergence probe derives it only
+        once the solve-free VariantOperator.scale_floor cannot reject
+        the basis, so a basis pays this solve at the probe it is
+        accepted at; steps that reuse the basis read the kept value.
         """
         op = self.operator
-        if op.variant is Variant.STANDARD or op.c_factors is None:
+        if op.c_factors is None:
             return None
         av = op.ode_apply(self.v_next)
         if op.variant is Variant.INVERTED:
@@ -339,25 +320,22 @@ def _residual_rate(
     """(||r_m(s)|| for each column e^{s H_eff} e1 of first_columns, kind).
 
     first_columns is (m, k), one column per time s, and the k rates
-    come back as one array. Given a scale, the inverted and rational
-    variants' exact expressions are scaled by it (basis.residual_scale,
-    or a lower bound on it for a lower bound on the rates). Without one
-    the rate is the Arnoldi overflow term
-    |beta * h_next * e_m^T e^{s H_eff} e1|: exact for the standard
-    variant, and for the others, whose C is singular, an empirical
-    surrogate that is reliable only once the basis is past the onset of
-    convergence: it lacks the exact formulas' leading scale
-    (||A v_next||, roughly 1/gamma for the rational variant), so on
-    circuits whose time constants are far from one second it can be
-    optimistic by that scale until the projected dynamics actually
-    converges.
+    come back as one array. Given a scale, the exact expressions are
+    scaled by it (basis.residual_scale, or a lower bound on it for a
+    lower bound on the rates). Without one, when C is singular, the
+    rate is the Arnoldi overflow term
+    |beta * h_next * e_m^T e^{s H_eff} e1|, an empirical surrogate that
+    is reliable only once the basis is past the onset of convergence:
+    it lacks the exact formulas' leading scale (||A v_next||, roughly
+    1/gamma for the rational variant), so on circuits whose time
+    constants are far from one second it can be optimistic by that
+    scale until the projected dynamics actually converges.
     """
     m = basis.m
     op = basis.operator
     last = first_columns[m - 1]
     if scale is None:
-        kind = "exact" if op.variant is Variant.STANDARD else "empirical"
-        return basis.beta * np.abs(basis.h_next * last), kind
+        return basis.beta * np.abs(basis.h_next * last), "empirical"
     # e_m^T Hraw^-1 e^{s H_eff} e1 without forming the inverse:
     # inverted has Hraw^-1 = H_eff, rational I - gamma H_eff.
     row = basis.h_eff[m - 1] @ first_columns
@@ -419,8 +397,7 @@ def step_error_estimate(
             e_s = e_s @ e_s
             first_columns[:, level] = e_s[:, 0]
         basis._action_column = (h, e_s[:, 0])
-        exact = op.variant is not Variant.STANDARD and op.c_factors is not None
-        if eps is not None and exact:
+        if eps is not None and op.c_factors is not None:
             floor = op.scale_floor(basis.v_next) * FLOOR_MARGIN
             rates, kind = _residual_rate(basis, first_columns, floor)
             est = _integrate(rates, width)
@@ -444,15 +421,12 @@ def arnoldi(
     orthonormal to working precision ("twice is enough"). The work
     basis is stored row by row. Convergence is judged by
     step_error_estimate at horizon h against eps; pass eps=None to
-    build all m_max dimensions unconditionally. The eps gate only fires
-    from M_MIN on. A happy breakdown (subdiagonal below 1e-12 of the
-    pre-orthogonalization norm) returns early with h_next = 0: the
-    subspace is invariant and the action exact.
+    build all m_max dimensions unconditionally. The eps gate probes
+    every dimension from M_MIN on. A happy breakdown (subdiagonal below
+    1e-12 of the pre-orthogonalization norm) returns early with
+    h_next = 0: the subspace is invariant and the action exact.
 
-    The estimate is evaluated every iteration up to m = 32 and on a
-    sparse geometric schedule beyond, so large standard-variant builds
-    are not dominated by dense exponentials of the projection. Probes
-    below m_max pass eps on, so the exact residual formulas spend
+    Probes below m_max pass eps on, so the exact residual formulas spend
     their C solve only where the solve-free floor cannot reject. A
     probe whose projection cannot be inverted estimates inf; the basis grows.
 
@@ -496,7 +470,6 @@ def arnoldi(
         return finish(view(0, 0.0, np.zeros(dim)), 0.0, "breakdown")
     big_v[0] = v / beta
 
-    next_check = 1
     last_est = None
     for j in range(m_max):
         w = operator.apply(big_v[j])
@@ -514,15 +487,10 @@ def arnoldi(
         m = j + 1
         if eps is None or m < M_MIN:
             continue
-        if m <= 32 or m >= next_check or m == m_max:
-            if m >= next_check:
-                next_check = max(m + 1, int(np.ceil(m * 1.2)))
-            probe = view(m, h_sub, big_v[m])
-            last_est, kind = step_error_estimate(
-                probe, h, None if m == m_max else eps
-            )
-            if last_est <= eps:
-                return finish(probe, last_est, kind)
+        probe = view(m, h_sub, big_v[m])
+        last_est, kind = step_error_estimate(probe, h, None if m == m_max else eps)
+        if last_est <= eps:
+            return finish(probe, last_est, kind)
 
     if eps is None:
         m = m_max

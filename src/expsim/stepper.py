@@ -53,7 +53,6 @@ from . import krylov, netlist, numkit
 FIXED_THETA = {"tr": 0.5, "be": 1.0}
 
 _METHOD_VARIANT = {
-    "mexp": krylov.Variant.STANDARD,
     "imatex": krylov.Variant.INVERTED,
     "rmatex": krylov.Variant.RATIONAL,
 }
@@ -252,7 +251,7 @@ def factor_matex(
 
     spots are the spot times the run steps on. rmatex alone takes a
     shift: gamma is a tenth of the median gap of the stepping points
-    they make in the run's span; imatex and mexp get none. Subsystems
+    they make in the run's span; imatex gets none. Subsystems
     keep C and G, so the operator of the whole circuit serves every
     source group that steps on the same spots.
     """

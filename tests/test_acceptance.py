@@ -19,7 +19,6 @@ import scipy.sparse as sp
 
 import expsim as es
 from expsim import cli, decomp, krylov, meshgen, numkit, stepper
-from expsim.errors import NumericalError
 from conftest import (
     LADDER_NETLIST,
     SCALAR_RC_NETLIST,
@@ -58,7 +57,7 @@ def rational_op(system, gamma):
 
 
 def test_exp_action_matches_dense_oracle():
-    """All three variants at full dimension reproduce dense e^{hA} v."""
+    """Both variants at full dimension reproduce dense e^{hA} v."""
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(25):
@@ -81,40 +80,53 @@ def test_exp_action_matches_dense_oracle():
            f"worst relative error {worst:.3e} <= 1e-9 over 25 systems, n <= 40")
 
 
+# The largest basis either variant may need on the stiff meshes below.
+STIFF_M_PEAK = 8
+
+
 @pytest.mark.parametrize("n_nodes", [400, 900])
-def test_stiff_mesh_dimension_ratio_and_error(n_nodes, stiff_mesh):
-    """Shift-and-invert variants need far smaller bases on stiff meshes."""
+def test_stiff_mesh_dimension_ratio_and_error(n_nodes, stiff_mesh, request):
+    """Shift-and-invert variants keep a one-digit basis on stiff meshes.
+
+    At 400 nodes the error is measured against the exact states at the
+    input corners. A dense reference at 900 nodes is slow, so there the
+    reference is backward Euler at span / 20000, whose own error is
+    about 0.065 %: that check only rules out gross errors.
+    """
     if n_nodes == 400:
-        mesh, system = stiff_mesh
+        mesh, _ = stiff_mesh
+        system, corners, exact = request.getfixturevalue("stiff_mesh_exact")
+        scale = np.abs(exact).max()
+        bound = 1e-4
     else:
         mesh = meshgen.generate_mesh_netlist(n_nodes, 1e9, seed=7)
         system = es.build_system(mesh.text)
-    span = system.t_stop - system.t_start
-    ref = stepper.solve_transient_be(
-        system, stepper.SolverConfig(method="be", h=span / 20000)
-    )
+        span = system.t_stop - system.t_start
+        ref = stepper.solve_transient_be(
+            system, stepper.SolverConfig(method="be", h=span / 20000)
+        )
+        bound = 0.1
     peaks, errs = {}, {}
-    for method in ("mexp", "imatex", "rmatex"):
+    for method in ("imatex", "rmatex"):
         run = stepper.solve_transient_matex(
             system, stepper.SolverConfig(method=method, e_tol=1e-8, m_max=120)
         )
         peaks[method] = run.m_peak
-        errs[method] = stepper.waveform_error(run, ref)
-    ratio_i = peaks["mexp"] / peaks["imatex"]
-    ratio_r = peaks["mexp"] / peaks["rmatex"]
+        if n_nodes == 400:
+            assert np.array_equal(run.times, corners)
+            errs[method] = 100.0 * np.abs(run.states - exact).max() / scale
+        else:
+            errs[method] = stepper.waveform_error(run, ref)
     ok = (
         mesh.measured_stiffness >= 1e8
-        and ratio_i >= 5.0
-        and ratio_r >= 5.0
-        and errs["imatex"] <= 0.1
-        and errs["rmatex"] <= 0.1
+        and max(peaks.values()) <= STIFF_M_PEAK
+        and max(errs.values()) <= bound
     )
     _check(
         f"stiffness trend n={n_nodes}", ok,
         f"stiffness {mesh.measured_stiffness:.2e} >= 1e8; "
-        f"m_peak {peaks['mexp']}/{peaks['imatex']}/{peaks['rmatex']} "
-        f"(std/inv/rat), ratios {ratio_i:.1f}x,{ratio_r:.1f}x >= 5x; "
-        f"err {errs['imatex']:.4f}%,{errs['rmatex']:.4f}% <= 0.1%",
+        f"m_peak {peaks['imatex']}/{peaks['rmatex']} (inv/rat) <= {STIFF_M_PEAK}; "
+        f"err {errs['imatex']:.2e}%,{errs['rmatex']:.2e}% <= {bound:g}%",
     )
 
 
@@ -195,7 +207,7 @@ def test_error_budget_is_honored():
     exact_final = dense_exact(system)
     e_tol = 1e-6
     errs = {}
-    for method in ("mexp", "imatex", "rmatex"):
+    for method in ("imatex", "rmatex"):
         run = stepper.solve_transient_matex(
             system, stepper.SolverConfig(method=method, e_tol=e_tol)
         )
@@ -230,7 +242,7 @@ SINGULAR_C_UNDER_REPORT = pytest.mark.xfail(
     reason="the empirical estimate of a singular-C run under-reports: every "
     "basis stops at m = 2 and the realized error is 2.0e-3 (rmatex) and "
     "3.0e-4 (imatex) against estimate sums of 5.6e-14 and 1.1e-24 "
-    "(CHANGES.md FOUND line on singular C; ROADMAP item 2)",
+    "(CHANGES.md FOUND line on singular C; ROADMAP item 5)",
 )
 
 
@@ -239,17 +251,6 @@ SINGULAR_C_UNDER_REPORT = pytest.mark.xfail(
     [
         pytest.param("rmatex", "stiff_mesh_exact", id="rmatex"),
         pytest.param("imatex", "stiff_mesh_exact", id="imatex"),
-        pytest.param(
-            "mexp",
-            "stiff_mesh_exact",
-            id="mexp",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="standard-variant estimate under-reports on the stiff "
-                "mesh: 9.4e-8 realized against 1.1e-9 estimated "
-                "(CHANGES.md FOUND line on mexp; ROADMAP item 2)",
-            ),
-        ),
         pytest.param(
             "rmatex", "singular_c_exact", id="rmatex-singular-c",
             marks=SINGULAR_C_UNDER_REPORT,
@@ -312,7 +313,7 @@ def test_rational_large_step_and_gamma_insensitivity(stiff_mesh):
 
 def test_cap_free_node_without_regularization():
     """A singular capacitance matrix is handled by the inverted and
-    rational variants as-is; the standard variant reports why it cannot."""
+    rational variants as-is."""
     system = es.build_system(SINGULAR_C_NETLIST)
     span = system.t_stop - system.t_start
     ref = stepper.solve_transient_be(
@@ -324,12 +325,6 @@ def test_cap_free_node_without_regularization():
             system, stepper.SolverConfig(method=method, e_tol=1e-8)
         )
         results[method] = (stepper.waveform_error(run, ref), run.factorizations)
-    with pytest.raises(
-        NumericalError, match=r"C cannot be factorized \(matrix has an empty row or column"
-    ):
-        stepper.solve_transient_matex(
-            system, stepper.SolverConfig(method="mexp", e_tol=1e-8)
-        )
     ok = all(
         err <= 0.5 and nf == want
         for (err, nf), want in zip(results.values(), (1, 2))
@@ -338,8 +333,7 @@ def test_cap_free_node_without_regularization():
         "singular-C path", ok,
         f"imatex err {results['imatex'][0]:.4f}% (factorizations "
         f"{results['imatex'][1]}), rmatex err {results['rmatex'][0]:.4f}% "
-        f"(factorizations {results['rmatex'][1]}) <= 0.5%; "
-        "standard variant raises NumericalError (empty row or column)",
+        f"(factorizations {results['rmatex'][1]}) <= 0.5%",
     )
 
 

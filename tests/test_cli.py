@@ -16,27 +16,6 @@ from expsim import cli, decomp, meshgen, stepper
 from expsim.errors import NumericalError
 from conftest import TWO_SOURCE_NETLIST, read_waveform_csv
 
-CAP_FREE_NODE_NETLIST = """* node 2 carries no capacitance
-I1 0 1 PULSE(0 1e-3 1e-10 1e-10 1e-10 3e-10 1e-9)
-R1 1 2 10
-R2 2 0 10
-C1 1 0 1e-12
-.TRAN 0 1e-9
-.END
-"""
-
-
-VSOURCE_RC_NETLIST = """* rc driven through a voltage source: C has an empty branch row
-V1 1 0 PWL(0 0 1e-10 1 1e-9 1)
-R1 1 2 10
-R2 2 3 10
-C2 2 0 1e-12
-C3 3 0 1e-12
-.TRAN 0 1e-9
-.END
-"""
-
-
 def _exit(*argv):
     """The command line as its entry point runs it: the code leaves as SystemExit."""
     return lambda: sys.exit(cli.main(list(argv)))
@@ -51,13 +30,6 @@ def _measure_coupled_c():
 def netlist_file(tmp_path):
     path = tmp_path / "ladder.sp"
     path.write_text(TWO_SOURCE_NETLIST)
-    return str(path)
-
-
-@pytest.fixture()
-def singular_file(tmp_path):
-    path = tmp_path / "capfree.sp"
-    path.write_text(CAP_FREE_NODE_NETLIST)
     return str(path)
 
 
@@ -277,11 +249,13 @@ class TestCompare:
         )
         assert rc == 0
         assert not (tmp_path / "-").exists()
-        out = capsys.readouterr().out
-        # The table comes first; the report is the rest.
-        data = json.loads(out[out.index("\n{") + 1 :])
+        captured = capsys.readouterr()
+        # The report has stdout to itself; the table goes to stderr.
+        data = json.loads(captured.out)
         assert [r["solver"] for r in data["rows"]] == ["tr"]
         assert data["oracle_h"] == pytest.approx(1e-12)
+        assert captured.err.startswith("reference error: ")
+        assert "err_pct" in captured.err
 
     def test_default_reference_step(self, netlist_file, tmp_path):
         # Without --oracle-h the reference steps at the smallest corner
@@ -335,15 +309,20 @@ class TestCompare:
         assert (limit in tr_line) is not resolved
         assert (f"{row['error_pct']:.8f}" in tr_line) is resolved
 
-    def test_failed_solver_gets_a_row(self, singular_file, capsys):
+    def test_failed_solver_gets_a_row(self, netlist_file, tmp_path, capsys):
+        # Two dimensions cannot meet 1e-30: imatex raises NoConvergence.
+        report = tmp_path / "report.json"
         rc = cli.main(
-            ["compare", singular_file, "--solvers", "mexp,imatex",
-             "--etol", "1e-8", "--oracle-h", "2e-12"]
+            ["compare", netlist_file, "--solvers", "imatex,tr", "--h", "2e-12",
+             "--mmax", "2", "--etol", "1e-30", "--oracle-h", "1e-12",
+             "--report", str(report)]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "mexp" in out and "failed:" in out
-        assert "imatex" in out
+        assert "imatex   failed: inverted basis did not reach" in out
+        failed, tr_row = json.loads(report.read_text())["rows"]
+        assert failed.keys() == {"solver", "failed"} and failed["solver"] == "imatex"
+        assert tr_row["solver"] == "tr" and tr_row["substitution_pairs"] > 0
 
 
 class TestExitCodes:
@@ -367,19 +346,34 @@ class TestExitCodes:
         assert rc == 1
         assert "netlist error: line 2: number out of range" in capsys.readouterr().err
 
-    def test_structurally_singular(self, singular_file, capsys):
-        rc = cli.main(["simulate", singular_file, "--solver", "mexp"])
+    def test_structurally_singular(self, tmp_path, capsys):
+        # Node 1 has a capacitor and no resistor: G's only row is empty.
+        path = tmp_path / "capped.sp"
+        path.write_text("I1 0 1 DC 1m\nC1 1 0 1p\n.TRAN 0 1n\n")
+        with pytest.warns(UserWarning, match="no DC path to ground"):
+            rc = cli.main(["simulate", str(path), "--solver", "imatex"])
         assert rc == 2
-        assert "numerical error" in capsys.readouterr().err
+        assert "numerical error: matrix has an empty row or column" in capsys.readouterr().err
 
-    def test_mexp_names_singular_c(self, tmp_path, capsys):
-        path = tmp_path / "vs.sp"
-        path.write_text(VSOURCE_RC_NETLIST)
-        rc = cli.main(["simulate", str(path), "--solver", "mexp"])
+    def test_unconverged_basis(self, netlist_file, capsys):
+        rc = cli.main(["simulate", netlist_file, "--solver", "imatex",
+                       "--mmax", "2", "--etol", "1e-30"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "C cannot be factorized" in err
-        assert "imatex" in err and "rmatex" in err
+        assert err.startswith("numerical error: inverted basis did not reach")
+        assert "within m_max=2" in err
+
+    def test_removed_method_is_invalid(self, netlist_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", netlist_file, "--solver", "mexp"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mexp'" in capsys.readouterr().err
+        rc = cli.main(["compare", netlist_file, "--solvers", "mexp"])
+        assert rc == 2
+        assert (
+            "numerical error: unknown solver 'mexp' (choose from tr, be, imatex, rmatex)"
+            in capsys.readouterr().err
+        )
 
     def test_compare_rejects_config_before_oracle(
         self, netlist_file, capsys, monkeypatch
@@ -464,7 +458,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["compare", "--solver", "mexp"],
+            ["compare", "--solver", "imatex"],
             ["compare", "--workers", "2"],
             ["compare", "--gamma", "1p"],
             ["simulate", "--gamma", "1p"],

@@ -13,7 +13,7 @@ from expsim import krylov, numkit
 from expsim.errors import NoConvergence, NumericalError
 from conftest import orthonormality_defect, relation_residual
 
-VARIANTS = ("standard", "inverted", "rational")
+VARIANTS = ("inverted", "rational")
 
 
 def full_basis(fam, which, m_max=None, h=None, eps=None):
@@ -22,11 +22,11 @@ def full_basis(fam, which, m_max=None, h=None, eps=None):
     )
 
 
-def scalar_standard_operator(a_scalar=-1.0):
-    """1x1 system with C = 1, G = -a, so A = a."""
+def scalar_operator(a_scalar=-1.0):
+    """1x1 system with C = 1, G = -a, so A = a and M = A^-1 = 1/a."""
     c = numkit.from_scipy(sp.csc_matrix(np.array([[1.0]])))
     g = numkit.from_scipy(sp.csc_matrix(np.array([[-a_scalar]])))
-    return krylov.factor_operator(krylov.Variant.STANDARD, c, g)
+    return krylov.factor_operator(krylov.Variant.INVERTED, c, g)
 
 
 class TestExactAtFullDimension:
@@ -61,7 +61,7 @@ class TestExactAtFullDimension:
         )
 
     def test_scalar_decay(self):
-        op = scalar_standard_operator(-1.0)
+        op = scalar_operator(-1.0)
         basis = krylov.arnoldi(op, np.array([2.0]))
         assert basis.m == 1 and basis.h_next == 0.0
         got = krylov.expm_action(basis, 1.0)
@@ -70,9 +70,10 @@ class TestExactAtFullDimension:
 
 class TestHappyBreakdown:
     def setup_method(self):
+        # C = I and G diagonal: M = -G^-1 has the invariant subspaces of A.
         c = numkit.from_scipy(sp.identity(3))
         g = numkit.from_scipy(sp.csc_matrix(np.diag([1.0, 2.0, 3.0])))
-        self.op = krylov.factor_operator(krylov.Variant.STANDARD, c, g)
+        self.op = krylov.factor_operator(krylov.Variant.INVERTED, c, g)
 
     def test_invariant_subspace_detected(self):
         v = np.array([1.0, 0.0, 1.0])  # spans a 2-dimensional invariant space
@@ -109,21 +110,41 @@ class TestConvergenceGate:
         fam = estimator_family
         with pytest.raises(NoConvergence) as info:
             krylov.arnoldi(
-                fam.operators["standard"], fam.v, m_max=4, h=fam.h, eps=1e-14
+                fam.operators["inverted"], fam.v, m_max=4, h=fam.h, eps=1e-14
             )
         assert info.value.m == 4
         assert info.value.estimate > 1e-14
 
     def test_gate_waits_for_m_min(self, estimator_family):
         fam = estimator_family
-        op = fam.operators["standard"]
+        op = fam.operators["inverted"]
         loose = krylov.arnoldi(op, fam.v, h=fam.h, eps=1e300)
         assert loose.m == krylov.M_MIN == 2
+
+    def test_probes_every_dimension(self, monkeypatch):
+        # No schedule thins the probes out at large m: every dimension
+        # from M_MIN to m_max is tested, and the last one raises.
+        n = 60
+        c = numkit.from_scipy(sp.identity(n, format="csc"))
+        g = numkit.from_scipy(sp.diags(np.logspace(0.0, 2.0, n), format="csc"))
+        op = krylov.factor_operator(krylov.Variant.INVERTED, c, g)
+        probed = []
+        estimate = krylov.step_error_estimate
+
+        def spy(basis, h, eps=None):
+            probed.append(basis.m)
+            return estimate(basis, h, eps)
+
+        monkeypatch.setattr(krylov, "step_error_estimate", spy)
+        v = np.random.default_rng(5).standard_normal(n)
+        with pytest.raises(NoConvergence):
+            krylov.arnoldi(op, v, m_max=40, h=1.0, eps=1e-300)
+        assert probed == list(range(krylov.M_MIN, 41))
 
     def test_eps_needs_horizon(self, estimator_family):
         with pytest.raises(ValueError):
             krylov.arnoldi(
-                estimator_family.operators["standard"],
+                estimator_family.operators["inverted"],
                 estimator_family.v,
                 eps=1e-8,
             )
@@ -256,7 +277,7 @@ class TestStepErrorEstimate:
         # while the transit error is real; the integrated form keeps a
         # floor. Probe at a long horizon where that separation shows.
         fam = estimator_family
-        full = full_basis(fam, "standard", m_max=6)
+        full = full_basis(fam, "inverted", m_max=6)
         h = 20.0 * fam.h
         endpoint = residual_rate(full, h)[0] * h
         integral, _ = krylov.step_error_estimate(full, h)
@@ -345,13 +366,13 @@ class TestOperatorValidation:
                 krylov.factor_operator(krylov.Variant.RATIONAL, fam.c, fam.g, gamma)
 
     def test_apply_checks_shape(self, estimator_family):
-        op = estimator_family.operators["standard"]
+        op = estimator_family.operators["inverted"]
         with pytest.raises(ValueError):
             op.apply(np.zeros(op.dim + 1))
 
     def test_arnoldi_checks_shape_and_m_max(self, estimator_family):
         fam = estimator_family
-        op = fam.operators["standard"]
+        op = fam.operators["inverted"]
         with pytest.raises(ValueError):
             krylov.arnoldi(op, np.zeros(fam.n - 1))
         with pytest.raises(ValueError):
@@ -413,7 +434,7 @@ class TestBasisInvariants:
 
     def test_every_build_lands_in_audit(self, estimator_family, audited_bases):
         before = audited_bases.count
-        full_basis(estimator_family, "standard", m_max=4)
+        full_basis(estimator_family, "inverted", m_max=4)
         assert audited_bases.count == before + 1
 
 

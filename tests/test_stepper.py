@@ -7,10 +7,10 @@ import pytest
 
 import expsim as es
 from expsim import krylov, netlist, numkit, stepper
-from expsim.errors import NoConvergence, NumericalError
+from expsim.errors import NoConvergence
 from conftest import dense_exact
 
-EXP_METHODS = ("mexp", "imatex", "rmatex")
+EXP_METHODS = ("imatex", "rmatex")
 
 DC_RC_NETLIST = """* single pole, constant drive
 I1 0 1 DC 1m
@@ -277,7 +277,7 @@ class TestMatexSolvers:
         assert result.reused_steps == 0
         assert all(s.anchor == s.t for s in result.steps)
 
-    @pytest.mark.parametrize("method,count", [("mexp", 2), ("imatex", 2), ("rmatex", 3)])
+    @pytest.mark.parametrize("method,count", [("imatex", 2), ("rmatex", 3)])
     def test_factorization_count(self, ladder_system, method, count):
         cfg = stepper.SolverConfig(method=method, e_tol=1e-8)
         result = stepper.solve_transient(ladder_system, cfg)
@@ -291,21 +291,13 @@ class TestMatexSolvers:
         kinds = {s.estimate_kind for s in result.steps}
         assert kinds <= {"empirical", "breakdown"}
 
-    def test_mexp_requires_factorizable_c(self, singular_c_system):
-        cfg = stepper.SolverConfig(method="mexp", e_tol=1e-8)
-        with pytest.raises(
-            NumericalError, match=r"C cannot be factorized \(matrix has an empty row or column"
-        ):
-            stepper.solve_transient(singular_c_system, cfg)
-
     def test_gamma_defaults_to_tenth_of_median_gap(self, ladder_system):
         # Spot gaps of the ladder drive sort to a 2e-11 median.
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
         result = stepper.solve_transient(ladder_system, cfg)
         assert result.gamma == pytest.approx(2e-12, rel=1e-6)
-        for method in ("imatex", "mexp"):  # no shift, so none reported
-            cfg = stepper.SolverConfig(method=method, e_tol=1e-8)
-            assert stepper.solve_transient(ladder_system, cfg).gamma is None
+        cfg = stepper.SolverConfig(method="imatex", e_tol=1e-8)  # no shift, none reported
+        assert stepper.solve_transient(ladder_system, cfg).gamma is None
 
     @pytest.mark.parametrize("method", ["rmatex", "tr"])
     def test_operating_point_at_overridden_start(self, method):

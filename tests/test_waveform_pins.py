@@ -8,16 +8,12 @@ went from one column per source to one per distinct waveform; the other
 circuits merge no two sources and kept their bytes. A run in one group is
 `stepper.solve_transient` itself; the default grouping is
 `decomp.run_superposed` at its default `max_groups`, whose merged states
-are zeros plus each group's states in group index order. mexp is pinned
-only where it has a nonsingular C and completes: it has a singular C
-in "rlc-v", "singular-c" and "two-source", and misses its budget on
-"mesh" at m_max.
+are zeros plus each group's states in group index order.
 
 Beside the bytes, each case pins the substitution pairs the run spent
 on each factor: G, C and the rational shift. A convergence probe pays
 a C solve only when its solve-free floor cannot reject the basis, so C
-pairs count the bases accepted on the exact estimate, and mexp's C
-pairs are its operator applies.
+pairs count the bases accepted on the exact estimate.
 
 `python tests/test_waveform_pins.py`, with expsim importable, prints
 the PINS and PAIRS of the current code as literals to paste over the
@@ -110,14 +106,6 @@ PINS = {
         '4af0d261fa937163092296c3',
         '120f41ebfc5c197fda1c07d1',
     ),
-    ('ladder', 'mexp', 'one'): (
-        '4af0d261fa937163092296c3',
-        '675ee0857d0d5f389de713c1',
-    ),
-    ('ladder', 'mexp', 'default'): (
-        '4af0d261fa937163092296c3',
-        '1a6639615bcdd5a2957b4dd7',
-    ),
     ('mixed', 'rmatex', 'one'): (
         '11fe0417e2548ea56b64034e',
         '11f31294e313257395b14218',
@@ -133,14 +121,6 @@ PINS = {
     ('mixed', 'imatex', 'default'): (
         '11fe0417e2548ea56b64034e',
         '30f657b51f38cff24693013a',
-    ),
-    ('mixed', 'mexp', 'one'): (
-        '11fe0417e2548ea56b64034e',
-        '18cc1c97c0497a61628e9a10',
-    ),
-    ('mixed', 'mexp', 'default'): (
-        '11fe0417e2548ea56b64034e',
-        '55abda236b93be66bcba7184',
     ),
     ('rlc-v', 'rmatex', 'one'): (
         'f34f435ae62c206b353af7e1',
@@ -173,14 +153,6 @@ PINS = {
     ('rlc-i', 'imatex', 'default'): (
         '9c09c7955e90c49441701d3d',
         'a1929119a0362dceeaf793a7',
-    ),
-    ('rlc-i', 'mexp', 'one'): (
-        '9c09c7955e90c49441701d3d',
-        'dab39eb6b3505eae0449e263',
-    ),
-    ('rlc-i', 'mexp', 'default'): (
-        '9c09c7955e90c49441701d3d',
-        '77fc1a1b01a6c15d6fdfc5f3',
     ),
     ('singular-c', 'rmatex', 'one'): (
         'ef312221a75846532c4daa58',
@@ -239,14 +211,10 @@ PAIRS = {
     ('ladder', 'rmatex', 'default'): (4, 1, 42),
     ('ladder', 'imatex', 'one'): (44, 0, 0),
     ('ladder', 'imatex', 'default'): (46, 1, 0),
-    ('ladder', 'mexp', 'one'): (4, 40, 0),
-    ('ladder', 'mexp', 'default'): (4, 42, 0),
     ('mixed', 'rmatex', 'one'): (10, 0, 78),
     ('mixed', 'rmatex', 'default'): (10, 1, 110),
     ('mixed', 'imatex', 'one'): (88, 0, 0),
     ('mixed', 'imatex', 'default'): (120, 1, 0),
-    ('mixed', 'mexp', 'one'): (10, 78, 0),
-    ('mixed', 'mexp', 'default'): (10, 110, 0),
     ('rlc-v', 'rmatex', 'one'): (6, 0, 28),
     ('rlc-v', 'rmatex', 'default'): (6, 0, 32),
     ('rlc-v', 'imatex', 'one'): (34, 0, 0),
@@ -255,8 +223,6 @@ PAIRS = {
     ('rlc-i', 'rmatex', 'default'): (4, 0, 78),
     ('rlc-i', 'imatex', 'one'): (76, 0, 0),
     ('rlc-i', 'imatex', 'default'): (82, 0, 0),
-    ('rlc-i', 'mexp', 'one'): (4, 72, 0),
-    ('rlc-i', 'mexp', 'default'): (4, 78, 0),
     ('singular-c', 'rmatex', 'one'): (2, 0, 8),
     ('singular-c', 'rmatex', 'default'): (2, 0, 8),
     ('singular-c', 'imatex', 'one'): (10, 0, 0),
