@@ -32,7 +32,7 @@ from .errors import NetlistError, NumericalError
 
 # Version of the --diag JSON layout; bumped whenever a key is added,
 # removed or changes meaning.
-DIAG_SCHEMA = 4
+DIAG_SCHEMA = 5
 
 # compare resolves a solver's error only when it is at least this many
 # times the reference's own error.
@@ -240,7 +240,9 @@ def cmd_simulate(args) -> int:
             "e_tol": config.e_tol,
             "gamma": merged.gamma,
             "groups": run.plan.num_groups,
+            "workers": run.workers,
             **_cost_block(merged),
+            "critical_path_pairs": run.critical_path_pairs,
             "factorizations": merged.factorizations,
             "wall_time": merged.wall_time,
             "m_average": merged.m_average,
@@ -391,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="at least 1 and no other effect; accepted because perfbench/run.py passes it",
+        help="processes that run the source groups once the operator is factored "
+        "(POSIX fork; default 1, in this process)",
     )
     p_sim.add_argument("--out", default="-", help="CSV output path (default stdout)")
     p_sim.add_argument("--diag", help="JSON diagnostics output path (- for stdout)")

@@ -133,8 +133,11 @@ class VariantOperator:
     one), falling back to the empirical surrogate without them.
     shift_factors, and shift, the matrix C + gamma G they factor, exist
     for the rational variant only. Made by factor_operator. The factors'
-    solve_count tallies are plain counters for one thread: a run sharing
-    the operator reads its pairs as how much their sum grew.
+    solve_count tallies are plain counters for one thread and count the
+    solves of their own process: a run sharing the operator reads its
+    pairs as how much their sum grew, and a forked child
+    (decomp.run_superposed) reports the growth it saw, which the parent's
+    tallies never show.
     """
 
     variant: Variant

@@ -151,8 +151,9 @@ class TestSimulate:
         assert rc == 0
         diag = json.loads(diag_path.read_text())
         assert diag["method"] == "rmatex"
-        assert diag["schema"] == 4
-        assert "workers" not in diag
+        assert diag["schema"] == 5
+        assert diag["workers"] == 1
+        assert diag["critical_path_pairs"] == diag["substitution_pairs"]
         assert "input_path" not in diag
         assert diag["e_tol"] == 1e-8
         assert diag["gamma"] > 0
@@ -182,7 +183,20 @@ class TestSimulate:
         assert rc == 0
         assert not (tmp_path / "-").exists()
         diag = json.loads(capsys.readouterr().out)
-        assert diag["schema"] == 4 and diag["method"] == "rmatex"
+        assert diag["schema"] == 5 and diag["method"] == "rmatex"
+
+    def test_diag_reports_the_workers_and_the_critical_path(self, netlist_file, tmp_path):
+        diag_path = tmp_path / "diag.json"
+        rc = cli.main(
+            ["simulate", netlist_file, "--etol", "1e-8", "--workers", "2",
+             "--out", str(tmp_path / "wave.csv"), "--diag", str(diag_path)]
+        )
+        assert rc == 0
+        diag = json.loads(diag_path.read_text())
+        # two groups on two workers: each share is one group
+        assert diag["groups"] == 2 and diag["workers"] == 2
+        pairs = [s["substitution_pairs"] for s in diag["subtasks"]]
+        assert diag["critical_path_pairs"] == max(pairs) < diag["substitution_pairs"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path, workers):
@@ -362,6 +376,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: inverted basis did not reach")
         assert "within m_max=2" in err
+
+    def test_unconverged_basis_in_a_worker(self, netlist_file, capsys):
+        rc = cli.main(["simulate", netlist_file, "--solver", "imatex", "--workers", "2",
+                       "--mmax", "2", "--etol", "1e-30"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("numerical error: inverted basis did not reach")
 
     def test_removed_method_is_invalid(self, netlist_file, capsys):
         with pytest.raises(SystemExit) as exc:

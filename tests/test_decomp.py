@@ -1,11 +1,14 @@
 """Source grouping, spot-time bookkeeping and superposed runs."""
 
+import os
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from expsim import decomp, netlist, stepper
+from expsim.errors import NoConvergence, NumericalError
 
 
 class TestExtractLts:
@@ -250,3 +253,113 @@ class TestRunSuperposed:
         # The groups run one after another, so the call's own elapsed
         # time covers every group's.
         assert sup.merged.wall_time >= sum(r.wall_time for r in sup.subtasks)
+
+
+class TestWorkers:
+    """Groups run in forked child processes when workers > 1."""
+
+    @staticmethod
+    def counts(cost):
+        return (cost.g_pairs, cost.c_pairs, cost.shift_pairs, cost.drive_rank,
+                cost.factorizations, cost.steps)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_matches_one_process(self, mixed_system, workers):
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        serial = decomp.run_superposed(mixed_system, cfg)
+        forked = decomp.run_superposed(mixed_system, cfg, workers=workers)
+        assert serial.workers == 1
+        assert forked.plan.num_groups == 4
+        assert forked.workers == min(workers, 4)
+        assert [self.counts(r) for r in forked.subtasks] == [
+            self.counts(r) for r in serial.subtasks
+        ]
+        assert all(r.factorizations == 0 for r in forked.subtasks)
+        assert self.counts(forked.merged) == self.counts(serial.merged)
+        assert forked.merged.gamma == serial.merged.gamma
+        assert forked.merged.names == serial.merged.names
+        assert forked.merged.times.tobytes() == serial.merged.times.tobytes()
+        # The children's partial sums are added in child order, so the
+        # merge differs from zeros + each group in index order only by
+        # rounding.
+        scale = np.abs(serial.merged.states).max()
+        np.testing.assert_allclose(
+            forked.merged.states, serial.merged.states, rtol=1e-13, atol=1e-15 * scale
+        )
+
+    def test_reruns_give_the_same_bytes(self, mixed_system):
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        a, b = (decomp.run_superposed(mixed_system, cfg, workers=2) for _ in range(2))
+        assert a.merged.states.tobytes() == b.merged.states.tobytes()
+        assert a.merged.times.tobytes() == b.merged.times.tobytes()
+
+    def test_costs_that_outgrow_a_pipe_buffer(self, ladder_system):
+        # Each child's pickled step records outgrow a 64 KiB pipe buffer,
+        # so a child can end only once the parent reads its pipe: the
+        # parent drains every pipe before it waits for a child.
+        cfg = stepper.SolverConfig(e_tol=1e-8, t_stop=6e-8)
+        forked = decomp.run_superposed(ladder_system, cfg, workers=2)
+        assert forked.workers == 2
+        assert all(len(pickle.dumps(r)) > 1 << 16 for r in forked.subtasks)
+        serial = decomp.run_superposed(ladder_system, cfg)
+        assert forked.merged.steps == serial.merged.steps
+
+    def test_fixed_step_stays_in_process(self, mixed_system):
+        cfg = stepper.SolverConfig(method="tr", h=2e-12)
+        serial = decomp.run_superposed(mixed_system, cfg)
+        two = decomp.run_superposed(mixed_system, cfg, workers=2)
+        assert two.workers == 1
+        assert two.merged.states.tobytes() == serial.merged.states.tobytes()
+        assert two.merged.times.tobytes() == serial.merged.times.tobytes()
+
+    def test_without_fork_runs_in_process(self, mixed_system, monkeypatch):
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        serial = decomp.run_superposed(mixed_system, cfg)
+        monkeypatch.delattr(os, "fork")
+        two = decomp.run_superposed(mixed_system, cfg, workers=2)
+        assert two.workers == 1
+        assert two.merged.states.tobytes() == serial.merged.states.tobytes()
+
+    def test_critical_path_is_the_largest_share(self, mixed_system):
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        one = decomp.run_superposed(mixed_system, cfg)
+        two = decomp.run_superposed(mixed_system, cfg, workers=2)
+        pairs = [r.substitution_pairs for r in two.subtasks]
+        assert one.critical_path_pairs == one.merged.substitution_pairs
+        assert two.critical_path_pairs == max(pairs[0] + pairs[2], pairs[1] + pairs[3])
+
+    @pytest.mark.parametrize(
+        "error", [NoConvergence("no basis met the budget", m=7, estimate=0.5),
+                  NumericalError("singular operator")]
+    )
+    def test_a_child_error_reaches_the_caller(self, mixed_system, monkeypatch, error):
+        solve = stepper.solve_transient
+
+        def failing(system, config, **kwargs):
+            if system.source_names == mixed_system.subsystem([2]).source_names:
+                raise error
+            return solve(system, config, **kwargs)
+
+        monkeypatch.setattr(stepper, "solve_transient", failing)
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        with pytest.raises(type(error), match=str(error)) as caught:
+            decomp.run_superposed(mixed_system, cfg, workers=2)
+        assert vars(caught.value) == vars(error)
+        # every child was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_lost_child_is_reported(self, mixed_system, monkeypatch):
+        solve = stepper.solve_transient
+
+        def dying(system, config, **kwargs):
+            if system.source_names == mixed_system.subsystem([5]).source_names:
+                os._exit(3)
+            return solve(system, config, **kwargs)
+
+        monkeypatch.setattr(stepper, "solve_transient", dying)
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        with pytest.raises(RuntimeError, match="worker 1 .* exited with 3"):
+            decomp.run_superposed(mixed_system, cfg, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
