@@ -1,28 +1,37 @@
 """Krylov projection of the circuit propagator.
 
 The transient solvers advance states with the action of e^{hA} where
-A = -C^-1 G is never formed. Two subspace variants approximate that
-action from a factored solve plus a sparse matvec per iteration:
+A = -C^-1 G is never formed. Both variants approximate that action in
+a Krylov space of one shift-and-invert operator,
 
-* inverted: basis of K_m(A^-1, v) with A^-1 = -G^-1 C, one G
-  factorization; resolves the slow eigenvalues that dominate the
-  response, so stiff problems converge at small m.
-* rational (shift-and-invert): basis of K_m((I - gamma A)^-1, v) from a
-  single factorization of C + gamma G; a shift near the working step
-  size makes the basis usable across a wide range of step sizes.
+    M = (a C + b G)^-1 C,    so that    M^-1 = a I - b A,
 
-Every basis produced here satisfies, up to rounding,
+applied as one solve with the shift a C + b G after a sparse matvec
+with C. The variants differ only in (a, b), which puts the pole a/b:
+
+* inverted, (a, b) = (0, 1): the shift is G, solved with G's own
+  factors, and M = -A^-1 resolves the slow eigenvalues that dominate
+  the response, so stiff problems converge at small m.
+* rational, (a, b) = (1, gamma): the shift C + gamma G is factorized,
+  and M = (I - gamma A)^-1; a shift near the working step size makes
+  the basis usable across a wide range of step sizes.
+
+factor_operator alone picks (a, b) and the shift; every formula after
+it is written once in a and b. Every basis produced here satisfies, up
+to rounding,
 
     M V_m = V_m H_m + h_next * v_next * e_m^T
 
-with M the variant's build operator and H_m the raw Hessenberg matrix.
+with H_m the raw Hessenberg matrix, so H_eff = (a I - H_m^-1) / b
+projects A.
 
-When C can be factorized, both variants judge convergence by exact
-residual formulas whose scale is ||C^-1 y|| for a vector y formed
-from v_next. A convergence probe first bounds that scale from below
-without a solve; when the bound already puts the estimate above the
-tolerance, the probe is rejected for free. So a basis pays one C
-solve, at the probe it is accepted at, not one per probe.
+When C can be factorized, convergence is judged by exact residual
+formulas whose scale is ||C^-1 y|| with y = (a C + b G) v_next / b,
+that is ||a v_next / b - A v_next||. A convergence probe first bounds
+that scale from below without a solve; when the bound already puts the
+estimate above the tolerance, the probe is rejected for free. So a
+basis pays one C solve, at the probe it is accepted at, not one per
+probe.
 """
 
 from __future__ import annotations
@@ -121,18 +130,19 @@ def _projected_expm(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class VariantOperator:
-    """One exponential run's factorizations and its variant's build operator M.
+    """One exponential run's factorizations and its build operator
 
-        inverted:  M v = -G^-1 (C v)              solved with g_factors
-        rational:  M v = (C+gamma G)^-1 (C v)     solved with shift_factors
+        M v = shift^-1 (C v),    shift = a C + b G,
 
-    g_factors are always present: they also serve the input terms.
-    c_factors are None exactly when C cannot be factorized; the exact
-    residual formulas use them (one extra apply of A, i.e. a C solve,
-    per accepted basis; scale_floor rejects the other probes without
-    one), falling back to the empirical surrogate without them.
-    shift_factors, and shift, the matrix C + gamma G they factor, exist
-    for the rational variant only. Made by factor_operator. The factors'
+    made by factor_operator, the one place that tells the variants
+    apart. g_factors are always present: they also serve the input
+    terms. shift_factors factor the shift; for the inverted variant the
+    shift is G and shift_factors are g_factors themselves. c_factors
+    are None exactly when C cannot be factorized; the exact residual
+    formulas use them (one extra apply of A, i.e. a C solve, per
+    accepted basis; scale_floor rejects the other probes without one),
+    falling back to the empirical surrogate without them. gamma is the
+    rational shift, None for the inverted variant. The factors'
     solve_count tallies are plain counters for one thread and count the
     solves of their own process: a run sharing the operator reads its
     pairs as how much their sum grew, and a forked child
@@ -143,11 +153,13 @@ class VariantOperator:
     variant: Variant
     c: numkit.SparseMatrix
     g: numkit.SparseMatrix
+    a: float
+    b: float
+    shift: numkit.SparseMatrix
+    shift_factors: numkit.LuFactors
     g_factors: numkit.LuFactors
     c_factors: numkit.LuFactors | None = None
-    shift_factors: numkit.LuFactors | None = None
     gamma: float | None = None
-    shift: numkit.SparseMatrix | None = None
 
     @property
     def dim(self) -> int:
@@ -156,8 +168,6 @@ class VariantOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.dim,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        if self.variant is Variant.INVERTED:
-            return -self.g_factors.solve(self.c @ v)
         return self.shift_factors.solve(self.c @ v)
 
     def ode_apply(self, v: np.ndarray) -> np.ndarray:
@@ -172,31 +182,24 @@ class VariantOperator:
         return self.c.scipy.T, inverse
 
     def scale_floor(self, v: np.ndarray) -> float:
-        """A lower bound on ||C^-1 y|| without a solve, y = (C + gamma G) v
-        / gamma (rational) or G v (inverted): KrylovBasis.residual_scale
-        for v_next.
+        """A lower bound on ||C^-1 y|| without a solve, y = (shift v) / b:
+        KrylovBasis.residual_scale for v_next.
 
         For any u, u^T y = (C^T u)^T C^-1 y, so by Cauchy-Schwarz
         ||C^-1 y|| >= |u^T y| / ||C^T u||. u = y / diag(C)^2, 0 where the
         diagonal is 0, makes the bound exact for a diagonal C. Costs a
-        matvec with C^T and one with the shift matrix (rational) or G.
+        matvec with C^T and one with the shift.
         """
-        if self.variant is Variant.RATIONAL:
-            y = (self.shift @ v) / self.gamma
-        else:
-            y = self.g @ v
+        y = (self.shift @ v) / self.b
         c_transposed, inverse = self._floor_terms
         u = y * inverse
         norm = float(np.linalg.norm(c_transposed @ u))
         return abs(float(u @ y)) / norm if norm > 0.0 else 0.0
 
     def factors(self) -> list[numkit.LuFactors]:
-        """Every factorization, in the order factor_operator made them."""
-        return [
-            f
-            for f in (self.g_factors, self.c_factors, self.shift_factors)
-            if f is not None
-        ]
+        """Each factorization once, in the order factor_operator made them."""
+        made = (self.g_factors, self.c_factors, self.shift_factors)
+        return list({id(f): f for f in made if f is not None}.values())
 
 
 def factor_operator(
@@ -205,11 +208,12 @@ def factor_operator(
     g: numkit.SparseMatrix,
     gamma: float | None = None,
 ) -> VariantOperator:
-    """Factorize G, then C, then (rational only) C + gamma G.
+    """Factorize G, then C, then the variant's shift a C + b G.
 
-    A C that cannot be factorized leaves c_factors None. gamma is kept
-    on the operator for every variant and must be positive for the
-    rational one.
+    The inverted variant takes (a, b) = (0, 1): its shift is G, whose
+    factors it reuses. The rational one takes (a, b) = (1, gamma), with
+    gamma positive, and factorizes C + gamma G. A C that cannot be
+    factorized leaves c_factors None. gamma is kept on the operator.
     """
     if variant is Variant.RATIONAL and not (gamma and gamma > 0):
         raise ValueError("rational variant needs a positive shift")
@@ -218,12 +222,14 @@ def factor_operator(
         c_factors = numkit.lu_factorize(c)
     except NumericalError:
         c_factors = None
-    shift = shift_factors = None
-    if variant is Variant.RATIONAL:
+    if variant is Variant.INVERTED:
+        a, b, shift, shift_factors = 0.0, 1.0, g, g_factors
+    else:
+        a, b = 1.0, gamma
         shift = numkit.from_scipy(c.scipy + gamma * g.scipy)
         shift_factors = numkit.lu_factorize(shift)
     return VariantOperator(
-        variant, c, g, g_factors, c_factors, shift_factors, gamma, shift
+        variant, c, g, a, b, shift, shift_factors, g_factors, c_factors, gamma
     )
 
 
@@ -258,10 +264,8 @@ class KrylovBasis:
 
     @functools.cached_property
     def h_eff(self) -> np.ndarray:
-        """Generator of e^{hA} from the projection H of the build operator M:
-
-            inverted:  H^-1         (M = A^-1)
-            rational:  (I - H^-1) / gamma   (M = (I - gamma A)^-1)
+        """Generator of e^{hA} from the projection H of the build operator:
+        (a I - H^-1) / b, as M^-1 = a I - b A.
 
         An H that cannot be inverted gives all nan: like an overflowed
         inverse, it makes a convergence probe's estimate inf.
@@ -271,14 +275,12 @@ class KrylovBasis:
             h_inv = np.linalg.inv(self.hessenberg)
         except np.linalg.LinAlgError:
             return np.full((self.m, self.m), np.nan)
-        if op.variant is Variant.INVERTED:
-            return h_inv
-        return (np.eye(self.m) - h_inv) / op.gamma
+        return (op.a * np.eye(self.m) - h_inv) / op.b
 
     @functools.cached_property
     def residual_scale(self) -> float | None:
-        """||A v_next|| (inverted) or ||(I - gamma A) v_next|| / gamma
-        (rational), the exact residual formulas' scale, at one C solve.
+        """||a v_next / b - A v_next|| = ||C^-1 (a C + b G) v_next|| / b,
+        the exact residual formulas' scale, at one C solve.
 
         None when C has no factors. A convergence probe derives it only
         once the solve-free VariantOperator.scale_floor cannot reject
@@ -289,9 +291,7 @@ class KrylovBasis:
         if op.c_factors is None:
             return None
         av = op.ode_apply(self.v_next)
-        if op.variant is Variant.INVERTED:
-            return float(np.linalg.norm(av))
-        return float(np.linalg.norm(self.v_next / op.gamma - av))
+        return float(np.linalg.norm(op.a * self.v_next / op.b - av))
 
 
 def expm_action(basis: KrylovBasis, h: float) -> np.ndarray:
@@ -329,23 +329,19 @@ def _residual_rate(
     rate is the Arnoldi overflow term
     |beta * h_next * e_m^T e^{s H_eff} e1|, an empirical surrogate that
     is reliable only once the basis is past the onset of convergence:
-    it lacks the exact formulas' leading scale (||A v_next||, roughly
-    1/gamma for the rational variant), so on circuits whose time
-    constants are far from one second it can be optimistic by that
-    scale until the projected dynamics actually converges.
+    it lacks the exact formulas' leading scale (||a v_next / b -
+    A v_next||, roughly 1/gamma for the rational variant), so on
+    circuits whose time constants are far from one second it can be
+    optimistic by that scale until the projected dynamics actually
+    converges. The exact tail is |e_m^T H^-1 e^{s H_eff} e1| with
+    H^-1 = a I - b H_eff, the raw projection's inverse unformed.
     """
     m = basis.m
     op = basis.operator
     last = first_columns[m - 1]
     if scale is None:
         return basis.beta * np.abs(basis.h_next * last), "empirical"
-    # e_m^T Hraw^-1 e^{s H_eff} e1 without forming the inverse:
-    # inverted has Hraw^-1 = H_eff, rational I - gamma H_eff.
-    row = basis.h_eff[m - 1] @ first_columns
-    if op.variant is Variant.INVERTED:
-        tail = np.abs(row)
-    else:
-        tail = np.abs(last - op.gamma * row)
+    tail = np.abs(op.a * last - op.b * (basis.h_eff[m - 1] @ first_columns))
     return basis.beta * abs(basis.h_next) * scale * tail, "exact"
 
 

@@ -247,13 +247,14 @@ def _input_terms(system, g_factors, points: np.ndarray):
 def factor_matex(
     system: netlist.CircuitSystem, config: SolverConfig, spots: np.ndarray
 ) -> krylov.VariantOperator:
-    """Factor the operator of an exponential run: G, C and the variant's own.
+    """Factor the operator of an exponential run, M = (a C + b G)^-1 C:
+    G, C and the shift a C + b G, which for imatex is G itself.
 
-    spots are the spot times the run steps on. rmatex alone takes a
-    shift: gamma is a tenth of the median gap of the stepping points
-    they make in the run's span; imatex gets none. Subsystems
-    keep C and G, so the operator of the whole circuit serves every
-    source group that steps on the same spots.
+    imatex takes (a, b) = (0, 1) and no gamma; rmatex takes (1, gamma),
+    with gamma a tenth of the median gap of the stepping points that
+    spots, the spot times the run steps on, make in the run's span.
+    Subsystems keep C and G, so the operator of the whole circuit
+    serves every source group that steps on the same spots.
     """
     if config.method not in _METHOD_VARIANT:
         raise ValueError(f"not an exponential method: {config.method!r}")
@@ -266,8 +267,10 @@ def factor_matex(
 
 
 def _solve_counts(op: krylov.VariantOperator) -> list[int]:
-    """The solve_count of op's G, C and shift factors, 0 for one it lacks."""
-    factors = (op.g_factors, op.c_factors, op.shift_factors)
+    """The solve_count of op's G, C and shift factors, 0 for one it lacks
+    and for imatex's shift, G itself, whose solves are G pairs."""
+    shift = None if op.shift_factors is op.g_factors else op.shift_factors
+    factors = (op.g_factors, op.c_factors, shift)
     return [0 if f is None else f.solve_count for f in factors]
 
 

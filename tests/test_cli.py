@@ -482,6 +482,7 @@ class TestExitCodes:
             ["compare", "--workers", "2"],
             ["compare", "--gamma", "1p"],
             ["simulate", "--gamma", "1p"],
+            ["compare", "--groups", "2"],
         ],
     )
     def test_removed_options_are_unknown(self, netlist_file, capsys, argv):
@@ -495,19 +496,6 @@ class TestExitCodes:
         rc = cli.main(["simulate", netlist_file, "--workers", workers])
         assert rc == 2
         assert "numerical error: workers must be at least 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("groups", ["0", "-3"])
-    def test_compare_rejects_groups_before_oracle(
-        self, netlist_file, capsys, monkeypatch, groups
-    ):
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("the reference ran before the groups were checked")
-
-        monkeypatch.setattr(stepper, "solve_transient_be", no_oracle)
-        rc = cli.main(["compare", netlist_file, "--solvers", "tr", "--h", "2e-12",
-                       "--groups", groups])
-        assert rc == 2
-        assert "numerical error: max_groups must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("solver", ["rmatex", "tr"])
     @pytest.mark.parametrize("groups", ["0", "-3"])

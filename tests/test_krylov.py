@@ -70,7 +70,7 @@ class TestExactAtFullDimension:
 
 class TestHappyBreakdown:
     def setup_method(self):
-        # C = I and G diagonal: M = -G^-1 has the invariant subspaces of A.
+        # C = I and G diagonal: M = G^-1 has the invariant subspaces of A.
         c = numkit.from_scipy(sp.identity(3))
         g = numkit.from_scipy(sp.csc_matrix(np.diag([1.0, 2.0, 3.0])))
         self.op = krylov.factor_operator(krylov.Variant.INVERTED, c, g)
@@ -398,9 +398,9 @@ class TestDegenerateProjection:
             krylov.expm_action(basis, estimator_family.h)
 
     def test_arnoldi_grows_past_a_singular_probe(self, monkeypatch):
-        # -G^-1 C is the cyclic shift P: from e1 the basis is e1, e2, e3,
-        # the m = 2 projection [[0, 0], [1, 0]] is singular, and m = 3
-        # ends in a happy breakdown.
+        # M = G^-1 C is minus the cyclic shift P: from e1 the basis is
+        # e1, -e2, e3, the m = 2 projection [[0, 0], [1, 0]] is
+        # singular, and m = 3 ends in a happy breakdown.
         shift = np.roll(np.eye(3), 1, axis=0)
         c = numkit.from_scipy(sp.identity(3, format="csc"))
         g = numkit.from_scipy(sp.csc_matrix(-shift.T))

@@ -58,10 +58,15 @@ def dc_path_netlists(draw, nonsingular_c=False):
     return "\n".join(lines) + "\n"
 
 
+def pole_weights(variant, gamma):
+    """(a, b) of the shift a C + b G: the inverted variant's pole is at
+    zero, the rational one's at 1 / gamma."""
+    return (0.0, 1.0) if variant is krylov.Variant.INVERTED else (1.0, gamma)
+
+
 def dense_build_operator(variant, cd, gd, gamma):
-    if variant is krylov.Variant.INVERTED:
-        return -np.linalg.solve(gd, cd)
-    return np.linalg.solve(cd + gamma * gd, cd)
+    a, b = pole_weights(variant, gamma)
+    return np.linalg.solve(a * cd + b * gd, cd)
 
 
 def assert_close(got, want, matrix, v):
@@ -128,6 +133,35 @@ def test_scale_floor_bounds_residual_scale(text, diagonal, gamma, seed):
             assert floor == pytest.approx(exact, rel=1e-12, abs=0.0)
         else:
             assert floor <= exact * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("variant", list(krylov.Variant))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    text=dc_path_netlists(nonsingular_c=True),
+    gamma=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projection_and_residual_scale_match_dense(variant, text, gamma, seed):
+    # A basis run to happy breakdown spans an invariant subspace of A,
+    # on which h_eff is A's projection; a basis cut short has the
+    # residual scale ||C^-1 (a C + b G) v_next|| / b.
+    system = es.build_system(text)
+    cd, gd = system.c.to_dense(), system.g.to_dense()
+    a, b = pole_weights(variant, gamma)
+    dense_a = -np.linalg.solve(cd, gd)
+    v = np.random.default_rng(seed).standard_normal(system.n)
+    op = krylov.factor_operator(variant, system.c, system.g, gamma)
+
+    full = krylov.arnoldi(op, v, m_max=system.n)
+    assert full.h_next == 0.0
+    av = dense_a @ full.v_basis
+    assert np.linalg.norm(av - full.v_basis @ full.h_eff) <= 1e-8 * np.linalg.norm(av)
+
+    cut = krylov.arnoldi(op, v, m_max=1)
+    assert cut.h_next > 0.0
+    want = np.linalg.norm(np.linalg.solve(cd, (a * cd + b * gd) @ cut.v_next)) / b
+    assert cut.residual_scale == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def dense_stamp(parsed):
