@@ -482,7 +482,6 @@ class TestExitCodes:
             ["compare", "--workers", "2"],
             ["compare", "--gamma", "1p"],
             ["simulate", "--gamma", "1p"],
-            ["compare", "--groups", "2"],
         ],
     )
     def test_removed_options_are_unknown(self, netlist_file, capsys, argv):
@@ -490,6 +489,22 @@ class TestExitCodes:
             cli.main([argv[0], netlist_file, *argv[1:]])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("groups", ["0", "-3"])
+    def test_compare_rejects_groups_before_oracle(
+        self, netlist_file, capsys, monkeypatch, groups
+    ):
+        # compare has no --groups: the option is refused as unknown, before
+        # the reference solve starts.
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the reference ran before the groups were checked")
+
+        monkeypatch.setattr(stepper, "solve_transient_be", no_oracle)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compare", netlist_file, "--solvers", "tr", "--h", "2e-12",
+                      "--groups", groups])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --groups {groups}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, netlist_file, capsys, workers):
