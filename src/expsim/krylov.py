@@ -1,24 +1,26 @@
 """Krylov projection of the circuit propagator.
 
 The transient solvers advance states with the action of e^{hA} where
-A = -C^-1 G is never formed. Both variants approximate that action in
-a Krylov space of one shift-and-invert operator,
+A = -C^-1 G is never formed. It is approximated in a Krylov space of
+one shift-and-invert operator,
 
     M = (a C + b G)^-1 C,    so that    M^-1 = a I - b A,
 
 applied as one solve with the shift a C + b G after a sparse matvec
-with C. The variants differ only in (a, b), which puts the pole a/b:
+with C. (a, b) puts the operator's pole at a/b, and factor_operator
+picks it from one argument, gamma:
 
-* inverted, (a, b) = (0, 1): the shift is G, solved with G's own
-  factors, and M = -A^-1 resolves the slow eigenvalues that dominate
-  the response, so stiff problems converge at small m.
-* rational, (a, b) = (1, gamma): the shift C + gamma G is factorized,
-  and M = (I - gamma A)^-1; a shift near the working step size makes
-  the basis usable across a wide range of step sizes.
+* gamma None, (a, b) = (0, 1): the pole is at zero and the shift is G,
+  solved with G's own factors. M = -A^-1 resolves the slow eigenvalues
+  that dominate the response, so stiff problems converge at small m
+  (the paper's inverted basis).
+* gamma > 0, (a, b) = (1, gamma): the pole is at 1/gamma, the shift
+  C + gamma G is factorized, and M = (I - gamma A)^-1; a shift near the
+  working step size makes the basis usable across a wide range of step
+  sizes (the paper's rational basis).
 
-factor_operator alone picks (a, b) and the shift; every formula after
-it is written once in a and b. Every basis produced here satisfies, up
-to rounding,
+Every formula after factor_operator is written once in a and b. Every
+basis produced here satisfies, up to rounding,
 
     M V_m = V_m H_m + h_next * v_next * e_m^T
 
@@ -36,7 +38,6 @@ probe.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass, field
@@ -66,11 +67,6 @@ ESTIMATE_LEVELS = 6
 # solved scale agree up to rounding, some 1e-16 relative; the margin is
 # far above that, so rounding never turns an accept into a reject.
 FLOOR_MARGIN = 1.0 - 1e-9
-
-
-class Variant(enum.Enum):
-    INVERTED = "inverted"
-    RATIONAL = "rational"
 
 
 # Higham's [13/13] Pade approximant ("The scaling and squaring method for
@@ -134,23 +130,21 @@ class VariantOperator:
 
         M v = shift^-1 (C v),    shift = a C + b G,
 
-    made by factor_operator, the one place that tells the variants
-    apart. g_factors are always present: they also serve the input
-    terms. shift_factors factor the shift; for the inverted variant the
+    made by factor_operator, which puts the pole a/b at zero or at
+    1/gamma. g_factors are always present: they also serve the input
+    terms. shift_factors factor the shift; with the pole at zero the
     shift is G and shift_factors are g_factors themselves. c_factors
     are None exactly when C cannot be factorized; the exact residual
     formulas use them (one extra apply of A, i.e. a C solve, per
     accepted basis; scale_floor rejects the other probes without one),
     falling back to the empirical surrogate without them. gamma is the
-    rational shift, None for the inverted variant. The factors'
-    solve_count tallies are plain counters for one thread and count the
-    solves of their own process: a run sharing the operator reads its
-    pairs as how much their sum grew, and a forked child
-    (decomp.run_superposed) reports the growth it saw, which the parent's
-    tallies never show.
+    pole's, None when it is at zero. The factors' solve_count tallies
+    are plain counters for one thread and count the solves of their own
+    process: a run sharing the operator reads its pairs as how much
+    pair_counts grew, and a forked child (decomp.run_superposed)
+    reports the growth it saw, which the parent's tallies never show.
     """
 
-    variant: Variant
     c: numkit.SparseMatrix
     g: numkit.SparseMatrix
     a: float
@@ -201,36 +195,42 @@ class VariantOperator:
         made = (self.g_factors, self.c_factors, self.shift_factors)
         return list({id(f): f for f in made if f is not None}.values())
 
+    def pair_counts(self) -> tuple[int, int, int]:
+        """Solves so far by factor: (G, C, shift), 0 for C without factors.
+
+        A shift that is G books its solves as G pairs, so its entry is 0.
+        """
+        shift = None if self.shift_factors is self.g_factors else self.shift_factors
+        made = (self.g_factors, self.c_factors, shift)
+        return tuple(0 if f is None else f.solve_count for f in made)
+
 
 def factor_operator(
-    variant: Variant,
     c: numkit.SparseMatrix,
     g: numkit.SparseMatrix,
     gamma: float | None = None,
 ) -> VariantOperator:
-    """Factorize G, then C, then the variant's shift a C + b G.
+    """Factorize G, then C, then the shift a C + b G.
 
-    The inverted variant takes (a, b) = (0, 1): its shift is G, whose
-    factors it reuses. The rational one takes (a, b) = (1, gamma), with
-    gamma positive, and factorizes C + gamma G. A C that cannot be
+    gamma None puts the pole at zero, (a, b) = (0, 1): the shift is G,
+    whose factors it reuses. A positive gamma puts it at 1/gamma,
+    (a, b) = (1, gamma), and factorizes C + gamma G. A C that cannot be
     factorized leaves c_factors None. gamma is kept on the operator.
     """
-    if variant is Variant.RATIONAL and not (gamma and gamma > 0):
-        raise ValueError("rational variant needs a positive shift")
+    if gamma is not None and not gamma > 0:
+        raise ValueError(f"gamma must be positive, not {gamma!r}")
     g_factors = numkit.lu_factorize(g)
     try:
         c_factors = numkit.lu_factorize(c)
     except NumericalError:
         c_factors = None
-    if variant is Variant.INVERTED:
+    if gamma is None:
         a, b, shift, shift_factors = 0.0, 1.0, g, g_factors
     else:
         a, b = 1.0, gamma
         shift = numkit.from_scipy(c.scipy + gamma * g.scipy)
         shift_factors = numkit.lu_factorize(shift)
-    return VariantOperator(
-        variant, c, g, a, b, shift, shift_factors, g_factors, c_factors, gamma
-    )
+    return VariantOperator(c, g, a, b, shift, shift_factors, g_factors, c_factors, gamma)
 
 
 @dataclass
@@ -330,7 +330,7 @@ def _residual_rate(
     |beta * h_next * e_m^T e^{s H_eff} e1|, an empirical surrogate that
     is reliable only once the basis is past the onset of convergence:
     it lacks the exact formulas' leading scale (||a v_next / b -
-    A v_next||, roughly 1/gamma for the rational variant), so on
+    A v_next||, roughly 1/gamma with the pole at 1/gamma), so on
     circuits whose time constants are far from one second it can be
     optimistic by that scale until the projected dynamics actually
     converges. The exact tail is |e_m^T H^-1 e^{s H_eff} e1| with
@@ -495,8 +495,7 @@ def arnoldi(
         m = m_max
         return finish(view(m, big_h[m, m - 1], big_v[m]), None, None)
     raise NoConvergence(
-        f"{operator.variant.value} basis did not reach {eps:.3e} within "
-        f"m_max={m_max} (last estimate {last_est})",
+        f"Krylov basis did not reach {eps:.3e} within m_max={m_max} (last estimate {last_est})",
         m=m_max,
         estimate=last_est,
     )

@@ -52,12 +52,9 @@ from . import krylov, netlist, numkit
 #   = (C/h - (1 - theta) G) x_k + B ((1 - theta) u_k + theta u_{k+1}).
 FIXED_THETA = {"tr": 0.5, "be": 1.0}
 
-_METHOD_VARIANT = {
-    "imatex": krylov.Variant.INVERTED,
-    "rmatex": krylov.Variant.RATIONAL,
-}
+_MATEX = ("imatex", "rmatex")
 
-METHODS = (*FIXED_THETA, *_METHOD_VARIANT)
+METHODS = (*FIXED_THETA, *_MATEX)
 
 # A PULSE source may repeat at most this many times over the span; each
 # period adds four input corners, and every corner is a stepping point.
@@ -90,7 +87,8 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            choices = ", ".join(METHODS)
+            raise ValueError(f"unknown method {self.method!r} (choose from {choices})")
         if self.method in FIXED_THETA and self.h is None:
             raise ValueError(f"{self.method} needs a positive fixed step h")
         for name, value in {"h": self.h, "e_tol": self.e_tol}.items():
@@ -245,33 +243,23 @@ def _input_terms(system, g_factors, points: np.ndarray):
 
 
 def factor_matex(
-    system: netlist.CircuitSystem, config: SolverConfig, spots: np.ndarray
+    system: netlist.CircuitSystem, config: SolverConfig, points: np.ndarray
 ) -> krylov.VariantOperator:
     """Factor the operator of an exponential run, M = (a C + b G)^-1 C:
     G, C and the shift a C + b G, which for imatex is G itself.
 
-    imatex takes (a, b) = (0, 1) and no gamma; rmatex takes (1, gamma),
-    with gamma a tenth of the median gap of the stepping points that
-    spots, the spot times the run steps on, make in the run's span.
+    imatex puts the pole at zero, (a, b) = (0, 1), and has no gamma;
+    rmatex puts it at 1/gamma, (a, b) = (1, gamma), with gamma a tenth
+    of the median gap of points, the stepping points of the run.
     Subsystems keep C and G, so the operator of the whole circuit
-    serves every source group that steps on the same spots.
+    serves every source group that steps on the same points.
     """
-    if config.method not in _METHOD_VARIANT:
+    if config.method not in _MATEX:
         raise ValueError(f"not an exponential method: {config.method!r}")
-    variant = _METHOD_VARIANT[config.method]
     gamma = None
-    if variant is krylov.Variant.RATIONAL:
-        points = stepping_points(*resolve_span(system, config), spots)
+    if config.method == "rmatex":
         gamma = float(np.median(np.diff(points))) / 10.0
-    return krylov.factor_operator(variant, system.c, system.g, gamma)
-
-
-def _solve_counts(op: krylov.VariantOperator) -> list[int]:
-    """The solve_count of op's G, C and shift factors, 0 for one it lacks
-    and for imatex's shift, G itself, whose solves are G pairs."""
-    shift = None if op.shift_factors is op.g_factors else op.shift_factors
-    factors = (op.g_factors, op.c_factors, shift)
-    return [0 if f is None else f.solve_count for f in factors]
+    return krylov.factor_operator(system.c, system.g, gamma)
 
 
 def solve_transient_matex(
@@ -287,13 +275,12 @@ def solve_transient_matex(
     on. A fresh basis is built at t0 and at the points that are the
     run's own spots, where the system's own sources change slope; at
     the others the previous basis is reused.
-    op, made by factor_matex for the same C, G, config and spots, is
-    stepped with instead of factoring anew; the run then reports the
-    substitution pairs it added to op's tallies and no factorizations.
+    op, made by factor_matex for the same C, G, config and stepping
+    points, is stepped with instead of factoring anew; the run then
+    reports the substitution pairs it added to op's tallies and no
+    factorizations.
     """
     t_begin = time.perf_counter()
-    if config.method not in _METHOD_VARIANT:
-        raise ValueError(f"not an exponential method: {config.method!r}")
     t0, t1 = resolve_span(system, config)
     span = t1 - t0
     own_spots = active_transitions(system, t0, t1)
@@ -304,9 +291,9 @@ def solve_transient_matex(
 
     factorizations = 0
     if op is None:
-        op = factor_matex(system, config, spots)
+        op = factor_matex(system, config, points)
         factorizations = len(op.factors())
-    pairs_before = _solve_counts(op)
+    pairs_before = op.pair_counts()
 
     phi, w_cols, theta_cols = _input_terms(system, op.g_factors, points)
     x = -(phi.T[:2] @ w_cols.T)[0]
@@ -344,7 +331,7 @@ def solve_transient_matex(
         )
 
     g_pairs, c_pairs, shift_pairs = (
-        after - before for after, before in zip(_solve_counts(op), pairs_before)
+        after - before for after, before in zip(op.pair_counts(), pairs_before)
     )
     return WaveformResult(
         times=points,

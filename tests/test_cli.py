@@ -128,7 +128,7 @@ class TestSimulate:
 
         system = es.build_system(TWO_SOURCE_NETLIST)
         config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-        ref = decomp.run_superposed(system, config).merged
+        ref = decomp.run_superposed(system, config, max_groups=None).merged
         assert names == ref.names
         # %.17e carries full float64 precision, so parsing restores bytes
         assert np.array_equal(times, ref.times)
@@ -145,8 +145,8 @@ class TestSimulate:
         out = tmp_path / "wave.csv"
         diag_path = tmp_path / "diag.json"
         rc = cli.main(
-            ["simulate", netlist_file, "--etol", "1e-8", "--out", str(out),
-             "--diag", str(diag_path)]
+            ["simulate", netlist_file, "--etol", "1e-8", "--groups", "2",
+             "--out", str(out), "--diag", str(diag_path)]
         )
         assert rc == 0
         diag = json.loads(diag_path.read_text())
@@ -198,6 +198,19 @@ class TestSimulate:
         pairs = [s["substitution_pairs"] for s in diag["subtasks"]]
         assert diag["critical_path_pairs"] == max(pairs) < diag["substitution_pairs"]
 
+    @pytest.mark.parametrize("workers, groups", [("1", 1), ("2", 2)])
+    def test_default_groups_follow_the_workers(self, netlist_file, tmp_path, workers, groups):
+        # Two sources with different spots: in one process grouping only
+        # adds work, so simulate runs one group unless it forks.
+        diag_path = tmp_path / "diag.json"
+        rc = cli.main(
+            ["simulate", netlist_file, "--workers", workers,
+             "--out", str(tmp_path / "wave.csv"), "--diag", str(diag_path)]
+        )
+        assert rc == 0
+        diag = json.loads(diag_path.read_text())
+        assert diag["groups"] == groups and diag["workers"] == groups
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path, workers):
         # --workers is still accepted; whatever its value, the reported
@@ -211,8 +224,8 @@ class TestSimulate:
         diag = json.loads(diag_path.read_text())
         system = es.build_system(TWO_SOURCE_NETLIST)
         config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-        merged = decomp.run_superposed(system, config).merged
-        assert diag["substitution_pairs"] == merged.substitution_pairs
+        run = decomp.run_superposed(system, config, workers=int(workers), max_groups=None)
+        assert diag["substitution_pairs"] == run.merged.substitution_pairs
         assert diag["substitution_pairs"] == sum(
             s["substitution_pairs"] for s in diag["subtasks"]
         )
@@ -333,7 +346,7 @@ class TestCompare:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "imatex   failed: inverted basis did not reach" in out
+        assert "imatex   failed: Krylov basis did not reach" in out
         failed, tr_row = json.loads(report.read_text())["rows"]
         assert failed.keys() == {"solver", "failed"} and failed["solver"] == "imatex"
         assert tr_row["solver"] == "tr" and tr_row["substitution_pairs"] > 0
@@ -374,14 +387,14 @@ class TestExitCodes:
                        "--mmax", "2", "--etol", "1e-30"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("numerical error: inverted basis did not reach")
+        assert err.startswith("numerical error: Krylov basis did not reach")
         assert "within m_max=2" in err
 
     def test_unconverged_basis_in_a_worker(self, netlist_file, capsys):
         rc = cli.main(["simulate", netlist_file, "--solver", "imatex", "--workers", "2",
                        "--mmax", "2", "--etol", "1e-30"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("numerical error: inverted basis did not reach")
+        assert capsys.readouterr().err.startswith("numerical error: Krylov basis did not reach")
 
     def test_removed_method_is_invalid(self, netlist_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -391,7 +404,7 @@ class TestExitCodes:
         rc = cli.main(["compare", netlist_file, "--solvers", "mexp"])
         assert rc == 2
         assert (
-            "numerical error: unknown solver 'mexp' (choose from tr, be, imatex, rmatex)"
+            "numerical error: unknown method 'mexp' (choose from tr, be, imatex, rmatex)"
             in capsys.readouterr().err
         )
 

@@ -11,15 +11,16 @@ source always makes it singular (its branch row of C is empty).
 
 import bisect
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import expsim as es
-from expsim import krylov, netlist, stepper
+from expsim import decomp, krylov, netlist, stepper
 from conftest import dense_exact
 
 VALUES = st.floats(0.5, 2.0)
@@ -58,10 +59,18 @@ def dc_path_netlists(draw, nonsingular_c=False):
     return "\n".join(lines) + "\n"
 
 
+VARIANTS = ("inverted", "rational")
+
+
+def pole(variant, gamma):
+    """factor_operator's gamma: None puts the inverted variant's pole at
+    zero, gamma puts the rational one's at 1 / gamma."""
+    return None if variant == "inverted" else gamma
+
+
 def pole_weights(variant, gamma):
-    """(a, b) of the shift a C + b G: the inverted variant's pole is at
-    zero, the rational one's at 1 / gamma."""
-    return (0.0, 1.0) if variant is krylov.Variant.INVERTED else (1.0, gamma)
+    """(a, b) of the shift a C + b G that pole(variant, gamma) makes."""
+    return (0.0, 1.0) if variant == "inverted" else (1.0, gamma)
 
 
 def dense_build_operator(variant, cd, gd, gamma):
@@ -86,10 +95,10 @@ def test_factor_operator_matches_dense(text, gamma, seed):
     cd, gd = system.c.to_dense(), system.g.to_dense()
     c_singular = np.linalg.matrix_rank(cd) < system.n
     v = np.random.default_rng(seed).standard_normal(system.n)
-    for variant in krylov.Variant:
-        op = krylov.factor_operator(variant, system.c, system.g, gamma)
+    for variant in VARIANTS:
+        op = krylov.factor_operator(system.c, system.g, pole(variant, gamma))
         assert (op.c_factors is None) == c_singular
-        rational = variant is krylov.Variant.RATIONAL
+        rational = variant == "rational"
         assert len(op.factors()) == 1 + (not c_singular) + rational
 
         m = dense_build_operator(variant, cd, gd, gamma)
@@ -121,8 +130,8 @@ def test_scale_floor_bounds_residual_scale(text, diagonal, gamma, seed):
     cd = system.c.to_dense()
     assert np.array_equal(cd, np.diag(np.diag(cd))) == diagonal
     v = np.random.default_rng(seed).standard_normal(system.n)
-    for variant in (krylov.Variant.INVERTED, krylov.Variant.RATIONAL):
-        op = krylov.factor_operator(variant, system.c, system.g, gamma)
+    for variant in VARIANTS:
+        op = krylov.factor_operator(system.c, system.g, pole(variant, gamma))
         basis = krylov.KrylovBasis(
             op, np.empty((system.n, 0)), np.empty((0, 0)), 1.0, v, 1.0
         )
@@ -135,7 +144,7 @@ def test_scale_floor_bounds_residual_scale(text, diagonal, gamma, seed):
             assert floor <= exact * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("variant", list(krylov.Variant))
+@pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     text=dc_path_netlists(nonsingular_c=True),
@@ -151,7 +160,7 @@ def test_projection_and_residual_scale_match_dense(variant, text, gamma, seed):
     a, b = pole_weights(variant, gamma)
     dense_a = -np.linalg.solve(cd, gd)
     v = np.random.default_rng(seed).standard_normal(system.n)
-    op = krylov.factor_operator(variant, system.c, system.g, gamma)
+    op = krylov.factor_operator(system.c, system.g, pole(variant, gamma))
 
     full = krylov.arnoldi(op, v, m_max=system.n)
     assert full.h_next == 0.0
@@ -426,3 +435,45 @@ def test_runs_at_the_drive_rank_match_the_dense_exact_solution(case):
     assert np.linalg.norm(run.states - exact, axis=1).max() < 1e-8 * max(
         1.0, np.linalg.norm(exact, axis=1).max()
     )
+
+
+def run_costs(cost):
+    """Everything a run reports besides its states and wall times."""
+    return (cost.g_pairs, cost.c_pairs, cost.shift_pairs, cost.drive_rank,
+            cost.factorizations, cost.steps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=shared_timing_netlists())
+def test_tr_runs_of_the_groups_sum_to_the_whole_run(case):
+    # TR is linear in the drive step by step, so the groups' runs, each
+    # with its share of the operating point, add up to the whole one.
+    system = es.build_system(case[0])
+    config = stepper.SolverConfig(method="tr", h=0.02)
+    plan = decomp.build_plan(system.sources, 0.0, 4.0)
+    parts = [stepper.solve_transient(system.subsystem(g), config) for g in plan.groups]
+    whole = stepper.solve_transient(system, config)
+    assert sorted(i for g in plan.groups for i in g) == list(range(system.num_sources))
+    for part in parts:
+        assert np.array_equal(part.times, whole.times)
+    scale = max(np.abs(part.states).max() for part in parts)
+    assert np.abs(sum(part.states for part in parts) - whole.states).max() <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(case=shared_timing_netlists())
+def test_forked_groups_match_one_process(case):
+    system = es.build_system(case[0])
+    config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+    serial = decomp.run_superposed(system, config)
+    assume(serial.plan.num_groups > 1)
+    forked = decomp.run_superposed(system, config, workers=2)
+    assert forked.workers == 2
+    assert forked.merged.times.tobytes() == serial.merged.times.tobytes()
+    assert run_costs(forked.merged) == run_costs(serial.merged)
+    assert [run_costs(r) for r in forked.subtasks] == [run_costs(r) for r in serial.subtasks]
+    # The children's sums are added in child order: the same up to rounding.
+    scale = np.abs(serial.merged.states).max()
+    assert np.abs(forked.merged.states - serial.merged.states).max() <= 1e-13 * scale
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
