@@ -28,31 +28,32 @@ blocks of input terms, r the group's drive rank, its count of distinct
 waveforms; the shared factors are held once.
 
 Once the operator is factored the groups share nothing, so with
-workers > 1 they run in forked child processes (POSIX only; without
-os.fork, and for one group or one worker, they run one after another in
-the calling process). The children inherit the factors instead of
-receiving a copy. Each sums its own groups into a shared (T, n) buffer
-and sends their costs back through a pipe; the parent adds the buffers
-in child order. In one process a run holds the merged waveform plus one
-group's working set whatever the group count; forked, each child holds
-that, and the parent holds the buffers, touching two at a time while
-it merges.
+workers > 1 they run in a pool of forked worker processes (POSIX only;
+where fork does not exist, and for one group or one worker, they run one
+after another in the calling process). The workers inherit the factors
+instead of receiving a copy. With k workers the groups are dealt into k
+shares, share s being groups s, s + k, ...; each share runs in one
+worker, which sums its groups into a shared (T, n) buffer and returns
+their costs; the parent adds the buffers in share order. In one process
+a run holds the merged waveform plus one group's working set whatever
+the group count; forked, each worker holds that, and the parent holds
+the buffers, touching two at a time while it merges.
 
 A known limit: Python 3.12 and later warn (DeprecationWarning) on a
 fork in a process that has more than one thread, and numpy's OpenBLAS
 keeps worker threads alive once imported (2 threads in all on a
-2-core host, 1 with OPENBLAS_NUM_THREADS=1). The pytest settings in
-pyproject.toml turn expsim's DeprecationWarnings into errors. The
-warning is not silenced here.
+2-core host, 1 with OPENBLAS_NUM_THREADS=1). The warning comes from
+multiprocessing's popen_fork, so pyproject.toml's pytest settings, which
+make expsim's DeprecationWarnings errors, pass it. It is not silenced.
 """
 
 from __future__ import annotations
 
 import mmap
+import multiprocessing
 import os
-import pickle
-import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,6 +99,9 @@ def build_plan(
         by_spots.setdefault(tuple(lts.tolist()), []).append(i)
     groups = list(by_spots.values())
     group_lts = [source_lts[g[0]] for g in groups]
+    if len(groups) > max_groups == 1:  # what folding gives, in O(sources)
+        groups = [list(range(len(sources)))]
+        group_lts = [np.unique(np.concatenate(group_lts))]
 
     while len(groups) > max_groups:
         _, _, small = min((len(g), g[0], idx) for idx, g in enumerate(groups))
@@ -120,10 +124,10 @@ class SuperposedResult:
     """Merged waveform plus each group's cost accounting, not its states.
 
     workers is the number of processes that ran the groups, 1 when they
-    ran in the calling process; group g ran in process g % workers. The
-    groups share no data once the operator is factored, so the share
-    that made the most substitution pairs is the critical path, as in
-    the paper's distributed runs.
+    ran in the calling process; share s, groups s, s + workers, ..., ran
+    in one process. The groups share no data once the operator is
+    factored, so the share that made the most substitution pairs is the
+    critical path, as in the paper's distributed runs.
     """
 
     merged: stepper.WaveformResult
@@ -144,7 +148,7 @@ def _run_groups(system, config, plan, op, indices):
     """Run the groups at indices in order and sum their states.
 
     Returns the last group's WaveformResult, which holds the sum, and
-    each group's cost.
+    each group's cost. Every group samples at the plan's global spots.
     """
     merged = None
     costs = []
@@ -155,95 +159,48 @@ def _run_groups(system, config, plan, op, indices):
         # a + b is b + a bit for bit, so each group's own array takes the
         # running sum in place and the bytes are those of zeros + each
         # group in index order (-0.0 becomes +0.0 the same way).
-        if merged is None:
-            run.states += 0.0
-        elif np.array_equal(run.times, merged.times):
-            run.states += merged.states
-        else:
-            raise AssertionError("subtask sample grids diverged; cannot merge")
+        run.states += 0.0 if merged is None else merged.states
         merged = run
         costs.append(stepper.RunCost() + run)
     return merged, costs
 
 
-def _serve_share(fd, inherited, buffer, times, run_share):
-    """Child side of _run_forked; never returns.
+# The job of _run_forked: (system, config, plan, op, shares, buffers).
+# Set only in the pool's worker processes, by _start_worker, which the
+# fork start method hands it as is: SuperLU factors cannot be serialized.
+_job = None
 
-    Writes the share's summed states into buffer and pickles its costs,
-    or the exception that stopped it, to fd. Exits 0 once that is
-    written. The inherited read ends are closed first, so a write to a
-    parent that is gone fails instead of blocking.
-    """
-    code = 1
-    try:
-        for r in inherited:
-            os.close(r)
-        # Whatever stops the share, KeyboardInterrupt too, is sent to
-        # the parent, which raises it.
-        try:
-            part, reply = run_share()
-            if not np.array_equal(part.times, times):
-                raise AssertionError("subtask sample grids diverged; cannot merge")
-            np.frombuffer(buffer).reshape(part.states.shape)[...] = part.states
-        except BaseException as exc:
-            reply = exc
-        try:
-            data = pickle.dumps(reply)
-        except Exception:  # an exception that does not pickle
-            data = pickle.dumps(RuntimeError(f"{type(reply).__name__}: {reply}"))
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        code = 0
-    finally:
-        os._exit(code)
+
+def _start_worker(job):
+    global _job
+    _job = job
+
+
+def _run_share(s):
+    """Worker side of _run_forked: sum share s into buffer s; its costs."""
+    system, config, plan, op, shares, buffers = _job
+    part, costs = _run_groups(system, config, plan, op, range(s, plan.num_groups, shares))
+    np.frombuffer(buffers[s]).reshape(part.states.shape)[...] = part.states
+    return costs
 
 
 def _run_forked(system, config, plan, op, shares: int, times: np.ndarray):
-    """Run group g in child process g % shares; (merged states, costs).
+    """Run each share in one forked worker; (merged states, costs).
 
-    Each child gets an anonymous shared (T, n) buffer for its partial
-    sum and a pipe for its costs; the parent sums buffer 1, 2, ... into
-    buffer 0 in share order and unmaps each as it is added.
+    Each share's partial sum goes into an anonymous shared (T, n) buffer,
+    not through a pipe; the parent sums buffer 1, 2, ... into buffer 0
+    in share order and unmaps each as it is added.
     """
     shape = (times.size, system.n)
     buffers = [mmap.mmap(-1, shape[0] * shape[1] * 8) for _ in range(shares)]
-    pids, reads, statuses = [], [], []
-    payloads = None
-    try:
-        for s in range(shares):
-            r, w = os.pipe()
-            reads.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve_share(
-                        w, reads, buffers[s], times,
-                        lambda: _run_groups(
-                            system, config, plan, op, range(s, plan.num_groups, shares)
-                        ),
-                    )
-                pids.append(pid)
-            finally:
-                os.close(w)
-        # A child's pickled step records can outgrow the pipe's buffer:
-        # drain every pipe before waiting for any child.
-        payloads = [open(r, "rb", closefd=False).read() for r in reads]
-    finally:
-        for r in reads:
-            os.close(r)
-        for pid in pids:
-            if payloads is None:
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-
+    job = (system, config, plan, op, shares, buffers)
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        shares, mp_context=fork, initializer=_start_worker, initargs=(job,)
+    ) as pool:
+        replies = list(pool.map(_run_share, range(shares)))
     costs: list = [None] * plan.num_groups
-    for s, (pid, status, data) in enumerate(zip(pids, statuses, payloads)):
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise RuntimeError(f"source group worker {s} (pid {pid}) exited with {code}")
-        reply = pickle.loads(data)
-        if isinstance(reply, BaseException):
-            raise reply
+    for s, reply in enumerate(replies):
         costs[s::shares] = reply
     states = np.frombuffer(buffers[0]).reshape(shape)
     for buffer in buffers[1:]:
@@ -274,7 +231,7 @@ def run_superposed(
     subtasks are in group index order. The merged wall_time is this
     call's elapsed time; each group's own time stays on its subtask.
 
-    With k = min(workers, groups) of 1, or where os.fork does not exist
+    With k = min(workers, groups) of 1, or where fork does not exist
     (it is POSIX-only), the groups run one after another in the calling
     process: each group's states take the running sum as soon as that
     group ends, so the call holds the merged waveform plus one group's
@@ -282,22 +239,23 @@ def run_superposed(
     rank), whatever the group count, and the merged bytes are those of
     zeros plus each group's states in group index order.
 
-    With k > 1 the operator is factored first and the groups run in k
-    forked child processes, which inherit the factors: group g runs in
-    child g % k, which sums its groups as above into a shared (T, n)
-    buffer and reports their costs through a pipe, or the exception
-    that stopped it, which is raised here. The calling process only
-    waits and merges: it adds the children's sums in child order, so
-    the merged states differ from the one-process sum by rounding,
-    though a rerun gives the same bytes; the counts, steps and times
-    do not differ. Each child holds its running sum, one group's
-    working set and pages shared copy-on-write with this process; this
-    process touches two buffers at a time while merging and keeps the
-    first as the merged states. Afterwards this process pays a minor
-    page fault on its first write to each page it shared with the
-    children: on a 10^4-node grid, about 7,000 faults, which slowed the
-    next build_system from 0.145 s to 0.197 s. Forked runs back to back
-    in one process pay this each time.
+    With k > 1 the operator is factored first and the groups run in a
+    pool of k forked worker processes, which inherit the factors: share
+    s, groups s, s + k, ..., runs in one worker, which sums its groups as
+    above into a shared (T, n) buffer and returns their costs. An
+    exception that stops a share is raised here; a worker that dies
+    raises BrokenProcessPool, a RuntimeError. The calling process only
+    waits and merges: it adds the shares' sums in share order, so the
+    merged states differ from the one-process sum by rounding, though a
+    rerun gives the same bytes; the counts, steps and times do not
+    differ. Each worker holds its running sum, one group's working set
+    and pages shared copy-on-write with this process; this process
+    touches two buffers at a time while merging and keeps the first as
+    the merged states. Afterwards this process pays a minor page fault
+    on its first write to each page it shared with the workers: on a
+    10^4-node grid, about 7,000 faults, which slowed the next
+    build_system from 0.145 s to 0.197 s. Forked runs back to back in
+    one process pay this each time.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")

@@ -141,7 +141,7 @@ class VariantOperator:
     pole's, None when it is at zero. The factors' solve_count tallies
     are plain counters for one thread and count the solves of their own
     process: a run sharing the operator reads its pairs as how much
-    pair_counts grew, and a forked child (decomp.run_superposed)
+    pair_counts grew, and a forked worker (decomp.run_superposed)
     reports the growth it saw, which the parent's tallies never show.
     """
 

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,22 @@ class TestBuildPlan:
         plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10, max_groups=1)
         assert plan.groups == [[0, 1, 2, 3, 4, 5]]
         np.testing.assert_array_equal(plan.group_lts[0], plan.gts)
+
+    def test_one_group_takes_no_fold(self, monkeypatch):
+        # Folding compares the smallest group with every other, which is
+        # quadratic in the groups; one group is every source and every
+        # spot, so planning it compares nothing.
+        sources = [netlist.Pwl(((0.0, 0.0), ((i + 1) * 1e-12, 1.0))) for i in range(1000)]
+        spots = [w.transition_times(0.0, 1e-8) for w in sources]
+
+        def no_fold(*args, **kwargs):
+            raise AssertionError("one group is not folded pair by pair")
+
+        monkeypatch.setattr(np, "setdiff1d", no_fold)
+        plan = decomp.build_plan(sources, 0.0, 1e-8, max_groups=1)
+        assert plan.groups == [list(range(1000))]
+        np.testing.assert_array_equal(plan.group_lts[0], np.unique(np.concatenate(spots)))
+        np.testing.assert_array_equal(plan.gts, plan.group_lts[0])
 
     def test_determinism(self, mixed_system):
         a = decomp.build_plan(mixed_system.sources, 0.0, 4e-10, max_groups=3)
@@ -256,7 +273,7 @@ class TestRunSuperposed:
 
 
 class TestWorkers:
-    """Groups run in forked child processes when workers > 1."""
+    """Groups run in a pool of forked worker processes when workers > 1."""
 
     @staticmethod
     def counts(cost):
@@ -294,9 +311,8 @@ class TestWorkers:
         assert a.merged.times.tobytes() == b.merged.times.tobytes()
 
     def test_costs_that_outgrow_a_pipe_buffer(self, ladder_system):
-        # Each child's pickled step records outgrow a 64 KiB pipe buffer,
-        # so a child can end only once the parent reads its pipe: the
-        # parent drains every pipe before it waits for a child.
+        # Each share's pickled step records outgrow a 64 KiB pipe buffer,
+        # and still come back whole.
         cfg = stepper.SolverConfig(e_tol=1e-8, t_stop=6e-8)
         forked = decomp.run_superposed(ladder_system, cfg, workers=2)
         assert forked.workers == 2
@@ -359,7 +375,38 @@ class TestWorkers:
 
         monkeypatch.setattr(stepper, "solve_transient", dying)
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-        with pytest.raises(RuntimeError, match="worker 1 .* exited with 3"):
+        # the pool's BrokenProcessPool, a RuntimeError
+        with pytest.raises(RuntimeError, match="terminated abruptly"):
             decomp.run_superposed(mixed_system, cfg, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_error_that_cannot_be_pickled(self, mixed_system, monkeypatch):
+        solve = stepper.solve_transient
+
+        def failing(system, config, **kwargs):
+            if system.source_names == mixed_system.subsystem([5]).source_names:
+                error = NumericalError("odd")
+                error.lock = threading.Lock()
+                raise error
+            return solve(system, config, **kwargs)
+
+        monkeypatch.setattr(stepper, "solve_transient", failing)
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        # the caller gets the error that stopped the reply instead
+        with pytest.raises(TypeError, match="cannot pickle"):
+            decomp.run_superposed(mixed_system, cfg, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_run_leaves_no_thread_and_no_child(self, mixed_system):
+        # A thread left running would make every later fork a fork from
+        # a process with threads.
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        threads = threading.enumerate()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert decomp.run_superposed(mixed_system, cfg, workers=2).workers == 2
+        assert threading.enumerate() == threads
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
