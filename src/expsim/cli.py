@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--groups",
         type=int,
-        help="max source groups for superposition; exponential methods only "
+        help="max source groups for superposition: one per distinct spot-time "
+        "set, or one group if there are more; exponential methods only "
         f"(default 1, or {decomp.MAX_GROUPS_DEFAULT} with --workers above 1)",
     )
     p_sim.add_argument(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import expsim as es
 from expsim import cli, decomp, meshgen, stepper
 from expsim.errors import NumericalError
-from conftest import TWO_SOURCE_NETLIST, read_waveform_csv
+from conftest import MIXED_NETLIST, TWO_SOURCE_NETLIST, read_waveform_csv
 
 def _exit(*argv):
     """The command line as its entry point runs it: the code leaves as SystemExit."""
@@ -210,6 +210,19 @@ class TestSimulate:
         assert rc == 0
         diag = json.loads(diag_path.read_text())
         assert diag["groups"] == groups and diag["workers"] == groups
+
+    def test_groups_over_the_cap_run_in_this_process(self, tmp_path):
+        # four spot sets over --groups 2: one group, which one worker runs
+        path = tmp_path / "mixed.sp"
+        path.write_text(MIXED_NETLIST)
+        diag_path = tmp_path / "diag.json"
+        rc = cli.main(
+            ["simulate", str(path), "--groups", "2", "--workers", "2",
+             "--out", str(tmp_path / "wave.csv"), "--diag", str(diag_path)]
+        )
+        assert rc == 0
+        diag = json.loads(diag_path.read_text())
+        assert diag["groups"] == 1 and diag["workers"] == 1
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path, workers):

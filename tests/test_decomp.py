@@ -100,39 +100,40 @@ class TestBuildPlan:
             plan.gts, stepper.active_transitions(ladder_system, 0.0, 4e-10)
         )
 
-    def test_folding_respects_max_groups(self):
+    def test_over_the_cap_is_one_group(self):
         sources = [
             netlist.Pulse(0, 1, 1.0e-9, 1e-10, 1e-10, 1e-10, 1e-8),
             netlist.Pulse(0, 1, 1.1e-9, 1e-10, 1e-10, 1e-10, 1e-8),
             netlist.Pulse(0, 1, 9.0e-9, 1e-10, 1e-10, 1e-10, 1e-8),
         ]
+        spots = [w.transition_times(0.0, 1e-8) for w in sources]
+        # three spot sets over a cap of two: one group of every source
         plan = decomp.build_plan(sources, 0.0, 1e-8, max_groups=2)
-        # source 0 adds one new spot to source 1's group and four to
-        # the outlier's, so it folds into source 1's
-        assert plan.groups == [[0, 1], [2]]
-        lts01 = np.union1d(
-            sources[0].transition_times(0.0, 1e-8),
-            sources[1].transition_times(0.0, 1e-8),
-        )
-        np.testing.assert_array_equal(plan.group_lts[0], lts01)
+        assert plan.groups == [[0, 1, 2]]
+        np.testing.assert_array_equal(plan.group_lts[0], plan.gts)
+        np.testing.assert_array_equal(plan.group_lts[0], np.unique(np.concatenate(spots)))
+        plan = decomp.build_plan(sources, 0.0, 1e-8, max_groups=3)
+        assert plan.groups == [[0], [1], [2]]
 
     def test_folding_to_one_group(self, mixed_system):
         plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10, max_groups=1)
         assert plan.groups == [[0, 1, 2, 3, 4, 5]]
         np.testing.assert_array_equal(plan.group_lts[0], plan.gts)
 
-    def test_one_group_takes_no_fold(self, monkeypatch):
-        # Folding compares the smallest group with every other, which is
-        # quadratic in the groups; one group is every source and every
-        # spot, so planning it compares nothing.
+    @pytest.mark.parametrize("max_groups", [1, 2, 8, 100])
+    def test_one_group_takes_no_fold(self, monkeypatch, max_groups):
+        # 1,000 distinct spot sets over any cap plan as one group of
+        # every source and every spot, in one pass over the sources: no
+        # group is compared with another.
         sources = [netlist.Pwl(((0.0, 0.0), ((i + 1) * 1e-12, 1.0))) for i in range(1000)]
         spots = [w.transition_times(0.0, 1e-8) for w in sources]
 
         def no_fold(*args, **kwargs):
-            raise AssertionError("one group is not folded pair by pair")
+            raise AssertionError("groups are not compared pair by pair")
 
         monkeypatch.setattr(np, "setdiff1d", no_fold)
-        plan = decomp.build_plan(sources, 0.0, 1e-8, max_groups=1)
+        monkeypatch.setattr(np, "union1d", no_fold)
+        plan = decomp.build_plan(sources, 0.0, 1e-8, max_groups=max_groups)
         assert plan.groups == [list(range(1000))]
         np.testing.assert_array_equal(plan.group_lts[0], np.unique(np.concatenate(spots)))
         np.testing.assert_array_equal(plan.gts, plan.group_lts[0])
@@ -240,6 +241,14 @@ class TestRunSuperposed:
         states = sup.merged.states.nbytes
         assert peaks[1] <= 2.0 * states
         assert peaks[8] <= 3.2 * states
+
+    def test_over_the_cap_runs_as_one_group(self, mixed_system):
+        # four spot sets over a cap of three: the run is the one-group run
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        sup = decomp.run_superposed(mixed_system, cfg, max_groups=3)
+        one = decomp.run_superposed(mixed_system, cfg, max_groups=1)
+        assert sup.plan.groups == [[0, 1, 2, 3, 4, 5]]
+        assert sup.merged.states.tobytes() == one.merged.states.tobytes()
 
     def test_single_source_is_undecomposed(self, singular_c_system):
         cfg = stepper.SolverConfig(method="imatex", e_tol=1e-8)
