@@ -380,14 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--groups",
         type=int,
         help="max source groups for superposition: one per distinct spot-time "
-        "set, or one group if there are more; exponential methods only "
+        "set, or one group if there are more; forked runs pack them into one "
+        "group per worker; exponential methods only "
         f"(default 1, or {decomp.MAX_GROUPS_DEFAULT} with --workers above 1)",
     )
     p_sim.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="processes that run the source groups once the operator is factored "
+        help="processes that run the source groups once the operator is factored, "
+        "each one group packed from the spot sets "
         "(POSIX fork; default 1, in this process)",
     )
     p_sim.add_argument("--out", default="-", help="CSV output path (default stdout)")

@@ -33,12 +33,17 @@ Once the operator is factored the groups share nothing, so with
 workers > 1 they run in a pool of forked worker processes (POSIX only;
 where fork does not exist, and for one group or one worker, they run one
 after another in the calling process). The workers inherit the factors
-instead of receiving a copy. With k workers the groups are dealt into k
-shares, share s being groups s, s + k, ...; each share runs in one
-worker, which sums its groups into a shared (T, n) buffer and returns
-their costs; the parent adds the buffers in share order. In one process
-a run holds the merged waveform plus one group's working set whatever
-the group count; forked, each worker holds that, and the parent holds
+instead of receiving a copy. With k workers and more than k spot-set
+groups, the groups are first packed into k bins, greedily in the spirit
+of LPT scheduling: spot sets largest first, each into the bin whose
+union of spots grows to the smallest size. Each bin runs as one group,
+the union of its members' sources with the union of their spot sets as
+its local spots, so every worker steps the global spots once instead of
+once per group it holds. Each group runs in one worker, which writes
+its states into a shared (T, n) buffer and returns its cost; the parent
+adds the buffers in group order. In one process a run holds the merged
+waveform plus one group's working set whatever the group count;
+forked, each worker holds one group's working set, and the parent holds
 the buffers, touching two at a time while it merges.
 
 A known limit: Python 3.12 and later warn (DeprecationWarning) on a
@@ -113,10 +118,11 @@ class SuperposedResult:
     """Merged waveform plus each group's cost accounting, not its states.
 
     workers is the number of processes that ran the groups, 1 when they
-    ran in the calling process; share s, groups s, s + workers, ..., ran
-    in one process. The groups share no data once the operator is
-    factored, so the share that made the most substitution pairs is the
-    critical path, as in the paper's distributed runs.
+    ran in the calling process; above 1, each group ran in a process of
+    its own. The groups share no data once the operator is factored, so
+    the group that made the most substitution pairs is then the critical
+    path, as in the paper's distributed runs; in one process it is every
+    group's pairs.
     """
 
     merged: stepper.WaveformResult
@@ -127,10 +133,29 @@ class SuperposedResult:
     @property
     def critical_path_pairs(self) -> int:
         """Substitution pairs of the process that made the most."""
-        return max(
-            sum(r.substitution_pairs for r in self.subtasks[s :: self.workers])
-            for s in range(self.workers)
-        )
+        pairs = [r.substitution_pairs for r in self.subtasks]
+        return max(pairs) if self.workers > 1 else sum(pairs)
+
+
+def _pack(plan: TransitionPlan, k: int) -> TransitionPlan:
+    """Pack the plan's groups, more than k, into k groups; same gts.
+
+    Spot sets go largest first (ties to the lower index) into the bin
+    whose union of spots grows to the smallest size (ties to the lower
+    bin). No bin stays empty, since the plan's spot sets are distinct.
+    """
+    members: list[list[int]] = [[] for _ in range(k)]
+    spots: list[set[float]] = [set() for _ in range(k)]
+    for g in sorted(range(plan.num_groups), key=lambda g: -plan.group_lts[g].size):
+        lts = set(plan.group_lts[g].tolist())
+        b = min(range(k), key=lambda b: len(spots[b]) + len(lts - spots[b]))
+        members[b] += plan.groups[g]
+        spots[b] |= lts
+    return TransitionPlan(
+        groups=[sorted(m) for m in members],
+        group_lts=[np.array(sorted(s)) for s in spots],
+        gts=plan.gts,
+    )
 
 
 def _run_groups(system, config, plan, op, indices):
@@ -154,7 +179,7 @@ def _run_groups(system, config, plan, op, indices):
     return merged, costs
 
 
-# The job of _run_forked: (system, config, plan, op, shares, buffers).
+# The job of _run_forked: (system, config, plan, op, buffers).
 # Set only in the pool's worker processes, by _start_worker, which the
 # fork start method hands it as is: SuperLU factors cannot be serialized.
 _job = None
@@ -165,34 +190,31 @@ def _start_worker(job):
     _job = job
 
 
-def _run_share(s):
-    """Worker side of _run_forked: sum share s into buffer s; its costs."""
-    system, config, plan, op, shares, buffers = _job
-    part, costs = _run_groups(system, config, plan, op, range(s, plan.num_groups, shares))
-    np.frombuffer(buffers[s]).reshape(part.states.shape)[...] = part.states
-    return costs
+def _run_group(g):
+    """Worker side of _run_forked: run group g into buffer g; its cost."""
+    system, config, plan, op, buffers = _job
+    run, (cost,) = _run_groups(system, config, plan, op, [g])
+    np.frombuffer(buffers[g]).reshape(run.states.shape)[...] = run.states
+    return cost
 
 
-def _run_forked(system, config, plan, op, shares: int, times: np.ndarray):
-    """Run each share in one forked worker; (merged states, costs).
+def _run_forked(system, config, plan, op, times: np.ndarray):
+    """Run each group in its own forked worker; (merged states, costs).
 
-    Each share's partial sum goes into an anonymous shared (T, n) buffer,
-    not through a pipe; the parent sums buffer 1, 2, ... into buffer 0
-    in share order and unmaps each as it is added. Returning each sum
-    through pool.map instead raised the benchmark's grid10k-groups peak
-    RSS (seed 1, 2 vCPU) from 140-142 MB to 161 MB.
+    Each group's states go into an anonymous shared (T, n) buffer, not
+    through a pipe; the parent sums buffer 1, 2, ... into buffer 0 in
+    group order and unmaps each as it is added. Returning each group's
+    states through pool.map instead raised the benchmark's
+    grid10k-groups peak RSS (seed 1, 2 vCPU) from 140-142 MB to 161 MB.
     """
     shape = (times.size, system.n)
-    buffers = [mmap.mmap(-1, shape[0] * shape[1] * 8) for _ in range(shares)]
-    job = (system, config, plan, op, shares, buffers)
+    buffers = [mmap.mmap(-1, shape[0] * shape[1] * 8) for _ in plan.groups]
+    job = (system, config, plan, op, buffers)
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
-        shares, mp_context=fork, initializer=_start_worker, initargs=(job,)
+        plan.num_groups, mp_context=fork, initializer=_start_worker, initargs=(job,)
     ) as pool:
-        replies = list(pool.map(_run_share, range(shares)))
-    costs: list = [None] * plan.num_groups
-    for s, reply in enumerate(replies):
-        costs[s::shares] = reply
+        costs = list(pool.map(_run_group, range(plan.num_groups)))
     states = np.frombuffer(buffers[0]).reshape(shape)
     for buffer in buffers[1:]:
         states += np.frombuffer(buffer).reshape(shape)
@@ -230,19 +252,21 @@ def run_superposed(
     rank), whatever the group count, and the merged bytes are those of
     zeros plus each group's states in group index order.
 
-    With k > 1 the operator is factored first and the groups run in a
-    pool of k forked worker processes, which inherit the factors: share
-    s, groups s, s + k, ..., runs in one worker, which sums its groups as
-    above into a shared (T, n) buffer and returns their costs. An
-    exception that stops a share is raised here; a worker that dies
+    With k > 1 and more groups than k, the groups are first packed into
+    k (see the module docstring), and the returned plan is the packed
+    one; its gts, and so the sampling, do not change. The operator is
+    factored and the groups run in a pool of k forked worker processes,
+    which inherit the factors: each group runs in one worker, which
+    writes its states into a shared (T, n) buffer and returns its cost.
+    An exception that stops a group is raised here; a worker that dies
     raises BrokenProcessPool, a RuntimeError. The calling process only
-    waits and merges: it adds the shares' sums in share order, so the
-    merged states differ from the one-process sum by rounding, though a
-    rerun gives the same bytes; the counts, steps and times do not
-    differ. Each worker holds its running sum, one group's working set
-    and pages shared copy-on-write with this process; this process
-    touches two buffers at a time while merging and keeps the first as
-    the merged states. Afterwards this process pays a minor page fault
+    waits and merges: it adds the groups' states in group order, so the
+    merged states differ from the one-process sum of the same plan by
+    rounding, though a rerun gives the same bytes; the counts, steps and
+    times do not differ. Each worker holds one group's working set and
+    pages shared copy-on-write with this process; this process touches
+    two buffers at a time while merging and keeps the first as the
+    merged states. Afterwards this process pays a minor page fault
     on its first write to each page it shared with the workers: on a
     10^4-node grid, about 7,000 faults, which slowed the next
     build_system from 0.145 s to 0.197 s. Forked runs back to back in
@@ -261,14 +285,16 @@ def run_superposed(
     plan = build_plan(
         system.sources, t0, t1, max_groups=1 if fixed_step else max_groups
     )
+    k = min(workers, plan.num_groups) if forks else 1
+    if 1 < k < plan.num_groups:
+        plan = _pack(plan, k)
     times = stepper.stepping_points(t0, t1, plan.gts)
     op = None if fixed_step else stepper.factor_matex(system, config, times)
 
-    shares = min(workers, plan.num_groups) if forks else 1
-    if shares == 1:
+    if k == 1:
         merged, subtasks = _run_groups(system, config, plan, op, range(plan.num_groups))
     else:
-        states, subtasks = _run_forked(system, config, plan, op, shares, times)
+        states, subtasks = _run_forked(system, config, plan, op, times)
         merged = stepper.WaveformResult(
             times=times, states=states, names=list(system.names),
             method=config.method, gamma=op.gamma,
@@ -277,5 +303,5 @@ def run_superposed(
     shared = stepper.RunCost(factorizations=0 if op is None else len(op.factors()))
     cost = vars(sum(subtasks, shared)) | {"wall_time": time.perf_counter() - t_begin}
     return SuperposedResult(
-        merged=replace(merged, **cost), subtasks=subtasks, plan=plan, workers=shares
+        merged=replace(merged, **cost), subtasks=subtasks, plan=plan, workers=k
     )

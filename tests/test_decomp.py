@@ -3,7 +3,9 @@
 import os
 import pickle
 import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -150,6 +152,89 @@ class TestBuildPlan:
             decomp.build_plan(mixed_system.sources, 0.0, 4e-10, max_groups=0)
 
 
+class TestPack:
+    """A forked run packs the spot-set groups into one group per worker."""
+
+    SPAN = (0.0, 2e-9)
+
+    @pytest.fixture
+    def sources(self):
+        # Nine pulse trains with distinct, overlapping spot sets of
+        # several sizes, plus one DC source with none.
+        trains = [
+            netlist.Pulse(0, 1, d * 1e-11, 1e-11, 1e-11, w * 1e-11, p * 1e-11)
+            for d, w, p in [(1, 3, 20), (1, 3, 40), (5, 3, 20), (5, 8, 60), (2, 2, 30),
+                            (9, 4, 50), (3, 3, 20), (7, 1, 100), (4, 6, 25)]
+        ]
+        return [*trains, netlist.Dc(1.0)]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bins_partition_the_sources(self, sources, k):
+        plan = decomp.build_plan(sources, *self.SPAN)
+        assert plan.num_groups == 10
+        packed = decomp._pack(plan, k)
+        assert sorted(i for g in packed.groups for i in g) == list(range(len(sources)))
+        assert all(g == sorted(g) for g in packed.groups)
+        assert packed.num_groups <= k
+        assert all(packed.groups)
+        np.testing.assert_array_equal(packed.gts, plan.gts)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bin_spots_are_the_member_union(self, sources, k):
+        packed = decomp._pack(decomp.build_plan(sources, *self.SPAN), k)
+        for g, lts in zip(packed.groups, packed.group_lts):
+            spots = [sources[i].transition_times(*self.SPAN) for i in g]
+            np.testing.assert_array_equal(lts, np.unique(np.concatenate(spots)))
+
+    def test_reruns_give_the_same_plan(self, sources):
+        a, b = (decomp._pack(decomp.build_plan(sources, *self.SPAN), 3) for _ in range(2))
+        assert a.groups == b.groups
+        for x, y in zip(a.group_lts, b.group_lts):
+            assert x.tobytes() == y.tobytes()
+
+    def test_largest_first_into_the_smallest_union(self, mixed_system):
+        # Spot sets [0, 1] and [2] have 8 spots each, [3, 4] has 3 and
+        # [5] none. [2] would grow [0, 1]'s bin to 12 spots, so it opens
+        # the second bin; [3, 4] grows that one to 10, not the first to
+        # 11; [5] adds none, so it goes to the smaller bin.
+        plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10)
+        assert plan.groups == [[0, 1], [2], [3, 4], [5]]
+        assert decomp._pack(plan, 2).groups == [[0, 1, 5], [2, 3, 4]]
+        assert decomp._pack(plan, 3).groups == [[0, 1], [2], [3, 4, 5]]
+
+    @pytest.mark.parametrize("workers", [4, 5])
+    def test_no_packing_when_the_sets_fit(self, mixed_system, workers):
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        run = decomp.run_superposed(mixed_system, cfg, workers=workers)
+        plan = decomp.build_plan(mixed_system.sources, 0.0, 4e-10)
+        assert run.workers == 4
+        assert run.plan.groups == plan.groups
+        for x, y in zip(run.plan.group_lts, plan.group_lts):
+            assert x.tobytes() == y.tobytes()
+
+    def test_packing_is_linear(self):
+        # 1,000 distinct spot sets into two bins: a few milliseconds,
+        # where the deleted pairwise fold took 8-9 s on this plan.
+        sources = [netlist.Pwl(((0.0, 0.0), ((i + 1) * 1e-12, 1.0))) for i in range(1000)]
+        plan = decomp.build_plan(sources, 0.0, 1e-8, max_groups=1000)
+        assert plan.num_groups == 1000
+        t0 = time.perf_counter()
+        packed = decomp._pack(plan, 2)
+        assert time.perf_counter() - t0 < 0.1
+        assert [len(g) for g in packed.groups] == [500, 500]
+
+    def test_two_workers_shorten_the_critical_path(self, mixed_system):
+        # ROADMAP item 8's gate: with four spot sets, two forked workers
+        # have a shorter critical path than one group in one process
+        # (60 against 88 pairs when measured).
+        cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        one = decomp.run_superposed(mixed_system, cfg, max_groups=1)
+        two = decomp.run_superposed(mixed_system, cfg, workers=2)
+        assert two.workers == 2
+        assert two.plan.gts.tobytes() == one.plan.gts.tobytes()
+        assert two.critical_path_pairs < one.merged.substitution_pairs
+
+
 class TestRunSuperposed:
     def test_tr_superposition_is_exact(self, mixed_system):
         cfg = stepper.SolverConfig(method="tr", h=2e-12)
@@ -289,13 +374,21 @@ class TestWorkers:
         return (cost.g_pairs, cost.c_pairs, cost.shift_pairs, cost.drive_rank,
                 cost.factorizations, cost.steps)
 
+    @staticmethod
+    def in_process(system, cfg, plan):
+        """The one-process run of plan's groups, summed in group order."""
+        with mock.patch.object(decomp, "build_plan", return_value=plan):
+            return decomp.run_superposed(system, cfg)
+
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_matches_one_process(self, mixed_system, workers):
+        # Four spot sets on k = min(workers, 4) workers: packed into k
+        # groups, one per worker.
         cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-        serial = decomp.run_superposed(mixed_system, cfg)
         forked = decomp.run_superposed(mixed_system, cfg, workers=workers)
+        serial = self.in_process(mixed_system, cfg, forked.plan)
         assert serial.workers == 1
-        assert forked.plan.num_groups == 4
+        assert forked.plan.num_groups == min(workers, 4)
         assert forked.workers == min(workers, 4)
         assert [self.counts(r) for r in forked.subtasks] == [
             self.counts(r) for r in serial.subtasks
@@ -305,9 +398,8 @@ class TestWorkers:
         assert forked.merged.gamma == serial.merged.gamma
         assert forked.merged.names == serial.merged.names
         assert forked.merged.times.tobytes() == serial.merged.times.tobytes()
-        # The children's partial sums are added in child order, so the
-        # merge differs from zeros + each group in index order only by
-        # rounding.
+        # The children's states are added in group order, so the merge
+        # differs from zeros + each group in index order only by rounding.
         scale = np.abs(serial.merged.states).max()
         np.testing.assert_allclose(
             forked.merged.states, serial.merged.states, rtol=1e-13, atol=1e-15 * scale
@@ -351,7 +443,9 @@ class TestWorkers:
         two = decomp.run_superposed(mixed_system, cfg, workers=2)
         pairs = [r.substitution_pairs for r in two.subtasks]
         assert one.critical_path_pairs == one.merged.substitution_pairs
-        assert two.critical_path_pairs == max(pairs[0] + pairs[2], pairs[1] + pairs[3])
+        # one packed group per worker
+        assert len(pairs) == two.workers == 2
+        assert two.critical_path_pairs == max(pairs)
 
     @pytest.mark.parametrize(
         "error", [NoConvergence("no basis met the budget", m=7, estimate=0.5),
@@ -361,7 +455,7 @@ class TestWorkers:
         solve = stepper.solve_transient
 
         def failing(system, config, **kwargs):
-            if system.source_names == mixed_system.subsystem([2]).source_names:
+            if mixed_system.source_names[2] in system.source_names:
                 raise error
             return solve(system, config, **kwargs)
 
@@ -378,7 +472,7 @@ class TestWorkers:
         solve = stepper.solve_transient
 
         def dying(system, config, **kwargs):
-            if system.source_names == mixed_system.subsystem([5]).source_names:
+            if mixed_system.source_names[5] in system.source_names:
                 os._exit(3)
             return solve(system, config, **kwargs)
 
@@ -394,7 +488,7 @@ class TestWorkers:
         solve = stepper.solve_transient
 
         def failing(system, config, **kwargs):
-            if system.source_names == mixed_system.subsystem([5]).source_names:
+            if mixed_system.source_names[5] in system.source_names:
                 error = NumericalError("odd")
                 error.lock = threading.Lock()
                 raise error

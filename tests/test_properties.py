@@ -13,6 +13,7 @@ import bisect
 import math
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -465,14 +466,16 @@ def test_tr_runs_of_the_groups_sum_to_the_whole_run(case):
 def test_forked_groups_match_one_process(case):
     system = es.build_system(case[0])
     config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-    serial = decomp.run_superposed(system, config)
-    assume(serial.plan.num_groups > 1)
+    assume(decomp.run_superposed(system, config).plan.num_groups > 1)
     forked = decomp.run_superposed(system, config, workers=2)
-    assert forked.workers == 2
+    assert forked.workers == forked.plan.num_groups == 2
+    # the one-process sum of the same packed plan's groups
+    with mock.patch.object(decomp, "build_plan", return_value=forked.plan):
+        serial = decomp.run_superposed(system, config)
     assert forked.merged.times.tobytes() == serial.merged.times.tobytes()
     assert run_costs(forked.merged) == run_costs(serial.merged)
     assert [run_costs(r) for r in forked.subtasks] == [run_costs(r) for r in serial.subtasks]
-    # The children's sums are added in child order: the same up to rounding.
+    # The children's states are added in group order: the same up to rounding.
     scale = np.abs(serial.merged.states).max()
     assert np.abs(forked.merged.states - serial.merged.states).max() <= 1e-13 * scale
     with pytest.raises(ChildProcessError):  # every child was reaped
