@@ -49,7 +49,7 @@ def main():
     print_steps(run)
     print(f"total substitution pairs: {run.substitution_pairs}\n")
 
-    sup = decomp.run_superposed(system, config)
+    sup = decomp.run_superposed(system, config, max_groups=system.num_sources)
     print(f"decomposed into {sup.plan.num_groups} groups "
           f"{sup.plan.groups}; per-subtask steps:")
     for g, sub in enumerate(sup.subtasks):

@@ -22,7 +22,7 @@ def main():
     system = es.build_system(mesh.text)
     config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
 
-    sup = decomp.run_superposed(system, config)
+    sup = decomp.run_superposed(system, config, max_groups=system.num_sources)
     plan = sup.plan
     print(f"{system.num_sources} sources -> {plan.num_groups} groups: {plan.groups}")
     for g in range(plan.num_groups):

@@ -380,20 +380,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--groups",
         type=int,
         help="max source groups for superposition: one per distinct spot-time "
-        "set, or one group if there are more; forked runs pack them into one "
-        "group per worker; exponential methods only "
-        f"(default 1, or {decomp.MAX_GROUPS_DEFAULT} with --workers above 1)",
+        "set, packed into this many if there are more; at most --workers when "
+        "that is above 1; exponential methods only (default one per worker)",
     )
     p_sim.add_argument(
         "--workers",
         type=int,
         default=1,
         help="processes that run the source groups once the operator is factored, "
-        "each one group packed from the spot sets "
-        "(POSIX fork; default 1, in this process)",
+        "one group each (POSIX fork; default 1, in this process)",
     )
     p_sim.add_argument("--out", default="-", help="CSV output path (default stdout)")
-    p_sim.add_argument("--diag", help="JSON diagnostics output path (- for stdout)")
+    p_sim.add_argument(
+        "--diag", help="JSON diagnostics output path (- for stdout, with --out a file)"
+    )
     p_sim.set_defaults(func=cmd_simulate)
 
     # No abbreviations: --solver would otherwise be read as --solvers.
@@ -427,6 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate" and args.out == args.diag == "-":
+        parser.error("--out and --diag cannot both be - (stdout)")
     try:
         return args.func(args)
     except NetlistError as exc:

@@ -8,10 +8,11 @@ sources changes slope (the group's local spot times); at every other
 global spot it rides a reused basis, which costs no substitution pair
 beyond a once-per-basis error-estimate solve. Sources are therefore
 grouped by their exact spot-time sets, so a group never rebuilds for a
-member that does not change slope. A plan with more spot sets than
-its cap (max_groups) is one group instead, which grows a fresh basis
-at every global spot. The groups share C and G, so the matrices are
-factored once per superposed run, not once per group.
+member that does not change slope. A plan has at most max_groups
+groups: with more spot sets than that, the sets are packed into
+max_groups groups (see build_plan), each of which grows a fresh basis
+at every spot of its members. The groups share C and G, so the
+matrices are factored once per superposed run, not once per group.
 
 Vocabulary used throughout: the local transition set of a group is the
 union of its members' slope-change times; the global set is the union
@@ -33,18 +34,16 @@ Once the operator is factored the groups share nothing, so with
 workers > 1 they run in a pool of forked worker processes (POSIX only;
 where fork does not exist, and for one group or one worker, they run one
 after another in the calling process). The workers inherit the factors
-instead of receiving a copy. With k workers and more than k spot-set
-groups, the groups are first packed into k bins, greedily in the spirit
-of LPT scheduling: spot sets largest first, each into the bin whose
-union of spots grows to the smallest size. Each bin runs as one group,
-the union of its members' sources with the union of their spot sets as
-its local spots, so every worker steps the global spots once instead of
-once per group it holds. Each group runs in one worker, which writes
-its states into a shared (T, n) buffer and returns its cost; the parent
-adds the buffers in group order. In one process a run holds the merged
-waveform plus one group's working set whatever the group count;
-forked, each worker holds one group's working set, and the parent holds
-the buffers, touching two at a time while it merges.
+instead of receiving a copy. Every group steps every global spot, so in
+one process more groups only add work, and a forked run gains from at
+most one group per worker: run_superposed's cap defaults to one group
+per worker, and a forked run never plans more groups than workers.
+Each group runs in one worker, which writes its states into a shared
+(T, n) buffer and returns its cost; the parent adds the buffers in
+group order. In one process a run holds the merged waveform plus one
+group's working set whatever the group count; forked, each worker holds
+one group's working set, and the parent holds the buffers, touching two
+at a time while it merges.
 
 A known limit: Python 3.12 and later warn (DeprecationWarning) on a
 fork in a process that has more than one thread, and numpy's OpenBLAS
@@ -67,8 +66,6 @@ import numpy as np
 
 from . import netlist, stepper
 
-MAX_GROUPS_DEFAULT = 100
-
 
 @dataclass
 class TransitionPlan:
@@ -87,14 +84,19 @@ def build_plan(
     sources: list[netlist.Waveform],
     t_start: float,
     t_stop: float,
-    max_groups: int = MAX_GROUPS_DEFAULT,
+    max_groups: int,
 ) -> TransitionPlan:
-    """Group sources by spot-time set and derive the spot-time sets.
+    """Group sources by spot-time set into at most max_groups groups.
 
-    Sources with identical spot times in the span share a group, at no
-    extra fresh bases. If that makes more than max_groups groups, the
-    plan is one group of every source instead, whose local spot times
-    are the union of all of them.
+    Sources with identical spot times in the span share a spot set. With
+    at most max_groups sets, each set is one group, in order of first
+    appearance, at no extra fresh bases. With more, the sets are packed
+    into max_groups groups, greedily in the spirit of LPT scheduling:
+    largest set first (ties to the lower index), each into the group
+    whose union of spots grows to the smallest size (ties to the lower
+    group). A packed group's local spots are the union of its members'
+    sets, and no group stays empty, since the sets are distinct. gts,
+    the union of every set, does not depend on max_groups.
     """
     if max_groups < 1:
         raise ValueError("max_groups must be at least 1")
@@ -105,11 +107,17 @@ def build_plan(
         by_spots.setdefault(tuple(lts.tolist()), []).append(i)
     groups = list(by_spots.values())
     group_lts = [source_lts[g[0]] for g in groups]
-    if len(groups) > max_groups:
-        groups = [list(range(len(sources)))]
-        group_lts = [np.unique(np.concatenate(group_lts))]
-
     gts = np.unique(np.concatenate([np.empty(0), *group_lts]))
+    if len(groups) > max_groups:
+        members: list[list[int]] = [[] for _ in range(max_groups)]
+        spots: list[set[float]] = [set() for _ in range(max_groups)]
+        for g in sorted(range(len(groups)), key=lambda g: -group_lts[g].size):
+            lts = set(group_lts[g].tolist())
+            b = min(range(max_groups), key=lambda b: len(spots[b]) + len(lts - spots[b]))
+            members[b] += groups[g]
+            spots[b] |= lts
+        groups = [sorted(m) for m in members]
+        group_lts = [np.array(sorted(s)) for s in spots]
     return TransitionPlan(groups=groups, group_lts=group_lts, gts=gts)
 
 
@@ -135,27 +143,6 @@ class SuperposedResult:
         """Substitution pairs of the process that made the most."""
         pairs = [r.substitution_pairs for r in self.subtasks]
         return max(pairs) if self.workers > 1 else sum(pairs)
-
-
-def _pack(plan: TransitionPlan, k: int) -> TransitionPlan:
-    """Pack the plan's groups, more than k, into k groups; same gts.
-
-    Spot sets go largest first (ties to the lower index) into the bin
-    whose union of spots grows to the smallest size (ties to the lower
-    bin). No bin stays empty, since the plan's spot sets are distinct.
-    """
-    members: list[list[int]] = [[] for _ in range(k)]
-    spots: list[set[float]] = [set() for _ in range(k)]
-    for g in sorted(range(plan.num_groups), key=lambda g: -plan.group_lts[g].size):
-        lts = set(plan.group_lts[g].tolist())
-        b = min(range(k), key=lambda b: len(spots[b]) + len(lts - spots[b]))
-        members[b] += plan.groups[g]
-        spots[b] |= lts
-    return TransitionPlan(
-        groups=[sorted(m) for m in members],
-        group_lts=[np.array(sorted(s)) for s in spots],
-        gts=plan.gts,
-    )
 
 
 def _run_groups(system, config, plan, op, indices):
@@ -226,68 +213,64 @@ def run_superposed(
     system: netlist.CircuitSystem,
     config: stepper.SolverConfig,
     workers: int = 1,
-    max_groups: int | None = MAX_GROUPS_DEFAULT,
+    max_groups: int | None = None,
 ) -> SuperposedResult:
     """Solve per source group and sum the responses.
 
     Each group runs the configured solver on its subsystem, so it
     carries its own share of the operating point; with one group this
-    is literally the undecomposed solve. tr and be always run as one
-    group. The exponential methods factor the whole circuit's operator
-    once here and every group steps with it: the merged factorizations
-    are that operator's, each subtask reports 0 factorizations and the
-    substitution pairs it added. workers must be at least 1, and so must
-    max_groups unless it is None: then it is 1 where the groups would
-    run in the calling process, since grouping there only adds work,
-    and MAX_GROUPS_DEFAULT where they run in forked processes. The
+    is literally the undecomposed solve. The exponential methods factor
+    the whole circuit's operator once here and every group steps with
+    it: the merged factorizations are that operator's, each subtask
+    reports 0 factorizations and the substitution pairs it added. The
     merged drive_rank, like every count, is the groups' sum, and
     subtasks are in group index order. The merged wall_time is this
     call's elapsed time; each group's own time stays on its subtask.
 
-    With k = min(workers, groups) of 1, or where fork does not exist
-    (it is POSIX-only), the groups run one after another in the calling
-    process: each group's states take the running sum as soon as that
-    group ends, so the call holds the merged waveform plus one group's
-    working set, its states and n x r input-term blocks (r its drive
-    rank), whatever the group count, and the merged bytes are those of
-    zeros plus each group's states in group index order.
+    The plan is build_plan's at a cap worked out from the inputs. With
+    k = workers where fork exists, else 1, the cap is max_groups, or k
+    when max_groups is None, and at most k when k > 1: one group per
+    worker by default, and never more groups than workers. tr and be
+    always run as one group. workers and the cap must be at least 1.
 
-    With k > 1 and more groups than k, the groups are first packed into
-    k (see the module docstring), and the returned plan is the packed
-    one; its gts, and so the sampling, do not change. The operator is
-    factored and the groups run in a pool of k forked worker processes,
-    which inherit the factors: each group runs in one worker, which
-    writes its states into a shared (T, n) buffer and returns its cost.
-    An exception that stops a group is raised here; a worker that dies
-    raises BrokenProcessPool, a RuntimeError. The calling process only
-    waits and merges: it adds the groups' states in group order, so the
-    merged states differ from the one-process sum of the same plan by
-    rounding, though a rerun gives the same bytes; the counts, steps and
-    times do not differ. Each worker holds one group's working set and
-    pages shared copy-on-write with this process; this process touches
-    two buffers at a time while merging and keeps the first as the
-    merged states. Afterwards this process pays a minor page fault
-    on its first write to each page it shared with the workers: on a
-    10^4-node grid, about 7,000 faults, which slowed the next
-    build_system from 0.145 s to 0.197 s. Forked runs back to back in
-    one process pay this each time.
+    With k = 1, fork being POSIX-only, or a plan of one group, the
+    groups run one after another in the calling process: each group's
+    states take the running sum as soon as that group ends, so the call
+    holds the merged waveform plus one group's working set, its states
+    and n x r input-term blocks (r its drive rank), whatever the group
+    count, and the merged bytes are those of zeros plus each group's
+    states in group index order.
+
+    Otherwise the operator is factored and the groups run in a pool of
+    one forked worker process per group, which inherit the factors:
+    each group runs in one worker, which writes its states into a shared
+    (T, n) buffer and returns its cost. An exception that stops a group
+    is raised here; a worker that dies raises BrokenProcessPool, a
+    RuntimeError. The calling process only waits and merges: it adds the
+    groups' states in group order, so the merged states differ from the
+    one-process sum of the same plan by rounding, though a rerun gives
+    the same bytes; the counts, steps and times do not differ. Each
+    worker holds one group's working set and pages shared copy-on-write
+    with this process; this process touches two buffers at a time while
+    merging and keeps the first as the merged states. Afterwards this
+    process pays a minor page fault on its first write to each page it
+    shared with the workers: on a 10^4-node grid, about 7,000 faults,
+    which slowed the next build_system from 0.145 s to 0.197 s. Forked
+    runs back to back in one process pay this each time.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    forks = hasattr(os, "fork")
-    if max_groups is None:
-        max_groups = MAX_GROUPS_DEFAULT if workers > 1 and forks else 1
-    if max_groups < 1:
+    k = workers if hasattr(os, "fork") else 1
+    cap = k if max_groups is None else max_groups
+    if cap < 1:
         raise ValueError("max_groups must be at least 1")
+    if k > 1:
+        cap = min(cap, k)
     t_begin = time.perf_counter()
     t0, t1 = stepper.resolve_span(system, config)
     fixed_step = config.method in stepper.FIXED_THETA
-    plan = build_plan(
-        system.sources, t0, t1, max_groups=1 if fixed_step else max_groups
-    )
-    k = min(workers, plan.num_groups) if forks else 1
-    if 1 < k < plan.num_groups:
-        plan = _pack(plan, k)
+    plan = build_plan(system.sources, t0, t1, 1 if fixed_step else cap)
+    k = min(k, plan.num_groups)
     times = stepper.stepping_points(t0, t1, plan.gts)
     op = None if fixed_step else stepper.factor_matex(system, config, times)
 

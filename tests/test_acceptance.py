@@ -140,7 +140,7 @@ def test_superposition_merge_is_exact():
     # A fixed-step run is never split by run_superposed, so linearity is
     # checked on the group subsystems directly.
     tr_cfg = stepper.SolverConfig(method="tr", h=span / 600)
-    plan = decomp.build_plan(system.sources, system.t_start, system.t_stop)
+    plan = decomp.build_plan(system.sources, system.t_start, system.t_stop, system.num_sources)
     tr_sum = sum(
         stepper.solve_transient(system.subsystem(g), tr_cfg).states
         for g in plan.groups
@@ -149,12 +149,12 @@ def test_superposition_merge_is_exact():
 
     rm_cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
     rm_diff = np.abs(
-        decomp.run_superposed(system, rm_cfg).merged.states
+        decomp.run_superposed(system, rm_cfg, max_groups=system.num_sources).merged.states
         - stepper.solve_transient(system, rm_cfg).states
     ).max()
 
-    first = decomp.run_superposed(system, rm_cfg).merged
-    again = decomp.run_superposed(system, rm_cfg).merged
+    first = decomp.run_superposed(system, rm_cfg, max_groups=system.num_sources).merged
+    again = decomp.run_superposed(system, rm_cfg, max_groups=system.num_sources).merged
     same_bytes = (
         first.states.tobytes() == again.states.tobytes()
         and first.times.tobytes() == again.times.tobytes()
@@ -187,7 +187,7 @@ def test_substitution_economy():
     assert tr.substitution_pairs == n_fixed + 1
 
     sup = decomp.run_superposed(
-        system, stepper.SolverConfig(method="rmatex", e_tol=1e-8)
+        system, stepper.SolverConfig(method="rmatex", e_tol=1e-8), max_groups=system.num_sources
     )
     total_pairs = sup.merged.substitution_pairs
     max_pairs = max(r.substitution_pairs for r in sup.subtasks)
@@ -368,16 +368,17 @@ def test_invariant_suites(estimator_family, ladder_system, audited_bases):
     krylov.arnoldi(estimator_family.operators["rational"],
                    estimator_family.v, m_max=10)
 
-    plan_a = decomp.build_plan(ladder_system.sources, 0.0, 4e-10)
-    plan_b = decomp.build_plan(ladder_system.sources, 0.0, 4e-10)
+    plan_a = decomp.build_plan(ladder_system.sources, 0.0, 4e-10, ladder_system.num_sources)
+    plan_b = decomp.build_plan(ladder_system.sources, 0.0, 4e-10, ladder_system.num_sources)
     plans_equal = plan_a.groups == plan_b.groups and all(
         np.array_equal(x, y) for x, y in zip(plan_a.group_lts, plan_b.group_lts)
     )
 
     cfg = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-    merged_1 = decomp.run_superposed(ladder_system, cfg).merged
+    per_set = ladder_system.num_sources
+    merged_1 = decomp.run_superposed(ladder_system, cfg, max_groups=per_set).merged
     before = audited_bases.count
-    merged_2 = decomp.run_superposed(ladder_system, cfg).merged
+    merged_2 = decomp.run_superposed(ladder_system, cfg, max_groups=per_set).merged
     recorded = audited_bases.count - before
     built = sum(1 for s in merged_2.steps if not s.reused and s.m > 0)
     all_recorded = recorded == built > 0

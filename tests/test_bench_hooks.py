@@ -78,7 +78,8 @@ def test_group_runs_hang_under_the_superposed_run(tracer, ladder_system, workers
     try:
         tracer.install()
         run = decomp.run_superposed(
-            ladder_system, stepper.SolverConfig(e_tol=1e-8), workers=workers
+            ladder_system, stepper.SolverConfig(e_tol=1e-8), workers=workers,
+            max_groups=ladder_system.num_sources,
         )
     finally:
         tracer.uninstall()

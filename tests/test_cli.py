@@ -185,6 +185,20 @@ class TestSimulate:
         diag = json.loads(capsys.readouterr().out)
         assert diag["schema"] == 5 and diag["method"] == "rmatex"
 
+    def test_out_and_diag_cannot_share_stdout(self, netlist_file, capsys, monkeypatch):
+        # The CSV rows and the JSON would interleave on one stream, so the
+        # pair is refused before any solve.
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before the outputs were checked")
+
+        monkeypatch.setattr(decomp, "run_superposed", no_run)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", netlist_file, "--diag", "-"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--out and --diag cannot both be - (stdout)" in err
+
     def test_diag_reports_the_workers_and_the_critical_path(self, netlist_file, tmp_path):
         diag_path = tmp_path / "diag.json"
         rc = cli.main(
@@ -211,8 +225,8 @@ class TestSimulate:
         diag = json.loads(diag_path.read_text())
         assert diag["groups"] == groups and diag["workers"] == groups
 
-    def test_groups_over_the_cap_run_in_this_process(self, tmp_path):
-        # four spot sets over --groups 2: one group, which one worker runs
+    def test_groups_over_the_cap_are_packed(self, tmp_path):
+        # four spot sets over --groups 2: two packed groups, one per worker
         path = tmp_path / "mixed.sp"
         path.write_text(MIXED_NETLIST)
         diag_path = tmp_path / "diag.json"
@@ -222,7 +236,8 @@ class TestSimulate:
         )
         assert rc == 0
         diag = json.loads(diag_path.read_text())
-        assert diag["groups"] == 1 and diag["workers"] == 1
+        assert diag["groups"] == 2 and diag["workers"] == 2
+        assert [s["sources"] for s in diag["subtasks"]] == [[0, 1, 5], [2, 3, 4]]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_diag_pairs_are_the_run_total(self, netlist_file, tmp_path, workers):

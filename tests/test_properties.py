@@ -451,7 +451,7 @@ def test_tr_runs_of_the_groups_sum_to_the_whole_run(case):
     # with its share of the operating point, add up to the whole one.
     system = es.build_system(case[0])
     config = stepper.SolverConfig(method="tr", h=0.02)
-    plan = decomp.build_plan(system.sources, 0.0, 4.0)
+    plan = decomp.build_plan(system.sources, 0.0, 4.0, system.num_sources)
     parts = [stepper.solve_transient(system.subsystem(g), config) for g in plan.groups]
     whole = stepper.solve_transient(system, config)
     assert sorted(i for g in plan.groups for i in g) == list(range(system.num_sources))
@@ -466,7 +466,8 @@ def test_tr_runs_of_the_groups_sum_to_the_whole_run(case):
 def test_forked_groups_match_one_process(case):
     system = es.build_system(case[0])
     config = stepper.SolverConfig(method="rmatex", e_tol=1e-8)
-    assume(decomp.run_superposed(system, config).plan.num_groups > 1)
+    per_set = decomp.run_superposed(system, config, max_groups=system.num_sources)
+    assume(per_set.plan.num_groups > 1)
     forked = decomp.run_superposed(system, config, workers=2)
     assert forked.workers == forked.plan.num_groups == 2
     # the one-process sum of the same packed plan's groups
@@ -480,3 +481,48 @@ def test_forked_groups_match_one_process(case):
     assert np.abs(forked.merged.states - serial.merged.states).max() <= 1e-13 * scale
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+# Sources for the planner alone, over the span (0, 4): pulses at a few
+# timings, so that spot sets repeat, PWLs on a 0.1 grid, so that they
+# overlap, and DC sources, which have none.
+PLAN_SOURCES = st.one_of(
+    st.builds(
+        lambda delay, edge, width, period: netlist.Pulse(
+            0.0, 1.0, delay, edge, edge, width, period
+        ),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.1, 0.2]),
+        st.sampled_from([0.0, 0.3]),
+        st.sampled_from([1.0, 2.0]),
+    ),
+    st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True).map(
+        lambda ts: netlist.Pwl(tuple((t / 10, 1.0) for t in sorted(ts)))
+    ),
+    st.floats(-2.0, 2.0).map(netlist.Dc),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sources=st.lists(PLAN_SOURCES, min_size=1, max_size=12), cap=st.integers(1, 8))
+def test_the_plan_packs_the_spot_sets_into_the_cap(sources, cap):
+    plan = decomp.build_plan(sources, 0.0, 4.0, cap)
+    spots = [w.transition_times(0.0, 4.0) for w in sources]
+    per_set: dict[tuple[float, ...], list[int]] = {}
+    for i, lts in enumerate(spots):
+        per_set.setdefault(tuple(lts.tolist()), []).append(i)
+
+    assert sorted(i for g in plan.groups for i in g) == list(range(len(sources)))
+    assert all(g == sorted(g) for g in plan.groups)
+    assert plan.num_groups == min(len(per_set), cap) and all(plan.groups)
+    for g, lts in zip(plan.groups, plan.group_lts):
+        union = np.unique(np.concatenate([np.empty(0), *(spots[i] for i in g)]))
+        np.testing.assert_array_equal(lts, union)
+    # gts is every spot, whatever the cap
+    np.testing.assert_array_equal(plan.gts, np.unique(np.concatenate(spots)))
+    if cap >= len(per_set):  # one group per spot set, in order of first appearance
+        assert plan.groups == list(per_set.values())
+        assert [lts.tolist() for lts in plan.group_lts] == [list(k) for k in per_set]
+    if cap == 1:
+        assert plan.groups == [list(range(len(sources)))]
+        assert plan.group_lts[0].tobytes() == plan.gts.tobytes()

@@ -6,9 +6,10 @@ formed per step instead of as two (T, n) tables. "mixed" and "mesh",
 whose sources share PULSE timings, were re-pinned when the input terms
 went from one column per source to one per distinct waveform; the other
 circuits merge no two sources and kept their bytes. A run in one group is
-`stepper.solve_transient` itself; the default grouping is
-`decomp.run_superposed` at its default `max_groups`, whose merged states
-are zeros plus each group's states in group index order.
+`stepper.solve_transient` itself; the "default" grouping, one group per
+distinct spot-time set, is `decomp.run_superposed` with `max_groups` at
+the source count, whose merged states are zeros plus each group's states
+in group index order.
 
 Beside the bytes, each case pins the substitution pairs the run spent
 on each factor: G, C and the rational shift. A convergence probe pays
@@ -248,7 +249,7 @@ def run(name, method, grouping):
     cfg = stepper.SolverConfig(method=method, e_tol=1e-8)
     if grouping == "one":
         return stepper.solve_transient(system, cfg)
-    return decomp.run_superposed(system, cfg).merged
+    return decomp.run_superposed(system, cfg, max_groups=system.num_sources).merged
 
 
 @pytest.mark.parametrize("case", sorted(PINS), ids="-".join)
