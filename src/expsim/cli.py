@@ -22,6 +22,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -429,6 +430,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.out == args.diag == "-":
         parser.error("--out and --diag cannot both be - (stdout)")
+    if (
+        args.command == "simulate"
+        and args.diag is not None
+        and "-" not in (args.out, args.diag)
+        and os.path.realpath(args.out) == os.path.realpath(args.diag)
+    ):
+        parser.error(f"--out and --diag name the same file ({args.diag})")
     try:
         return args.func(args)
     except NetlistError as exc:

@@ -316,6 +316,24 @@ C4 4 0 5e-13
 .END
 """
 
+# Inductors and a voltage source: C has an empty branch row, so only
+# the estimates that need no C^-1 apply.
+RLC_VSOURCE_NETLIST = """* rlc line driven by a voltage source and two currents
+V1 in 0 PWL(0 0 2e-11 1 3e-10 1)
+R1 in 1 5
+L1 1 2 2n
+R2 2 3 5
+C2 2 0 1e-12
+L2 3 4 1n
+C3 3 0 2e-12
+R4 4 0 50
+C4 4 0 5e-13
+I1 0 3 PULSE(0 2m 5e-11 1e-11 1e-11 4e-11 1.5e-10)
+I2 0 4 PWL(0 0 1e-10 1m 1.2e-10 0)
+.TRAN 0 4e-10
+.END
+"""
+
 
 SCALAR_RC_NETLIST = """* scalar rc
 R1 1 0 1

@@ -199,6 +199,27 @@ class TestSimulate:
         assert out == ""
         assert "--out and --diag cannot both be - (stdout)" in err
 
+    def test_out_and_diag_cannot_share_a_file(
+        self, netlist_file, tmp_path, capsys, monkeypatch
+    ):
+        # The JSON would overwrite the CSV, so two spellings of one path
+        # are refused before any solve and nothing is written.
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before the outputs were checked")
+
+        monkeypatch.setattr(decomp, "run_superposed", no_run)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["simulate", netlist_file, "--out", "same.out",
+                 "--diag", str(tmp_path / "same.out")]
+            )
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--out and --diag name the same file" in err
+        assert not (tmp_path / "same.out").exists()
+
     def test_diag_reports_the_workers_and_the_critical_path(self, netlist_file, tmp_path):
         diag_path = tmp_path / "diag.json"
         rc = cli.main(

@@ -181,6 +181,27 @@ class TestLuFactorize:
                 got[:, j], factors.solve(block[:, j]), rtol=1e-14, atol=1e-15
             )
 
+    def test_sparse_nonsymmetric_zero_diagonal(self):
+        # The large entries sit on the first superdiagonal (and the
+        # corner) and the diagonal is empty, so partial pivoting must
+        # take every pivot off the diagonal of the factored matrix.
+        rng = np.random.default_rng(4)
+        n = 300
+        noise = sp.random(n, n, density=0.02, random_state=rng, format="lil")
+        noise.setdiag(0.0)
+        cycle = sp.csc_matrix(
+            (rng.uniform(5.0, 10.0, n), (np.arange(n), (np.arange(n) + 1) % n))
+        )
+        a = numkit.from_scipy(noise.tocsc() + cycle)
+        assert not a.scipy.diagonal().any()
+        assert (a.scipy != a.scipy.T).nnz > 0
+        factors = numkit.lu_factorize(a)
+        assert not np.array_equal(factors._splu.perm_r, factors._splu.perm_c)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 4))):
+            x = factors.solve(b)
+            assert x.shape == b.shape
+            assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
 
 class TestOrderingFill:
     # nnz(L) + nnz(U) of the 60 x 60 grid's C + gamma G: 108,430 with

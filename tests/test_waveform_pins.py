@@ -9,7 +9,10 @@ circuits merge no two sources and kept their bytes. A run in one group is
 `stepper.solve_transient` itself; the "default" grouping, one group per
 distinct spot-time set, is `decomp.run_superposed` with `max_groups` at
 the source count, whose merged states are zeros plus each group's states
-in group index order.
+in group index order. Every states digest was re-pinned when LU solves
+moved to SuperLU's transposed kernel on the factors of A^T, which
+reorders the substitutions' rounding; the times and the pairs kept
+their values.
 
 Beside the bytes, each case pins the substitution pairs the run spent
 on each factor: G, C and the rational shift. A convergence probe pays
@@ -31,27 +34,10 @@ from expsim import decomp, stepper
 from conftest import (
     LADDER_NETLIST,
     MIXED_NETLIST,
+    RLC_VSOURCE_NETLIST,
     SINGULAR_C_NETLIST,
     TWO_SOURCE_NETLIST,
 )
-
-# Inductors and a voltage source: C has an empty branch row, so only
-# the estimates that need no C^-1 apply.
-RLC_VSOURCE_NETLIST = """* rlc line driven by a voltage source and two currents
-V1 in 0 PWL(0 0 2e-11 1 3e-10 1)
-R1 in 1 5
-L1 1 2 2n
-R2 2 3 5
-C2 2 0 1e-12
-L2 3 4 1n
-C3 3 0 2e-12
-R4 4 0 50
-C4 4 0 5e-13
-I1 0 3 PULSE(0 2m 5e-11 1e-11 1e-11 4e-11 1.5e-10)
-I2 0 4 PWL(0 0 1e-10 1m 1.2e-10 0)
-.TRAN 0 4e-10
-.END
-"""
 
 # Inductors and current sources only: C is nonsingular.
 RLC_ISOURCE_NETLIST = """* rlc line with current drives only
@@ -93,115 +79,115 @@ def netlist_text(name: str) -> str:
 PINS = {
     ('ladder', 'rmatex', 'one'): (
         '4af0d261fa937163092296c3',
-        'efd4a6c99b7e563f21d93798',
+        '6c9eaa763d72af84ae41c2c3',
     ),
     ('ladder', 'rmatex', 'default'): (
         '4af0d261fa937163092296c3',
-        'af75007662d0836d538d0331',
+        '36794152b3fbb2c2c27677a8',
     ),
     ('ladder', 'imatex', 'one'): (
         '4af0d261fa937163092296c3',
-        'fa6dc38966281f271797c5d0',
+        'c895e5edf73f12e9232dbaee',
     ),
     ('ladder', 'imatex', 'default'): (
         '4af0d261fa937163092296c3',
-        '120f41ebfc5c197fda1c07d1',
+        '881985c66866f8d24249e746',
     ),
     ('mixed', 'rmatex', 'one'): (
         '11fe0417e2548ea56b64034e',
-        '11f31294e313257395b14218',
+        '7f9c286725f7ae988d68c061',
     ),
     ('mixed', 'rmatex', 'default'): (
         '11fe0417e2548ea56b64034e',
-        '271cfe1b85c96c19feec5efe',
+        'df9998790a4d9decc38f7ef6',
     ),
     ('mixed', 'imatex', 'one'): (
         '11fe0417e2548ea56b64034e',
-        '9a4975aacaa9a1f4f4cad521',
+        '73370c7d8fcc512fdcc2e7c8',
     ),
     ('mixed', 'imatex', 'default'): (
         '11fe0417e2548ea56b64034e',
-        '30f657b51f38cff24693013a',
+        '1e62c2fae983d88fd190f5b1',
     ),
     ('rlc-v', 'rmatex', 'one'): (
         'f34f435ae62c206b353af7e1',
-        'be3266646ab953e2d256808e',
+        'b1774110bf6bdafdbf086ec2',
     ),
     ('rlc-v', 'rmatex', 'default'): (
         'f34f435ae62c206b353af7e1',
-        '44ae36a349e7ea63a0a89245',
+        'acbf674c9fc3e79379b084fd',
     ),
     ('rlc-v', 'imatex', 'one'): (
         'f34f435ae62c206b353af7e1',
-        '3d200d4b7924ac16564856d8',
+        '9c26e748cb1fce3d0db6c501',
     ),
     ('rlc-v', 'imatex', 'default'): (
         'f34f435ae62c206b353af7e1',
-        'fb8708c9a43bbd70138ef7b6',
+        '65315332ecdefb3fb648ff67',
     ),
     ('rlc-i', 'rmatex', 'one'): (
         '9c09c7955e90c49441701d3d',
-        '47bd0b35b4cf13f323df7075',
+        'fb5311f554481e8860dc1158',
     ),
     ('rlc-i', 'rmatex', 'default'): (
         '9c09c7955e90c49441701d3d',
-        '80ff7993b46aa27e7bb8aaa0',
+        '01cdb84a457fdd9a18ca9346',
     ),
     ('rlc-i', 'imatex', 'one'): (
         '9c09c7955e90c49441701d3d',
-        '70076504b68ce65491c2ae85',
+        '13a92a147f2dbd953ace191a',
     ),
     ('rlc-i', 'imatex', 'default'): (
         '9c09c7955e90c49441701d3d',
-        'a1929119a0362dceeaf793a7',
+        '91591b482bc5c2275c5d9b71',
     ),
     ('singular-c', 'rmatex', 'one'): (
         'ef312221a75846532c4daa58',
-        '2a1e97f35ac7b0a2fe8375d1',
+        '7aa62a163a59666992ac1706',
     ),
     ('singular-c', 'rmatex', 'default'): (
         'ef312221a75846532c4daa58',
-        '04912b3d1da70c46264cbe23',
+        '562edd10a7c66e22803a3db4',
     ),
     ('singular-c', 'imatex', 'one'): (
         'ef312221a75846532c4daa58',
-        '56651188a7830601e8c557ff',
+        'e14ce6a32331a48cb1a56b38',
     ),
     ('singular-c', 'imatex', 'default'): (
         'ef312221a75846532c4daa58',
-        'e6b5c7149f28122146276b77',
+        '13d1b914f9ce898aa2dcdf1a',
     ),
     ('two-source', 'rmatex', 'one'): (
         '4af0d261fa937163092296c3',
-        '94da23e438645ab7a0e7b987',
+        '8e70576d67c1c193d8c4f689',
     ),
     ('two-source', 'rmatex', 'default'): (
         '4af0d261fa937163092296c3',
-        'bc4e78516058ba135abc5db6',
+        '21266cedefdab84a5da40f76',
     ),
     ('two-source', 'imatex', 'one'): (
         '4af0d261fa937163092296c3',
-        '31664f00848ec8d2ee478cd3',
+        '0c87959e356a9650175cab0c',
     ),
     ('two-source', 'imatex', 'default'): (
         '4af0d261fa937163092296c3',
-        '71c73fd1d6c30d4c8d21a331',
+        '609d3cbdcdbec46b149ecdce',
     ),
     ('mesh', 'rmatex', 'one'): (
         'f79c958b95b574ebb67dc1c2',
-        '64dd401885f3bcf2a6eca34b',
+        '297d6052583110bb8f423211',
     ),
     ('mesh', 'rmatex', 'default'): (
         'f79c958b95b574ebb67dc1c2',
-        '2992c616de1a5621ccca5529',
+        '8ff8bcc6a8ae140d040e9b3f',
     ),
     ('mesh', 'imatex', 'one'): (
         'f79c958b95b574ebb67dc1c2',
-        'ccb7df859a92dcc79ecdfae7',
+        'b6f0b9ccf77e2d850c6698ee',
     ),
     ('mesh', 'imatex', 'default'): (
         'f79c958b95b574ebb67dc1c2',
-        '978d92431d130b91705d8ce1',
+        'c4736a7f9e7df1e4cdc972ed',
     ),
 }
 
