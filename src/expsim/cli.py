@@ -171,8 +171,21 @@ def _open_out(path: str):
 
 
 def _load_system(path: str) -> netlist.CircuitSystem:
-    with open(path) as fh:
-        return netlist.build_system(fh.read())
+    """Read a UTF-8 netlist file, with or without a byte-order mark, and
+    build its system. A byte that is not UTF-8 is a NetlistError on the
+    line that holds it."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; the sentinel stands in for
+        # it, so the line count is the parser's splitlines() count.
+        head = exc.object[: exc.start].decode("utf-8") + "?"
+        raise NetlistError(
+            f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})",
+            len(head.splitlines()),
+        ) from exc
+    return netlist.build_system(text)
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:

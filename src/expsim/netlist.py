@@ -36,9 +36,9 @@ import os
 import re
 import sys
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,6 +67,15 @@ def parse_value(token: str) -> float:
     Trailing unit letters after the suffix are ignored ("10ps", "2pF").
     A number that overflows to infinity is rejected.
     """
+    # A plain number skips the regex. float() alone would also take
+    # "1_0", "inf" and "nan", which the regex rejects with its messages.
+    try:
+        value = float(token)
+    except ValueError:
+        pass
+    else:
+        if "_" not in token and math.isfinite(value):
+            return value
     text = token.strip().upper()
     match = _NUMBER.match(text)
     if match is None:
@@ -268,15 +277,17 @@ def _parse_source_spec(spec: str) -> Waveform:
 
 def parse_netlist(text: str) -> Netlist:
     """Parse netlist text into elements plus the analysis directive."""
-    fields: list = []  # six Netlist fields per element, in netlist order
+    kinds, names, pos, neg, values, waveforms = columns = [], [], [], [], [], []
     seen_names: set[str] = set()
     t_start = t_stop = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0].strip()
-        if not line or line[0] == "*":
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if ";" in line:
+            line = line.split(";", 1)[0]
+        tokens = line.split(None, 3)
+        if not tokens or tokens[0][0] == "*":
             continue
         try:
-            if line[0] == ".":
+            if tokens[0][0] == ".":
                 tokens = line.split()
                 card = tokens[0].upper()
                 if card == ".END":
@@ -290,36 +301,45 @@ def parse_netlist(text: str) -> Netlist:
                 if t_stop <= t_start:
                     raise ValueError(".TRAN stop must exceed start")
                 continue
-            tokens = line.split(None, 3)
             if len(tokens) < 4:
                 raise ValueError("element line needs name, two nodes and a value")
-            name, pos, neg, rest = tokens
+            name, a, b, rest = tokens
             # Names head the CSV columns, where ',' separates fields.
-            if "," in line and "," in name + pos + neg:
-                bad = next(tok for tok in (name, pos, neg) if "," in tok)
+            if "," in line and "," in name + a + b:
+                bad = next(tok for tok in (name, a, b) if "," in tok)
                 raise ValueError(f"name {bad!r} contains ','")
             key = name.upper()
             kind = key[0]
             if key in seen_names:
                 raise ValueError(f"duplicate element name {name!r}")
             seen_names.add(key)
-            p, q = pos.upper(), neg.upper()
+            p, q = a.upper(), b.upper()
             if p == q:
-                raise ValueError(f"element {name!r} shorts node {pos!r} to itself")
+                raise ValueError(f"element {name!r} shorts node {a!r} to itself")
             if kind in "RCL":
-                value = parse_value(rest.split(None, 1)[0])
+                try:
+                    value = parse_value(rest)
+                except ValueError:  # the value and more tokens, or a bad value
+                    value = parse_value(rest.split(None, 1)[0])
                 if value <= 0:
                     raise ValueError(f"{name!r} must have a positive value")
-                fields.extend((kind, key, p, q, value, None))
+                waveform = None
             elif kind in "IV":
-                fields.extend((kind, key, p, q, None, _parse_source_spec(rest)))
+                value, waveform = None, _parse_source_spec(rest)
             else:
                 raise ValueError(f"unknown element type {name!r}")
         except ValueError as exc:
             raise NetlistError(str(exc), line_no) from exc
-    if not fields:
+        kinds.append(kind)
+        names.append(key)
+        pos.append(p)
+        neg.append(q)
+        values.append(value)
+        waveforms.append(waveform)
+    if not kinds:
         raise NetlistError("netlist has no elements")
-    return Netlist(*(fields[k::6] for k in range(6)), t_start=t_start, t_stop=t_stop)
+    # Exact-size copies: appending left each column up to 1/8 spare room.
+    return Netlist(*(c[:] for c in columns), t_start=t_start, t_stop=t_stop)
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +477,18 @@ def stamp_mna(netlist: Netlist) -> CircuitSystem:
     res, cap, ind, isrc, vsrc = (np.flatnonzero(is_[k]) for k in "RCLIV")
     branches = np.flatnonzero(is_["L"] | is_["V"])
     sources = np.flatnonzero(is_["I"] | is_["V"])
-    first_seen = dict.fromkeys(chain.from_iterable(zip(netlist.pos, netlist.neg)))
-    first_seen.pop("0", None)
-    nodes = list(first_seen)
-    n = len(nodes) + branches.size
-    index = dict(zip(nodes, range(len(nodes))))
-    index["0"] = n  # ground: outside every matrix, vertex n of the DC graph
-    p, q = (
-        np.fromiter(map(index.__getitem__, ends), np.int64, kind.size)
-        for ends in (netlist.pos, netlist.neg)
+    # One pass numbers each node at its first appearance and looks up
+    # every end; ground, seeded as -1, consumes no number.
+    index = defaultdict(count().__next__, {"0": -1})
+    ends = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(zip(netlist.pos, netlist.neg))),
+        np.int64,
+        2 * kind.size,
     )
+    nodes = list(index)[1:]
+    n = len(nodes) + branches.size
+    ends[ends < 0] = n  # ground: outside every matrix, vertex n of the DC graph
+    p, q = ends[0::2], ends[1::2]
     unknown, col = np.zeros(kind.size, np.int64), np.zeros(kind.size, np.int64)
     unknown[branches] = np.arange(len(nodes), n)  # branch current unknowns
     col[sources] = np.arange(sources.size)  # columns of B

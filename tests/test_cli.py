@@ -414,6 +414,32 @@ class TestExitCodes:
         assert rc == 1
         assert "netlist error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_netlist_that_is_not_utf8(self, tmp_path, capsys, command):
+        # A Latin-1 e-acute in the comment on line 2.
+        path = tmp_path / "latin1.sp"
+        first, rest = TWO_SOURCE_NETLIST.split("\n", 1)
+        path.write_bytes(f"{first}\n* caf\xe9 grid\n{rest}".encode("latin-1"))
+        rc = cli.main([command, str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "netlist error: line 2: not UTF-8: byte 0xe9 (invalid continuation byte)\n"
+        )
+
+    @pytest.mark.parametrize("head", ["* title\n", ""])
+    def test_byte_order_mark_is_not_part_of_line_1(self, tmp_path, head):
+        # TWO_SOURCE_NETLIST's first line is a comment; without it, line 1
+        # is an element card.
+        body = head + TWO_SOURCE_NETLIST.split("\n", 1)[1]
+        csvs = []
+        for name, bom in (("plain.sp", b""), ("bom.sp", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(bom + body.encode())
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["simulate", str(path), "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_out_of_range_value(self, tmp_path, capsys):
         # 1e400 overflows float64 to inf.
         path = tmp_path / "inf.sp"

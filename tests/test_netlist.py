@@ -1,9 +1,12 @@
 """Netlist parsing, waveform evaluation and MNA assembly."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expsim as es
 from expsim import netlist, numkit
@@ -42,6 +45,68 @@ class TestParseValue:
     def test_rejects_garbage(self, token):
         with pytest.raises(ValueError):
             netlist.parse_value(token)
+
+
+# The regex-only parse that parse_value's float() shortcut must agree with.
+REFERENCE_NUMBER = re.compile(
+    r"([+-]?(?:\d+\.?\d*|\.\d+)(?:E[+-]?\d+)?)(MEG|[FPNUMKGT])?(.*)", re.S
+)
+REFERENCE_SUFFIXES = {
+    "MEG": 1e6, "F": 1e-15, "P": 1e-12, "N": 1e-9, "U": 1e-6,
+    "M": 1e-3, "K": 1e3, "G": 1e9, "T": 1e12,
+}
+
+
+def reference_value(token):
+    text = token.strip().upper()
+    match = REFERENCE_NUMBER.match(text)
+    if match is None:
+        raise ValueError(f"not a number: {token!r}")
+    number, suffix, rest = match.groups()
+    if rest and not rest.isalpha():
+        raise ValueError(f"bad suffix on number: {token!r}")
+    value = float(number) * REFERENCE_SUFFIXES[suffix] if suffix else float(number)
+    if not np.isfinite(value):
+        raise ValueError(f"number out of range: {token!r}")
+    return value
+
+
+def outcome(parse, token):
+    """The value's repr (which tells -0.0 from 0.0) or the error message."""
+    try:
+        return repr(parse(token))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+SIGNS = st.sampled_from(["", "+", "-"])
+UNICODE_DIGITS = st.text(st.characters(categories=["Nd"]), min_size=1, max_size=4)
+VALUE_TOKENS = st.one_of(
+    st.floats().map(repr),  # plain numbers, inf, nan and 1e+300 alike
+    st.builds(
+        "{}{}{}{}".format,
+        SIGNS,
+        st.floats(0, 1e6).map(repr),
+        st.sampled_from(["", "f", "P", "n", "u", "M", "k", "meg", "MEG", "g", "T"]),
+        st.text("sSfFhHzZvVaA", max_size=3),
+    ),
+    st.builds(
+        "{}{}.{}e{}".format, SIGNS, UNICODE_DIGITS, UNICODE_DIGITS, UNICODE_DIGITS
+    ),
+    st.sampled_from([
+        "1_0", "1_000.5", "_1", "1__0", "1e1_0", "inf", "-INF", "+Infinity", "nan",
+        "-NaN", "infinity", "1e400", "-1e400", "1e-400", ".5", "-.5e-3", "1.", "1.e5",
+        ".", "e5", "1e", "1e-", "", " ", "1 2", "1M5", "1e300T", " 10ps ", "\x1c1",
+        "1\x1c", "\u30001", "\u0663.\u0665", "\uff11\uff12", "0x10",
+    ]),
+    st.text("0123456789.eE+-_ infatyMEGFPNUKTmegpnuk\t\x1c\u3000\u0663\uff15", max_size=12),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(token=VALUE_TOKENS)
+def test_parse_value_matches_the_regex_only_parse(token):
+    assert outcome(netlist.parse_value, token) == outcome(reference_value, token)
 
 
 class TestQuantize:
@@ -111,6 +176,15 @@ class TestWaveforms:
             netlist.Pwl(())
 
 
+# Pairs of faulty lines that different checks catch.
+TWO_FAULTS = [
+    ("R9 9 0 1_0", "X9 9 0 1"),
+    ("C9 9 0 inf", "R8 8 8 1"),
+    ("L9 9 0 1e400", "R9 9 0 -1"),
+    (".TRAN 0", "R1 9 0 1k"),
+]
+
+
 class TestParseNetlist:
     def test_comments_blanks_and_case(self):
         nl = netlist.parse_netlist(
@@ -128,6 +202,10 @@ class TestParseNetlist:
         assert nl.pos[0] == "A" and nl.neg[0] == "B"
         assert nl.values == [10.0, pytest.approx(1e-9)]
         assert nl.t_start == 0.0 and nl.t_stop == pytest.approx(1e-6)
+
+    def test_tokens_after_a_value_are_ignored(self):
+        nl = netlist.parse_netlist("R1 1 0 10 tc=0.1\nC1 1 0 2p  extra words \n")
+        assert nl.values == [10.0, pytest.approx(2e-12)]
 
     def test_source_specs(self):
         nl = netlist.parse_netlist(
@@ -161,6 +239,12 @@ class TestParseNetlist:
             ("R1 1 0 1\nI1 0 1 PWL 0 0 1 1\n.END\n", 2),
             ("R1 1 0 1\nC1 a,b 0 1p\n", 2),  # names head the CSV columns
             ("R1 1 0 1\nC1,2 1 0 1p\n", 2),
+        ]
+        # Two faults on lines 2 and 4, in both orders: line 2 is reported.
+        + [
+            (f"R1 1 0 1\n{a}\nR2 2 0 1k\n{b}\n.END\n", 2)
+            for pair in TWO_FAULTS
+            for a, b in (pair, pair[::-1])
         ],
     )
     def test_errors_carry_line_numbers(self, text, line_no):

@@ -5,11 +5,16 @@ stamper that the column-wise assembly replaced. Each covers the
 `data`, `indices` and `indptr` arrays of one stored matrix, so a change
 in the order duplicates are summed in, in the index dtype or in one
 floating-point bit shows. The error table holds that implementation's
-exact messages and line numbers for malformed input.
+exact messages and line numbers for malformed input. The benchmark's
+own grids are pinned too, with their sources' repr, from the parser
+that preceded the float-first value parse and one-pass node numbering.
 """
 
 import hashlib
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +122,52 @@ def test_matrices_match_pinned_bytes(pinned_texts, name):
         warnings.simplefilter("ignore")
         system = es.build_system(pinned_texts[name])
     assert system_digests(system) == PINS[name]
+
+
+MESHES_PY = Path(__file__).resolve().parent.parent / "perfbench" / "meshes.py"
+
+# perfbench/meshes.grid_mesh arguments -> (C, G, B, names, source_names,
+# repr of sources) digests.
+BENCH_PINS = {
+    (100, 12, 3, 1): (
+        "5af412c8787b7de2fee736a6",
+        "a7abf65b395075e1cff6f69d",
+        "44a94fc24a61b74e7f640073",
+        "7c13f4812cba25bb1545338a",
+        "0f2064fa6675799a2efac869",
+        "ee0b83220fe9abb350af5c39",
+    ),
+    (100, 32, 8, 1): (
+        "5af412c8787b7de2fee736a6",
+        "a7abf65b395075e1cff6f69d",
+        "24499a33e51f4f28eb06a06d",
+        "7c13f4812cba25bb1545338a",
+        "6e4a314d5588d766665c3c06",
+        "d285716447c60c7b21f26b5e",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def meshes():
+    """perfbench/meshes.py, loaded from its file and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_meshes", MESHES_PY)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules while the class
+    # body executes.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("args", sorted(BENCH_PINS))
+def test_benchmark_matrices_match_pinned_bytes(meshes, args):
+    system = es.build_system(meshes.grid_mesh(*args).text)
+    got = system_digests(system) + (text_digest([repr(system.sources)]),)
+    assert got == BENCH_PINS[args]
 
 
 def test_suffix_netlist_floating_warning():
